@@ -11,9 +11,10 @@ Exit codes: 0 success, 1 failed check or numeric failure, 2 usage error,
 4 unsupported range (e.g. grid regrets for m > 3), 5 I/O failure.
 
 Output is CSV (default) or JSON with floats fixed to 12 significant
-digits, so identical flags produce byte-identical output regardless of
---threads. Values are reported in nats and bits together; --base picks
-the unit of derived columns (asymptote, gap).
+digits, so identical flags produce byte-identical output; --threads is
+accepted for compatibility and changes nothing. Values are reported in
+nats and bits together; --base picks the unit of derived columns
+(asymptote, gap).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Sequence, TextIO
 
@@ -184,15 +184,14 @@ def cmd_predict(args) -> int:
 def cmd_regret(args) -> int:
     m = args.m
     spec = _build_spec(args, m)
-    threads = args.threads
     if args.kind == "worst":
-        report = worst_case_regret(spec, args.n, m, threads=threads)
+        report = worst_case_regret(spec, args.n, m)
     elif args.kind == "average":
-        report = alpha_regret(spec, args.n, m, 1.0, threads=threads)
+        report = alpha_regret(spec, args.n, m, 1.0)
     else:
         if args.alpha is None:
             raise ValueError("--kind alpha requires --alpha")
-        report = alpha_regret(spec, args.n, m, args.alpha, threads=threads)
+        report = alpha_regret(spec, args.n, m, args.alpha)
 
     asymptote = None
     if args.kind == "worst":
@@ -223,7 +222,7 @@ def cmd_regret(args) -> int:
     }
     _emit([row], args.format, sys.stdout)
     if args.kind == "alpha" and isinstance(spec, AlphaNML) and spec.alpha > 1.0:
-        bound = sibson_mi_alpha(args.n, m, spec.alpha, spec.a, threads=threads)
+        bound = sibson_mi_alpha(args.n, m, spec.alpha, spec.a)
         ok = report.value_nats >= bound - 1e-9
         sys.stderr.write(
             f"# lower bound: information radius alpha={_fmt(spec.alpha)} is "
@@ -239,7 +238,7 @@ def cmd_figure1(args) -> int:
     if args.alpha_max < 1:
         raise ValueError(f"--alpha-max must be >= 1, got {args.alpha_max}")
     alphas = [float(a) for a in range(1, args.alpha_max + 1)]
-    rows = figure1_table(n_list, alphas, m=2, threads=args.threads)
+    rows = figure1_table(n_list, alphas, m=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             _write_figure1(rows, args.format, fh)
@@ -271,7 +270,7 @@ def cmd_asymptotics(args) -> int:
     scale = 1.0 if args.base == "nats" else 1.0 / LOG_TWO
     rows = []
     for n in n_list:
-        exact = worst_case_regret(spec, n, m, threads=args.threads).value_nats
+        exact = worst_case_regret(spec, n, m).value_nats
         asym = asymptotic_rmax(n, m, alpha)
         rows.append(
             {
@@ -297,7 +296,7 @@ def _oracle_pair(args) -> tuple[float, float, float]:
         alpha = args.alpha if args.alpha is not None else 2.0
         prior = _parse_prior(args.prior, m) if args.prior else DirichletParams.jeffreys(m)
         spec = AlphaNML(alpha, prior)
-        fast = log_normalizer(spec, n, m, threads=args.threads)
+        fast = log_normalizer(spec, n, m)
 
         def term(seq):
             cv = CountVector(sequence_counts(seq, m))
@@ -309,12 +308,12 @@ def _oracle_pair(args) -> tuple[float, float, float]:
     if check == "lemma1":
         prior = _parse_prior(args.prior, m) if args.prior else DirichletParams.jeffreys(m)
         spec = Mixture(prior) if args.alpha is None else AlphaNML(args.alpha, prior)
-        lhs, rhs = infinity_split_check(spec, n, m, threads=args.threads)
+        lhs, rhs = infinity_split_check(spec, n, m)
         return lhs, rhs, tol
     if check == "lemma2":
         alpha = args.alpha if args.alpha is not None else 2.0
         prior = _parse_prior(args.prior, m) if args.prior else DirichletParams.jeffreys(m)
-        lhs, rhs = alpha_split_check(alpha, n, m, prior, threads=args.threads)
+        lhs, rhs = alpha_split_check(alpha, n, m, prior)
         return lhs, rhs, tol
     if check == "theorem1":
         alpha = args.alpha if args.alpha is not None else 2.0
@@ -327,8 +326,8 @@ def _oracle_pair(args) -> tuple[float, float, float]:
             raise ValueError("theorem5 check requires --alpha > 1")
         b = _parse_prior(args.prior, m) if args.prior else DirichletParams((2.0,) * m)
         spec = LuckinessAlphaNML(alpha, b)
-        lhs = luckiness_alpha_regret(spec, LuckinessFunction(b), n, alpha, m, threads=args.threads)
-        rhs = sibson_mi_alpha(n, m, alpha, tilted_params(alpha, b), threads=args.threads)
+        lhs = luckiness_alpha_regret(spec, LuckinessFunction(b), n, alpha, m)
+        rhs = sibson_mi_alpha(n, m, alpha, tilted_params(alpha, b))
         return lhs, rhs, tol
     raise ValueError(f"unknown check {check!r}")
 
@@ -360,8 +359,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--threads",
         type=int,
-        default=int(os.environ.get("ALPHANML_THREADS", "1")),
-        help="worker threads for type-class reductions (results are identical for any value)",
+        default=1,
+        help="accepted for compatibility; computations are single-threaded (must be >= 1)",
     )
 
 
@@ -425,6 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"argument --threads: must be >= 1, got {args.threads}")
     try:
         return args.func(args)
     except InfeasibleModelError as exc:

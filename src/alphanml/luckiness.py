@@ -20,21 +20,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .exceptions import NumericError, UnsupportedError
-from .numerics import LogProb
 from .predictors import (
     DEFAULT_CACHE,
     DirichletParams,
-    LuckinessAlphaNML,
     LuckinessNML,
     NormalizerCache,
     PredictorSpec,
-    log_joint,
-    log_luckiness_supremum,
+    log_numerators,
     tilted_params,
 )
 from .regret import (
@@ -43,11 +39,11 @@ from .regret import (
     TypeClassTable,
     dirichlet_log_pdf,
     integrate_unit_interval,
+    joint_values,
+    lex_argmax,
     maximize_on_simplex,
-    resolve_joint,
-    strictly_better,
 )
-from .typeclass import CountVector, iter_with_log_multiplicity
+from .typeclass import CountVector, count_vectors
 
 
 @dataclass(frozen=True)
@@ -99,31 +95,6 @@ def _as_luckiness(pi: LuckinessFunction | DirichletParams) -> LuckinessFunction:
     raise TypeError(f"pi must be a LuckinessFunction or DirichletParams, got {pi!r}")
 
 
-def luckiness_nml_log_joint(
-    counts: CountVector,
-    pi: LuckinessFunction | DirichletParams,
-    *,
-    cache: NormalizerCache | None = DEFAULT_CACHE,
-    threads: int = 1,
-) -> LogProb:
-    """ln joint of the luckiness NML predictor for these counts."""
-    return log_joint(LuckinessNML(_as_luckiness(pi).b), counts, cache=cache, threads=threads)
-
-
-def luckiness_alpha_nml_log_joint(
-    counts: CountVector,
-    alpha: float,
-    pi: LuckinessFunction | DirichletParams,
-    *,
-    cache: NormalizerCache | None = DEFAULT_CACHE,
-    threads: int = 1,
-) -> LogProb:
-    """ln joint of the tilted alpha predictor for these counts."""
-    return log_joint(
-        LuckinessAlphaNML(alpha, _as_luckiness(pi).b), counts, cache=cache, threads=threads
-    )
-
-
 def worst_case_luckiness_regret(
     predictor: PredictorSpec | JointFn,
     pi: LuckinessFunction | DirichletParams,
@@ -141,16 +112,16 @@ def worst_case_luckiness_regret(
     lf = _as_luckiness(pi)
     if lf.b.m != m:
         raise ValueError(f"luckiness has m={lf.b.m}, got m={m}")
-    joint = resolve_joint(predictor, n, m, cache=cache, threads=threads)
-    best = -math.inf
-    arg: CountVector | None = None
-    for cv, _ in iter_with_log_multiplicity(n, m):
-        val = log_luckiness_supremum(cv, lf.b) - joint(cv)
-        if strictly_better(val, best):
-            best = val
-            arg = cv
+    counts = count_vectors(n, m)
+    vals = log_numerators(LuckinessNML(lf.b), counts) - joint_values(predictor, counts, cache=cache)
+    k = lex_argmax(vals)
     return RegretReport(
-        kind="luckiness_worst_case", value_nats=best, n=n, m=m, predictor=predictor, maximizer=arg
+        kind="luckiness_worst_case",
+        value_nats=float(vals[k]),
+        n=n,
+        m=m,
+        predictor=predictor,
+        maximizer=CountVector(tuple(counts[k].tolist())),
     )
 
 
@@ -173,7 +144,7 @@ def average_luckiness_regret(
     lf = _as_luckiness(pi)
     if m != 2 or lf.b.m != 2:
         raise UnsupportedError("average luckiness regret is quadrature-based and supports m = 2 only")
-    table = TypeClassTable(n, m, predictor, cache=cache, threads=threads)
+    table = TypeClassTable(n, m, predictor, cache=cache)
 
     def integrand(t: float) -> float:
         theta = np.array([[t, 1.0 - t]])
@@ -210,7 +181,7 @@ def luckiness_alpha_regret(
     if m != 2 or lf.b.m != 2:
         raise UnsupportedError("luckiness alpha-regret is quadrature-based and supports m = 2 only")
     tilt = tilted_params(alpha, lf.b)
-    table = TypeClassTable(n, m, predictor, cache=cache, threads=threads)
+    table = TypeClassTable(n, m, predictor, cache=cache)
 
     def integrand(t: float) -> float:
         theta = np.array([[t, 1.0 - t]])
@@ -250,7 +221,7 @@ def luckiness_alpha_regret_supform(
     lf = _as_luckiness(pi)
     if lf.b.m != m:
         raise ValueError(f"luckiness has m={lf.b.m}, got m={m}")
-    table = TypeClassTable(n, m, predictor, cache=cache, threads=threads)
+    table = TypeClassTable(n, m, predictor, cache=cache)
 
     def objective(thetas: np.ndarray) -> np.ndarray:
         return dirichlet_log_pdf(thetas, lf.b) + table.renyi_values(thetas, alpha)

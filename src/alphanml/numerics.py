@@ -6,19 +6,16 @@ probabilities go through ``log_sum_exp``; the 0 * log(0) = 0 convention is
 enforced by the single shared ``xlogy`` helper. Conversions to bits happen
 only at output boundaries (divide by ln 2).
 
-ln Gamma has two routes: a general path backed by the C library ``lgamma``,
-and an exact-recurrence path for integer and half-integer arguments built
-from cumulative sums of logs (Gamma(z+1) = z Gamma(z) unrolled down to
-Gamma(1) = 1 and Gamma(1/2) = sqrt(pi)). The recurrence path is what makes
-type-class scans cheap: arguments of the form alpha*n_k + 1/2 hit a table
-lookup instead of a transcendental call. Tables are grown lazily, in
-extended precision, and shared across threads behind a lock.
+Type-class scans evaluate whole arrays at once: ``log_sum_exp`` accepts a
+numpy array and reduces it with one vectorized ``exp`` and an exactly
+rounded ``math.fsum``, so the result does not depend on the order of the
+terms. ``log_gamma`` is the C library ``lgamma``; array callers use
+``scipy.special.gammaln``.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,78 +25,14 @@ LogProb = float  # natural-log probability; -inf encodes zero
 
 LOG_PI = math.log(math.pi)
 LOG_TWO = math.log(2.0)
-LOG_SQRT_PI = 0.5 * math.log(math.pi)
-
-# Arguments above the cutoff skip the table and use lgamma directly.
-RECURRENCE_CUTOFF = 1_000_000
-
-_table_lock = threading.Lock()
-# _INT_TABLE[k] = ln Gamma(k + 1); _HALF_TABLE[k] = ln Gamma(k + 1/2)
-_INT_TABLE = np.array([0.0])
-_HALF_TABLE = np.array([LOG_SQRT_PI])
-
-
-def _grow_int_table(k: int) -> np.ndarray:
-    global _INT_TABLE
-    with _table_lock:
-        table = _INT_TABLE
-        if k < table.size:
-            return table
-        new_size = max(k + 1, 2 * table.size)
-        # ln Gamma(j + 1) = ln Gamma(j) + ln j, accumulated in extended precision
-        js = np.arange(table.size, new_size, dtype=np.longdouble)
-        ext = np.cumsum(np.log(js)) + np.longdouble(table[-1])
-        _INT_TABLE = np.concatenate([table, ext.astype(np.float64)])
-        return _INT_TABLE
-
-
-def _grow_half_table(k: int) -> np.ndarray:
-    global _HALF_TABLE
-    with _table_lock:
-        table = _HALF_TABLE
-        if k < table.size:
-            return table
-        new_size = max(k + 1, 2 * table.size)
-        # ln Gamma(j + 1/2) = ln Gamma(j - 1/2) + ln(j - 1/2)
-        js = np.arange(table.size, new_size, dtype=np.longdouble)
-        ext = np.cumsum(np.log(js - np.longdouble(0.5))) + np.longdouble(table[-1])
-        _HALF_TABLE = np.concatenate([table, ext.astype(np.float64)])
-        return _HALF_TABLE
 
 
 def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0.
-
-    Integer and half-integer arguments up to RECURRENCE_CUTOFF take the exact
-    recurrence tables; everything else takes the C lgamma.
-    """
+    """ln Gamma(x) for x > 0."""
     x = float(x)
     if not x > 0.0:
         raise ValueError(f"log_gamma requires x > 0, got {x}")
-    if x <= RECURRENCE_CUTOFF:
-        two_x = 2.0 * x
-        if two_x == math.floor(two_x):
-            k2 = int(two_x)
-            if k2 % 2 == 0:
-                k = k2 // 2 - 1  # x = k + 1
-                table = _INT_TABLE
-                if k >= table.size:
-                    table = _grow_int_table(k)
-                return float(table[k])
-            k = (k2 - 1) // 2  # x = k + 1/2
-            table = _HALF_TABLE
-            if k >= table.size:
-                table = _grow_half_table(k)
-            return float(table[k])
     return math.lgamma(x)
-
-
-def digamma(x: float) -> float:
-    """Logarithmic derivative of Gamma, for x > 0."""
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"digamma requires x > 0, got {x}")
-    return float(_special.digamma(x))
 
 
 def xlogy(x, y):
@@ -111,22 +44,24 @@ def xlogy(x, y):
 
 
 def log_sum_exp(terms: Iterable[LogProb]) -> LogProb:
-    """ln sum(exp(t)) over a finite collection of log values.
+    """ln sum(exp(t)) over a finite collection (or array) of log values.
 
     Shift-by-max with an exactly rounded (fsum) accumulation, so the result
     is invariant under permutations of the input. All -inf yields -inf;
     an empty collection is an error; +inf inputs are rejected.
     """
-    values = [float(t) for t in terms]
-    if not values:
+    if isinstance(terms, np.ndarray):
+        values = terms.astype(np.float64, copy=False).ravel()
+    else:
+        values = np.fromiter(terms, dtype=np.float64)
+    if values.size == 0:
         raise ValueError("log_sum_exp of an empty collection")
-    hi = max(values)
+    hi = float(values.max())
     if hi == -math.inf:
         return -math.inf
     if hi == math.inf:
         raise ValueError("log_sum_exp received +inf")
-    total = math.fsum(math.exp(v - hi) for v in values)
-    return hi + math.log(total)
+    return hi + math.log(math.fsum(np.exp(values - hi)))
 
 
 def log_sum_exp_array(values: np.ndarray, axis: int | None = None) -> np.ndarray | float:
@@ -156,7 +91,7 @@ def log_sum_exp_array(values: np.ndarray, axis: int | None = None) -> np.ndarray
 def log_multinomial(n: int, counts: Sequence[int]) -> float:
     """ln of the multinomial coefficient n! / prod(c_i!).
 
-    Exact-recurrence Gamma tables make this precise for n up to 1e5.
+    Scalar reference for the array multiplicities of ``typeclass``.
     """
     cs = [int(c) for c in counts]
     if any(c < 0 for c in cs):

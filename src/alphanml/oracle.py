@@ -29,8 +29,6 @@ _STREAM_CHUNK = 1 << 15
 class OracleConfig:
     """Safety rails and accuracy targets for brute-force runs."""
 
-    max_n: int = 8
-    max_m: int = 3
     grid_points: int = 1_000_000
     quadrature_tol: float = 1e-10
 

@@ -18,9 +18,12 @@ Five predictor kinds share one evaluation surface:
                           which must stay positive for the integral to exist.
 
 All joints are exchangeable (functions of the count vector alone) and are
-computed in the natural-log domain. Everything that needs a per-horizon
-normalizer goes through ``log_normalizer``, which memoizes in a thread-safe
-cache keyed by (spec, n, m).
+computed in the natural-log domain. ``log_numerators`` is the one per-kind
+dispatch: it evaluates the unnormalized log joint of every row of a (K, m)
+count array at once, and ``log_joints`` subtracts the horizon's log
+normalizer. ``log_normalizer`` reduces multiplicities plus numerators over
+the array of all type classes and memoizes in a thread-safe cache keyed by
+(spec, n, m).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import gammaln
 
 from .exceptions import InfeasibleModelError
 from .numerics import (
@@ -40,7 +44,7 @@ from .numerics import (
     log_sum_exp,
     xlogy,
 )
-from .typeclass import CountVector, iter_with_log_multiplicity, reduce_over_type_classes
+from .typeclass import CountVector, count_vectors, log_multiplicities, reduce_over_type_classes
 
 _INTEGER_PRODUCT_CAP = 4096  # largest alpha unrolled as an explicit product
 
@@ -173,9 +177,7 @@ def _check_spec_m(spec: PredictorSpec, m: int) -> None:
 
 def log_ml(counts: CountVector) -> LogProb:
     """ln of the maximized likelihood: sum c_i ln(c_i / n), with 0 ln 0 = 0."""
-    cs = np.asarray(counts.counts, dtype=np.float64)
-    n = float(cs.sum())
-    return float(np.sum(xlogy(cs, cs)) - xlogy(n, n))
+    return float(log_numerators(NML(), [counts.counts])[0])
 
 
 def log_dirichlet_alpha_integral(counts: CountVector, alpha: float, a: DirichletParams) -> LogProb:
@@ -187,8 +189,7 @@ def log_dirichlet_alpha_integral(counts: CountVector, alpha: float, a: Dirichlet
         raise ValueError(f"counts have m={counts.m}, prior has m={a.m}")
     if not alpha >= 1.0:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
-    params = alpha * np.asarray(counts.counts, dtype=np.float64) + a.as_array()
-    return log_multivariate_beta(params) - log_multivariate_beta(a.as_array())
+    return float(_log_alpha_integrals(np.array([counts.counts], dtype=np.float64), alpha, a)[0])
 
 
 def log_luckiness_supremum(counts: CountVector, b: DirichletParams) -> LogProb:
@@ -200,33 +201,48 @@ def log_luckiness_supremum(counts: CountVector, b: DirichletParams) -> LogProb:
     """
     if counts.m != b.m:
         raise ValueError(f"counts have m={counts.m}, luckiness has m={b.m}")
-    e = np.asarray(counts.counts, dtype=np.float64) + b.as_array() - 1.0
-    if np.any(e < 0.0):
-        raise InfeasibleModelError(
-            f"luckiness NML does not exist for b={b.a}: exponent {e.min()} < 0 at "
-            f"counts={counts.counts} makes the tilted supremum unbounded"
-        )
-    total = float(e.sum())
-    return float(np.sum(xlogy(e, e)) - xlogy(total, total) - log_multivariate_beta(b.as_array()))
+    return float(log_numerators(LuckinessNML(b), [counts.counts])[0])
 
 
-def _log_numerator(spec: PredictorSpec, counts: CountVector) -> LogProb:
-    """Unnormalized log joint; constants common to all counts may be dropped."""
-    if isinstance(spec, Mixture):
-        return log_dirichlet_alpha_integral(counts, 1.0, spec.a)
-    if isinstance(spec, AlphaNML):
-        if spec.alpha == 1.0:
-            return log_dirichlet_alpha_integral(counts, 1.0, spec.a)
-        return log_dirichlet_alpha_integral(counts, spec.alpha, spec.a) / spec.alpha
+def _log_alpha_integrals(counts: np.ndarray, alpha: float, a: DirichletParams) -> np.ndarray:
+    """ln B(alpha*c + a) - ln B(a) for each row c of a float count array."""
+    return _log_beta_rows(alpha * counts + a.as_array()) - log_multivariate_beta(a.a)
+
+
+def _log_beta_rows(params: np.ndarray) -> np.ndarray:
+    return np.sum(gammaln(params), axis=1) - gammaln(np.sum(params, axis=1))
+
+
+def _xlogx_rows(x: np.ndarray) -> np.ndarray:
+    """sum_i x_i ln x_i - X ln X per row, X the row total: ln of the maximized likelihood."""
+    total = np.sum(x, axis=1)
+    return np.sum(xlogy(x, x), axis=1) - xlogy(total, total)
+
+
+def log_numerators(spec: PredictorSpec, counts) -> np.ndarray:
+    """Unnormalized log joints of every row of a (K, m) count array.
+
+    Constants common to all count vectors of a horizon may be dropped, so
+    only differences at a fixed n, and ``log_joints``, are meaningful.
+    """
+    cs = np.asarray(counts, dtype=np.float64)
+    if isinstance(spec, (Mixture, AlphaNML)):
+        alpha = getattr(spec, "alpha", 1.0)
+        return _log_alpha_integrals(cs, alpha, spec.a) / alpha
     if isinstance(spec, NML):
-        return log_ml(counts)
+        return _xlogx_rows(cs)
     if isinstance(spec, LuckinessNML):
-        return log_luckiness_supremum(counts, spec.b)
+        e = cs + spec.b.as_array() - 1.0
+        bad = np.flatnonzero(np.any(e < 0.0, axis=1))
+        if bad.size:
+            raise InfeasibleModelError(
+                f"luckiness NML does not exist for b={spec.b.a}: exponent {e[bad[0]].min()} < 0 at "
+                f"counts={tuple(int(c) for c in cs[bad[0]])} makes the tilted supremum unbounded"
+            )
+        return _xlogx_rows(e) - log_multivariate_beta(spec.b.a)
     if isinstance(spec, LuckinessAlphaNML):
-        params = spec.alpha * np.asarray(counts.counts, dtype=np.float64) + tilted_params(
-            spec.alpha, spec.b
-        ).as_array()
-        return log_multivariate_beta(params) / spec.alpha
+        params = tilted_params(spec.alpha, spec.b).as_array()
+        return _log_beta_rows(spec.alpha * cs + params) / spec.alpha
     raise TypeError(f"unknown predictor spec {spec!r}")
 
 
@@ -252,13 +268,15 @@ class NormalizerCache:
         return value
 
     def verify(self, spec: PredictorSpec, n: int, m: int, rel_tol: float = 1e-12) -> bool:
-        """Recompute an entry in serial reference mode and compare."""
+        """Recompute an entry class by class with the reference reduction and compare."""
         key = (spec, n, m)
         with self._lock:
             if key not in self._values:
                 raise KeyError(f"no cached normalizer for {key}")
             cached = self._values[key]
-        fresh = _compute_log_normalizer(spec, n, m, threads=1, serial=True)
+        fresh = reduce_over_type_classes(
+            n, m, lambda cv: float(log_numerators(spec, [cv.counts])[0]), serial=True
+        )
         return math.isclose(cached, fresh, rel_tol=rel_tol, abs_tol=1e-12)
 
     def clear(self) -> None:
@@ -273,12 +291,9 @@ class NormalizerCache:
 DEFAULT_CACHE = NormalizerCache()
 
 
-def _compute_log_normalizer(
-    spec: PredictorSpec, n: int, m: int, *, threads: int = 1, serial: bool = False
-) -> float:
-    return reduce_over_type_classes(
-        n, m, lambda cv: _log_numerator(spec, cv), threads=threads, serial=serial
-    )
+def _compute_log_normalizer(spec: PredictorSpec, n: int, m: int) -> float:
+    counts = count_vectors(n, m)
+    return log_sum_exp(log_multiplicities(counts) + log_numerators(spec, counts))
 
 
 def log_normalizer(
@@ -292,14 +307,33 @@ def log_normalizer(
     """ln sum over type classes of multiplicity * exp(log numerator).
 
     For a mixture (or alpha = 1) this is ~0 by normalization; for NML it is
-    the log Shtarkov sum, the minimax worst-case regret.
+    the log Shtarkov sum, the minimax worst-case regret. ``threads`` is
+    accepted and ignored.
     """
     _check_spec_m(spec, m)
     if cache is None:
-        return _compute_log_normalizer(spec, n, m, threads=threads)
-    return cache.get_or_compute(
-        spec, n, m, lambda: _compute_log_normalizer(spec, n, m, threads=threads)
-    )
+        return _compute_log_normalizer(spec, n, m)
+    return cache.get_or_compute(spec, n, m, lambda: _compute_log_normalizer(spec, n, m))
+
+
+def log_joints(
+    spec: PredictorSpec, counts, *, cache: NormalizerCache | None = DEFAULT_CACHE
+) -> np.ndarray:
+    """ln of the predictor's probability of one sequence of each row's class.
+
+    Every row of the (K, m) count array must have the same total n.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    m = counts.shape[1]
+    _check_spec_m(spec, m)
+    numerators = log_numerators(spec, counts)
+    if isinstance(spec, Mixture) or (isinstance(spec, AlphaNML) and spec.alpha == 1.0):
+        # exact identity: the mixture, and the alpha family at alpha = 1, are normalized
+        return numerators
+    totals = np.unique(counts.sum(axis=1))
+    if totals.size != 1:
+        raise ValueError(f"count vectors of several horizons {totals.tolist()} in one call")
+    return numerators - log_normalizer(spec, int(totals[0]), m, cache=cache)
 
 
 def log_joint(
@@ -310,14 +344,7 @@ def log_joint(
     threads: int = 1,
 ) -> LogProb:
     """ln of the predictor's probability of one sequence with these counts."""
-    n, m = counts.n, counts.m
-    _check_spec_m(spec, m)
-    if isinstance(spec, Mixture):
-        return _log_numerator(spec, counts)
-    if isinstance(spec, AlphaNML) and spec.alpha == 1.0:
-        # exact identity: the alpha family at alpha = 1 is the mixture
-        return log_dirichlet_alpha_integral(counts, 1.0, spec.a)
-    return _log_numerator(spec, counts) - log_normalizer(spec, n, m, cache=cache, threads=threads)
+    return float(log_joints(spec, [counts.counts], cache=cache)[0])
 
 
 def _product_form(spec: PredictorSpec) -> tuple[float, DirichletParams] | None:
@@ -332,45 +359,34 @@ def _product_form(spec: PredictorSpec) -> tuple[float, DirichletParams] | None:
 
 
 def _extension_log_weight(
-    spec: PredictorSpec, past: CountVector, symbol: int, use_integer_fast_path: bool | None
+    alpha: float, params: DirichletParams, past: CountVector, symbol: int, use_integer_fast_path: bool | None
 ) -> float:
-    """Log weight of extending ``past`` by ``symbol`` at horizon past.n + 1.
+    """Log weight of extending ``past`` by ``symbol`` at horizon past.n + 1, for a Beta-ratio joint.
 
     Terms common to all symbols are dropped; only ratios matter.
     """
-    form = _product_form(spec)
-    if form is not None:
-        alpha, params = form
-        c_k = float(past.counts[symbol - 1])
-        a_k = float(params.a[symbol - 1])
-        base = alpha * c_k + a_k
-        is_int = float(alpha).is_integer() and alpha <= _INTEGER_PRODUCT_CAP
-        if use_integer_fast_path is True and not is_int:
-            raise ValueError(f"integer fast path requested for non-integer alpha={alpha}")
-        use_product = is_int if use_integer_fast_path is None else use_integer_fast_path
-        if use_product:
-            # Gamma(base + alpha) / Gamma(base) unrolled as an explicit product
-            return math.fsum(math.log(base + j) for j in range(int(alpha))) / alpha
-        return (log_gamma(base + alpha) - log_gamma(base)) / alpha
-    # ratio-of-joints kinds: the horizon-(n+1) normalizer is common and cancels
-    return _log_numerator(spec, past.with_symbol(symbol))
+    c_k = float(past.counts[symbol - 1])
+    a_k = float(params.a[symbol - 1])
+    base = alpha * c_k + a_k
+    is_int = float(alpha).is_integer() and alpha <= _INTEGER_PRODUCT_CAP
+    if use_integer_fast_path is True and not is_int:
+        raise ValueError(f"integer fast path requested for non-integer alpha={alpha}")
+    use_product = is_int if use_integer_fast_path is None else use_integer_fast_path
+    if use_product:
+        # Gamma(base + alpha) / Gamma(base) unrolled as an explicit product
+        return math.fsum(math.log(base + j) for j in range(int(alpha))) / alpha
+    return (log_gamma(base + alpha) - log_gamma(base)) / alpha
 
 
-def _log_marginal_numerator(spec: PredictorSpec, counts: CountVector, horizon: int) -> float:
-    """ln of the horizon-``horizon`` joint, marginalized over all suffixes.
+def _log_marginal_numerators(spec: PredictorSpec, past: CountVector, horizon: int) -> np.ndarray:
+    """ln of the horizon-``horizon`` joint after each next symbol, marginalized over all suffixes.
 
     The common normalizer is omitted; ratios at a fixed horizon are exact.
     """
-    suffix = horizon - counts.n
-    if suffix < 0:
-        raise ValueError(f"horizon {horizon} shorter than observed length {counts.n}")
-    if suffix == 0:
-        return _log_numerator(spec, counts)
-    terms = []
-    for tail, log_mult in iter_with_log_multiplicity(suffix, counts.m):
-        merged = CountVector(tuple(c + t for c, t in zip(counts.counts, tail.counts)))
-        terms.append(log_mult + _log_numerator(spec, merged))
-    return log_sum_exp(terms)
+    tails = count_vectors(horizon - past.n - 1, past.m)
+    log_mult = log_multiplicities(tails)
+    heads = np.asarray(past.counts, dtype=np.int64) + np.eye(past.m, dtype=np.int64)
+    return np.array([log_sum_exp(log_mult + log_numerators(spec, tails + head)) for head in heads])
 
 
 def conditional_distribution(
@@ -396,17 +412,14 @@ def conditional_distribution(
         horizon = n0 + 1
     if horizon < n0 + 1:
         raise ValueError(f"horizon must be at least past length + 1 = {n0 + 1}, got {horizon}")
-    if horizon == n0 + 1:
+    form = _product_form(spec)
+    if horizon == n0 + 1 and form is not None:
         weights = np.array(
-            [_extension_log_weight(spec, past_counts, k, use_integer_fast_path) for k in range(1, m + 1)]
+            [_extension_log_weight(*form, past_counts, k, use_integer_fast_path) for k in range(1, m + 1)]
         )
     else:
-        weights = np.array(
-            [
-                _log_marginal_numerator(spec, past_counts.with_symbol(k), horizon)
-                for k in range(1, m + 1)
-            ]
-        )
+        # ratio-of-joints kinds and longer horizons: the horizon normalizer is common and cancels
+        weights = _log_marginal_numerators(spec, past_counts, horizon)
     shifted = weights - np.max(weights)
     probs = np.exp(shifted)
     return probs / probs.sum()

@@ -3,7 +3,7 @@
 Three regret notions share one engine:
 
 * worst-case regret: max over sequences of ln(maximized likelihood / p-hat),
-  computed as a scan over type classes;
+  computed on the array of all type classes;
 * average regret: sup over source parameters theta of KL(p_theta || p-hat)
   on sequence space;
 * alpha-regret: sup over theta of the Renyi divergence of order alpha,
@@ -19,7 +19,10 @@ with a Gamma-ratio expression under the Jeffreys prior.
 
 Maximization over theta uses a dense grid plus golden-section refinement on
 the 1-simplex, and a triangular lattice plus Nelder-Mead refinement on the
-2-simplex. Argmax ties break to the lexicographically smallest point.
+2-simplex. Argmax ties break to the lexicographically smallest point:
+``lex_argmax`` takes the first candidate within a relative ``TIE_REL`` of
+the maximum, and a refinement replaces it only when it is better by more
+than that window.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy import integrate as _integrate
 from scipy import optimize as _optimize
-from scipy.special import gammaln as _gammaln
 
 from .exceptions import NumericError, UnsupportedError
 from .numerics import (
@@ -39,7 +41,6 @@ from .numerics import (
     LOG_TWO,
     log_gamma,
     log_multivariate_beta,
-    log_sum_exp,
     log_sum_exp_array,
     xlogy,
 )
@@ -51,17 +52,11 @@ from .predictors import (
     NML,
     NormalizerCache,
     PredictorSpec,
-    log_dirichlet_alpha_integral,
-    log_joint,
-    log_ml,
+    log_joints,
     log_normalizer,
+    log_numerators,
 )
-from .typeclass import (
-    CountVector,
-    enumerate_count_vectors,
-    iter_with_log_multiplicity,
-    reduce_over_type_classes,
-)
+from .typeclass import CountVector, count_vectors, log_multiplicities
 
 JointFn = Callable[[CountVector], float]
 
@@ -72,16 +67,21 @@ GOLDEN_TOL = 1e-10  # m = 2 refinement width in theta
 TIE_REL = 1e-12  # relative window treating argmax candidates as tied
 
 
-def strictly_better(val: float, best: float) -> bool:
-    """True when val beats best by more than rounding noise.
+def lex_argmax(values: np.ndarray) -> int:
+    """Index of the first entry within a relative TIE_REL of the maximum.
 
-    Count-vector argmax loops use this so that flat regret profiles
-    (equal up to a few ulp) keep the lexicographically smallest argument
-    instead of whichever vector rounding happens to favor.
+    Flat profiles (equal up to a few ulp) thus keep the first, i.e. the
+    lexicographically smallest, argument instead of whichever one rounding
+    happens to favor. A +inf maximum picks the first +inf entry; a nan
+    entry is a numeric failure.
     """
-    if best == -math.inf:
-        return val > best
-    return val > best + TIE_REL * max(1.0, abs(best))
+    values = np.asarray(values, dtype=np.float64)
+    if np.isnan(values).any():
+        raise NumericError("nan among the values to maximize")
+    best = float(values.max())
+    if math.isinf(best):
+        return int(np.argmax(values == best))
+    return int(np.argmax(values >= best - TIE_REL * max(1.0, abs(best))))
 
 
 @dataclass(frozen=True)
@@ -129,19 +129,17 @@ class WAlphaResult(NamedTuple):
     maximizer: CountVector
 
 
-def resolve_joint(
+def joint_values(
     predictor: PredictorSpec | JointFn,
-    n: int,
-    m: int,
+    counts: np.ndarray,
     *,
     cache: NormalizerCache | None = DEFAULT_CACHE,
-    threads: int = 1,
-) -> JointFn:
-    """Turn a predictor spec, or any counts -> log-prob callable, into a joint fn."""
+) -> np.ndarray:
+    """ln joint of each row of a (K, m) count array, for a spec or any counts -> log-prob callable."""
     if isinstance(predictor, PredictorSpec):
-        return lambda cv: log_joint(predictor, cv, cache=cache, threads=threads)
+        return log_joints(predictor, counts, cache=cache)
     if callable(predictor):
-        return predictor
+        return np.array([predictor(CountVector(tuple(row))) for row in counts.tolist()], dtype=np.float64)
     raise TypeError(f"predictor must be a PredictorSpec or callable, got {predictor!r}")
 
 
@@ -161,19 +159,12 @@ class TypeClassTable:
         cache: NormalizerCache | None = DEFAULT_CACHE,
         threads: int = 1,
     ):
-        joint = resolve_joint(predictor, n, m, cache=cache, threads=threads)
-        counts: list[tuple[int, ...]] = []
-        log_mult: list[float] = []
-        log_jnt: list[float] = []
-        for cv, lm in iter_with_log_multiplicity(n, m):
-            counts.append(cv.counts)
-            log_mult.append(lm)
-            log_jnt.append(joint(cv))
+        counts = count_vectors(n, m)
         self.n = n
         self.m = m
-        self.counts = np.asarray(counts, dtype=np.float64)
-        self.log_mult = np.asarray(log_mult, dtype=np.float64)
-        self.log_joint = np.asarray(log_jnt, dtype=np.float64)
+        self.counts = counts.astype(np.float64)
+        self.log_mult = log_multiplicities(counts)
+        self.log_joint = joint_values(predictor, counts, cache=cache)
 
     def log_ptheta(self, thetas: np.ndarray) -> np.ndarray:
         """(P, K) matrix of ln p_theta(counts) for a (P, m) batch of thetas."""
@@ -252,6 +243,11 @@ def _golden_section_max(f: Callable[[float], float], lo: float, hi: float, tol: 
     return x, f(x)
 
 
+def _beats(value: float, best: float) -> bool:
+    """True when value exceeds best by more than the TIE_REL window."""
+    return value > best + TIE_REL * max(1.0, abs(best))
+
+
 def _embed2(ts: np.ndarray) -> np.ndarray:
     return np.stack([ts, 1.0 - ts], axis=1)
 
@@ -269,13 +265,15 @@ def maximize_on_simplex(
     m = 2: uniform grid of ``grid_points`` points on [0, 1] including both
     endpoints, then golden-section refinement to width 1e-10. m = 3:
     triangular lattice of step 1/``lattice_step`` then Nelder-Mead
-    refinement capped at ``refine_iters`` iterations. First (smallest)
-    argmax wins ties; larger alphabets are unsupported.
+    refinement capped at ``refine_iters`` iterations. The first grid or
+    lattice point within TIE_REL of the maximum wins ties, and a refined
+    point replaces it only when better by more than that window; larger
+    alphabets are unsupported.
     """
     if m == 2:
         ts = np.linspace(0.0, 1.0, grid_points)
         vals = np.asarray(objective(_embed2(ts)), dtype=np.float64)
-        j = int(np.argmax(vals))
+        j = lex_argmax(vals)
         best_t, best_v = float(ts[j]), float(vals[j])
 
         def f(t: float) -> float:
@@ -284,25 +282,18 @@ def maximize_on_simplex(
         lo = float(ts[max(j - 1, 0)])
         hi = float(ts[min(j + 1, grid_points - 1)])
         t_ref, v_ref = _golden_section_max(f, lo, hi, GOLDEN_TOL)
-        if v_ref > best_v:
+        if _beats(v_ref, best_v):
             best_t, best_v = t_ref, v_ref
         return SimplexPoint((best_t, 1.0 - best_t)), best_v
     if m == 3:
-        step = lattice_step
-        pts = []
-        for i in range(step + 1):
-            for jj in range(step - i + 1):
-                pts.append((i / step, jj / step, (step - i - jj) / step))
-        thetas = np.asarray(pts, dtype=np.float64)
-        best_v = -math.inf
-        best_theta = thetas[0]
-        for start in range(0, thetas.shape[0], 8192):
-            chunk = thetas[start : start + 8192]
-            vals = np.asarray(objective(chunk), dtype=np.float64)
-            k = int(np.argmax(vals))
-            if vals[k] > best_v:
-                best_v = float(vals[k])
-                best_theta = chunk[k]
+        thetas = count_vectors(lattice_step, 3) / lattice_step
+        vals = np.concatenate(
+            [np.asarray(objective(thetas[start : start + 8192]), dtype=np.float64)
+             for start in range(0, thetas.shape[0], 8192)]
+        )
+        k = lex_argmax(vals)
+        best_v = float(vals[k])
+        best_theta = thetas[k]
 
         def neg(xy: np.ndarray) -> float:
             t1, t2 = float(xy[0]), float(xy[1])
@@ -317,7 +308,7 @@ def maximize_on_simplex(
             method="Nelder-Mead",
             options={"maxiter": refine_iters, "xatol": 1e-12, "fatol": 1e-13},
         )
-        if math.isfinite(res.fun) and -res.fun > best_v:
+        if math.isfinite(res.fun) and _beats(-float(res.fun), best_v):
             t1 = min(max(float(res.x[0]), 0.0), 1.0)
             t2 = min(max(float(res.x[1]), 0.0), 1.0 - t1)
             best_v = -float(res.fun)
@@ -340,22 +331,22 @@ def worst_case_regret(
     Ties break to the lexicographically smallest count vector. A predictor
     that assigns zero probability to an achievable type class yields +inf.
     """
-    joint = resolve_joint(predictor, n, m, cache=cache, threads=threads)
-    best = -math.inf
-    arg: CountVector | None = None
-    for cv, _ in iter_with_log_multiplicity(n, m):
-        val = log_ml(cv) - joint(cv)
-        if strictly_better(val, best):
-            best = val
-            arg = cv
+    counts = count_vectors(n, m)
+    vals = log_numerators(NML(), counts) - joint_values(predictor, counts, cache=cache)
+    k = lex_argmax(vals)
     return RegretReport(
-        kind="worst_case", value_nats=best, n=n, m=m, predictor=predictor, maximizer=arg
+        kind="worst_case",
+        value_nats=float(vals[k]),
+        n=n,
+        m=m,
+        predictor=predictor,
+        maximizer=CountVector(tuple(counts[k].tolist())),
     )
 
 
 def sibson_mi_infinity(n: int, m: int, *, threads: int = 1) -> float:
     """ln of the Shtarkov sum: the minimax worst-case regret (NML's regret)."""
-    return reduce_over_type_classes(n, m, log_ml, threads=threads)
+    return log_normalizer(NML(), n, m)
 
 
 def sibson_mi_alpha(
@@ -386,9 +377,7 @@ def sibson_mi_alpha(
         if err > 1e-8:
             raise NumericError(f"quadrature error {err:.2e} too large for I_1", partial=value)
         return value
-    term = lambda cv: log_dirichlet_alpha_integral(cv, alpha, a) / alpha
-    radius = reduce_over_type_classes(n, m, term, threads=threads)
-    return alpha / (alpha - 1.0) * radius
+    return alpha / (alpha - 1.0) * log_normalizer(AlphaNML(alpha, a), n, m)
 
 
 def w_alpha_direct(n: int, m: int, alpha: float, a: DirichletParams) -> WAlphaResult:
@@ -399,21 +388,10 @@ def w_alpha_direct(n: int, m: int, alpha: float, a: DirichletParams) -> WAlphaRe
     """
     if a.m != m:
         raise ValueError(f"prior has m={a.m}, got m={m}")
-    counts = np.array([cv.counts for cv in enumerate_count_vectors(n, m)], dtype=float)
-    params = np.asarray(a.as_array())
-    if n > 0:
-        ml = np.sum(xlogy(counts, counts / n), axis=1)
-    else:
-        ml = np.zeros(len(counts))
-    log_beta = np.sum(_gammaln(alpha * counts + params), axis=1) - _gammaln(
-        alpha * n + params.sum()
-    )
-    vals = ml - (log_beta - log_multivariate_beta(a.a)) / alpha
-    best = float(vals.max())
-    window = TIE_REL * max(1.0, abs(best))
-    idx = int(np.argmax(vals >= best - window))
-    arg = CountVector(tuple(int(c) for c in counts[idx]))
-    return WAlphaResult(float(vals[idx]), arg)
+    counts = count_vectors(n, m)
+    vals = log_numerators(NML(), counts) - log_numerators(AlphaNML(alpha, a), counts)
+    k = lex_argmax(vals)
+    return WAlphaResult(float(vals[k]), CountVector(tuple(counts[k].tolist())))
 
 
 def w_alpha_closed(n: int, m: int, alpha: float, a: DirichletParams | None = None) -> float:
@@ -446,13 +424,10 @@ def infinity_split_check(
 
     Returns (lhs, rhs); a zero-probability type class makes both sides +inf.
     """
-    lhs = worst_case_regret(predictor, n, m, cache=cache, threads=threads).value_nats
-    joint = resolve_joint(predictor, n, m, cache=cache, threads=threads)
-    nml = NML()
-    gap = -math.inf
-    for cv, _ in iter_with_log_multiplicity(n, m):
-        gap = max(gap, log_joint(nml, cv, cache=cache, threads=threads) - joint(cv))
-    rhs = sibson_mi_infinity(n, m, threads=threads) + gap
+    lhs = worst_case_regret(predictor, n, m, cache=cache).value_nats
+    counts = count_vectors(n, m)
+    gap = np.max(log_joints(NML(), counts, cache=cache) - joint_values(predictor, counts, cache=cache))
+    rhs = sibson_mi_infinity(n, m) + float(gap)
     return lhs, rhs
 
 
@@ -470,10 +445,8 @@ def alpha_split_check(
     lhs: worst-case regret of the alpha predictor. rhs: ((alpha-1)/alpha) *
     I_alpha + the direct remainder maximum.
     """
-    lhs = worst_case_regret(AlphaNML(alpha, a), n, m, cache=cache, threads=threads).value_nats
-    rhs = (alpha - 1.0) / alpha * sibson_mi_alpha(n, m, alpha, a, threads=threads) + w_alpha_direct(
-        n, m, alpha, a
-    ).value
+    lhs = worst_case_regret(AlphaNML(alpha, a), n, m, cache=cache).value_nats
+    rhs = (alpha - 1.0) / alpha * sibson_mi_alpha(n, m, alpha, a) + w_alpha_direct(n, m, alpha, a).value
     return lhs, rhs
 
 
@@ -493,7 +466,7 @@ def renyi_divergence_vs_predictor(
         point = SimplexPoint(tuple(float(t) for t in theta)).as_array()
     if alpha < 1.0:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
-    table = TypeClassTable(n, point.size, predictor, cache=cache, threads=threads)
+    table = TypeClassTable(n, point.size, predictor, cache=cache)
     return float(table.renyi_values(point[None, :], alpha)[0])
 
 
@@ -506,7 +479,7 @@ def average_regret(
     threads: int = 1,
 ) -> RegretReport:
     """sup over theta of KL(p_theta || predictor): the alpha -> 1 regret."""
-    return alpha_regret(predictor, n, m, 1.0, cache=cache, threads=threads)
+    return alpha_regret(predictor, n, m, 1.0, cache=cache)
 
 
 def alpha_regret(
@@ -529,7 +502,7 @@ def alpha_regret(
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     if m not in (2, 3):
         raise UnsupportedError(f"alpha_regret supports m in {{2, 3}}, got m={m}")
-    table = TypeClassTable(n, m, predictor, cache=cache, threads=threads)
+    table = TypeClassTable(n, m, predictor, cache=cache)
 
     def objective(thetas: np.ndarray) -> np.ndarray:
         return table.renyi_values(thetas, alpha)
@@ -557,15 +530,12 @@ def predictor_kl(
     threads: int = 1,
 ) -> float:
     """KL(p || q) between two exchangeable predictors on sequence space."""
-    pf = resolve_joint(p, n, m, cache=cache, threads=threads)
-    qf = resolve_joint(q, n, m, cache=cache, threads=threads)
-    total = 0.0
-    for cv, lm in iter_with_log_multiplicity(n, m):
-        lp = pf(cv)
-        if lp == -math.inf:
-            continue
-        total += math.exp(lm + lp) * (lp - qf(cv))
-    return total
+    counts = count_vectors(n, m)
+    lp = joint_values(p, counts, cache=cache)
+    support = lp != -math.inf
+    lq = joint_values(q, counts, cache=cache)[support]
+    lp = lp[support]
+    return math.fsum(np.exp(log_multiplicities(counts)[support] + lp) * (lp - lq))
 
 
 def asymptotic_rmax(n: int, m: int, alpha: float) -> float:
@@ -604,10 +574,10 @@ def figure1_table(
     rows: list[dict] = []
     a = DirichletParams.jeffreys(m)
     for n in n_list:
-        nml_regret = sibson_mi_infinity(n, m, threads=threads)
+        nml_regret = sibson_mi_infinity(n, m)
         for alpha in alpha_list:
             spec = Mixture(a) if alpha == 1.0 else AlphaNML(float(alpha), a)
-            value = worst_case_regret(spec, n, m, cache=cache, threads=threads).value_nats
+            value = worst_case_regret(spec, n, m, cache=cache).value_nats
             rows.append(
                 {
                     "n": int(n),

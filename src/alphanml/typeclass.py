@@ -2,24 +2,26 @@
 
 Every predictor in this package is exchangeable, so any sum over the m^n
 sequences collapses to a sum over the C(n+m-1, m-1) occupancy-count vectors,
-each weighted by its multinomial multiplicity. Enumeration streams count
-vectors in ascending lexicographic order with O(m) state, carrying the log
-multiplicity along incrementally (each step updates the previous binomial
-factor with a constant number of operations; ``log_multinomial`` is the
-exact fallback).
+each weighted by its multinomial multiplicity. ``count_vectors`` returns
+every class of (n, m) as one (K, m) integer array in ascending lexicographic
+order, and ``log_multiplicities`` gives their log multinomial coefficients as
+a product of binomials, each built from cumulative sums of
+ln((r - j) / (j + 1)). Scans evaluate predictors on these arrays and reduce
+them in one step; ``log_multinomial`` is the exact scalar fallback.
 
-``reduce_over_type_classes`` is the one reduction primitive. It always works
-in fixed-size chunks whose boundaries do not depend on the worker count, and
-combines per-chunk partial log-sums in chunk order, so a run with 8 threads
-is bit-identical to a run with 1.
+``reduce_over_type_classes`` is the per-class reference: it calls a Python
+term on one ``CountVector`` at a time, in fixed-size chunks (``serial=True``
+reduces all classes at once). The array scans are checked against it.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from .numerics import LogProb, log_multinomial, log_sum_exp
 
@@ -82,42 +84,60 @@ def count_vector_total(n: int, m: int) -> int:
     return math.comb(n + m - 1, m - 1)
 
 
-def _walk(n: int, m: int) -> Iterator[tuple[tuple[int, ...], float]]:
-    """Yield (counts, log multiplicity) in ascending lexicographic order.
+def count_vectors(n: int, m: int) -> np.ndarray:
+    """Every count vector of (n, m) as a (K, m) int array, ascending lexicographic.
 
-    The multiplicity factors as a product of binomials, one per coordinate;
-    each is updated from its predecessor in O(1).
+    The prefix sums s_0 <= ... <= s_{m-2} of a count vector order the same
+    way as the counts, so rows are grown one prefix sum at a time: a row
+    ending at s expands in place into rows ending at s, s + 1, ..., n.
     """
+    n, m = _validate_nm(n, m)
+    sums = np.arange(n + 1, dtype=np.int64)[:, None]
+    for _ in range(m - 2):
+        last = sums[:, -1]
+        fan = n + 1 - last
+        starts = np.repeat(np.cumsum(fan) - fan, fan)
+        nxt = np.repeat(last, fan) + np.arange(int(fan.sum())) - starts
+        sums = np.hstack([np.repeat(sums, fan, axis=0), nxt[:, None]])
+    edges = np.hstack([np.zeros((sums.shape[0], 1), np.int64), sums, np.full((sums.shape[0], 1), n)])
+    return np.diff(edges, axis=1)
 
-    def rec(prefix: tuple[int, ...], remaining: int, parts: int, log_coeff: float):
-        if parts == 1:
-            yield prefix + (remaining,), log_coeff
-            return
-        lb = 0.0  # ln C(remaining, c) for the current first coordinate c
-        for c in range(remaining + 1):
-            yield from rec(prefix + (c,), remaining - c, parts - 1, log_coeff + lb)
-            if c < remaining:
-                lb += math.log((remaining - c) / (c + 1.0))
 
-    yield from rec((), n, m, 0.0)
+def log_multiplicities(counts: np.ndarray) -> np.ndarray:
+    """ln n! / prod(c_i!) for each row of a (K, m) count array.
+
+    The multinomial is the product over i < m-1 of binomials C(r_i, c_i),
+    where r_i = c_i + ... + c_{m-1} is the count left for coordinates i
+    onward. Each distinct r_i gets one row of ln C(r, c) for c = 0..r.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    rest = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1]
+    keys = np.unique(rest[:, :-1])
+    table = np.concatenate([_log_binomial_row(r) for r in keys.tolist()])
+    offsets = np.cumsum(keys + 1) - (keys + 1)
+    out = np.zeros(counts.shape[0])
+    for i in range(counts.shape[1] - 1):
+        out += table[offsets[np.searchsorted(keys, rest[:, i])] + counts[:, i]]
+    return out
+
+
+def _log_binomial_row(r: int) -> np.ndarray:
+    """ln C(r, c) for c = 0..r, as cumulative sums of ln((r - j) / (j + 1))."""
+    j = np.arange(r, dtype=np.float64)
+    return np.concatenate([[0.0], np.cumsum(np.log((r - j) / (j + 1.0)))])
 
 
 def enumerate_count_vectors(n: int, m: int) -> Iterator[CountVector]:
     """Stream every count vector of (n, m) exactly once, lexicographically."""
-    n, m = _validate_nm(n, m)
-    for counts, _ in _walk(n, m):
-        yield CountVector(counts)
+    for row in count_vectors(n, m).tolist():
+        yield CountVector(tuple(row))
 
 
 def iter_with_log_multiplicity(n: int, m: int) -> Iterator[tuple[CountVector, float]]:
     """Stream (count vector, ln multiplicity) pairs in lexicographic order."""
-    n, m = _validate_nm(n, m)
-    for counts, log_mult in _walk(n, m):
-        yield CountVector(counts), log_mult
-
-
-def _eval_chunk(chunk: list[tuple[CountVector, float]], term: Callable[[CountVector], LogProb]) -> float:
-    return log_sum_exp([log_mult + term(cv) for cv, log_mult in chunk])
+    counts = count_vectors(n, m)
+    for row, log_mult in zip(counts.tolist(), log_multiplicities(counts).tolist()):
+        yield CountVector(tuple(row)), log_mult
 
 
 def reduce_over_type_classes(
@@ -131,34 +151,23 @@ def reduce_over_type_classes(
 ) -> float:
     """ln sum over type classes of multiplicity * exp(term(counts)).
 
-    ``term`` must be a pure function of the count vector. The chunked path is
-    canonical and thread-count independent; ``serial=True`` is the unchunked
-    reference mode used by consistency checks.
+    The per-class reference for the array scans. ``term`` must be a pure
+    function of the count vector. Classes are reduced in chunks of
+    ``chunk_size`` whose partial log-sums are combined in order;
+    ``serial=True`` reduces all classes at once. ``threads`` is accepted and
+    ignored.
     """
-    n, m = _validate_nm(n, m)
+    items = iter_with_log_multiplicity(n, m)
     if serial:
-        return log_sum_exp([log_mult + term(cv) for cv, log_mult in iter_with_log_multiplicity(n, m)])
-
-    def chunks() -> Iterator[list[tuple[CountVector, float]]]:
-        block: list[tuple[CountVector, float]] = []
-        for item in iter_with_log_multiplicity(n, m):
-            block.append(item)
-            if len(block) == chunk_size:
-                yield block
-                block = []
-        if block:
-            yield block
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(lambda ch: _eval_chunk(ch, term), chunks()))
-    else:
-        partials = [_eval_chunk(ch, term) for ch in chunks()]
+        return log_sum_exp([log_mult + term(cv) for cv, log_mult in items])
+    partials = []
+    while chunk := list(islice(items, chunk_size)):
+        partials.append(log_sum_exp([log_mult + term(cv) for cv, log_mult in chunk]))
     return log_sum_exp(partials)
 
 
 def verify_multiplicities(n: int, m: int, rel_tol: float = 1e-12) -> bool:
-    """Check the incremental log multiplicities against exact log_multinomial."""
+    """Check the array log multiplicities against the scalar log_multinomial."""
     for cv, log_mult in iter_with_log_multiplicity(n, m):
         exact = log_multinomial(n, cv.counts)
         if not math.isclose(log_mult, exact, rel_tol=rel_tol, abs_tol=1e-12):

@@ -225,3 +225,20 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             cli.main(["regret", "--kind", "bogus", "--n", "3", "--m", "2"])
         assert info.value.code == 2
+
+
+class TestThreadsFlag:
+    """--threads is an accepted no-op that must be a positive integer."""
+
+    def test_environment_variable_is_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv("ALPHANML_THREADS", "abc")
+        code, out, _ = run(capsys, ["predict", "--m", "2", "--counts", "1,2", "--alpha", "2"])
+        assert code == 0
+        assert out.startswith("symbol,probability\n")
+
+    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    def test_rejects_values_below_one(self, capsys, value):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["predict", "--m", "2", "--counts", "1,2", "--alpha", "2", "--threads", value])
+        assert info.value.code == 2
+        assert "--threads" in capsys.readouterr().err

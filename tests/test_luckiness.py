@@ -20,9 +20,7 @@ from alphanml import (
     TiltedPrior,
     alpha_regret,
     average_luckiness_regret,
-    enumerate_count_vectors,
     kt,
-    log_joint,
     log_normalizer,
     luckiness_alpha_regret,
     luckiness_alpha_regret_supform,
@@ -180,19 +178,3 @@ class TestSupForm:
         rep = luckiness_alpha_regret_supform(spec, B22, 6, 2, 2.0)
         assert 0.0 < rep.maximizer.theta[0] < 1.0
 
-
-class TestJointConsistency:
-    """Wrapper joints agree with the predictor dispatch."""
-
-    def test_luckiness_wrappers_match_log_joint(self):
-        from alphanml import luckiness_alpha_nml_log_joint, luckiness_nml_log_joint
-
-        for cv in enumerate_count_vectors(4, 2):
-            np.testing.assert_allclose(
-                luckiness_nml_log_joint(cv, B22), log_joint(LuckinessNML(B22), cv), rtol=1e-12
-            )
-            np.testing.assert_allclose(
-                luckiness_alpha_nml_log_joint(cv, 2.0, B32),
-                log_joint(LuckinessAlphaNML(2.0, B32), cv),
-                rtol=1e-12,
-            )

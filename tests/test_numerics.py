@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from alphanml.numerics import (
     LOG_TWO,
-    digamma,
     log_gamma,
     log_multinomial,
     log_multivariate_beta,
@@ -62,20 +61,6 @@ class TestLogGamma:
         """Above the table cutoff the value matches scipy to relative 1e-13."""
         ref = float(scipy.special.gammaln(x))
         assert abs(log_gamma(x) - ref) <= 1e-13 * abs(ref)
-
-
-class TestDigamma:
-    """Digamma used for the supremum location of tilted objectives."""
-
-    @given(st.floats(min_value=0.1, max_value=1e6))
-    @settings(max_examples=50, deadline=None)
-    def test_recurrence(self, x):
-        """digamma(x + 1) = digamma(x) + 1/x."""
-        assert abs(digamma(x + 1.0) - digamma(x) - 1.0 / x) <= 1e-10 * max(1.0, abs(digamma(x)))
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            digamma(0.0)
 
 
 class TestXlogy:

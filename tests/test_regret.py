@@ -23,6 +23,7 @@ from alphanml import (
     kt,
     infinity_split_check,
     alpha_split_check,
+    log_joint,
     log_sum_exp,
     maximize_on_simplex,
     predictor_kl,
@@ -30,6 +31,7 @@ from alphanml import (
     sibson_mi_infinity,
     w_alpha_closed,
     w_alpha_direct,
+    worst_case_luckiness_regret,
     worst_case_regret,
 )
 
@@ -290,3 +292,40 @@ class TestPredictorDivergence:
         ba = predictor_kl(NML(), kt(2), 5, 2)
         assert ab > 0 and ba > 0
         assert abs(ab - ba) > 1e-6
+
+
+class TestTieBreaking:
+    """Flat maxima report the lexicographically smallest argument."""
+
+    def test_symmetric_alpha_regret_reports_first_vertex(self):
+        """Both vertices of a symmetric m = 2 profile tie; theta = (0, 1) wins."""
+        rep = alpha_regret(AlphaNML(1.5, J2), 20, 2, 1.5)
+        assert rep.maximizer.theta == (0.0, 1.0)
+
+    def test_symmetric_average_regret_reports_first_vertex(self):
+        rep = average_regret(kt(2), 20, 2)
+        assert rep.maximizer.theta == (0.0, 1.0)
+
+
+def _kt_without_class_2_3(cv):
+    """KT joint, except that the type class (2, 3) gets probability zero."""
+    if cv.counts == (2, 3):
+        return -math.inf
+    return log_joint(kt(2), cv)
+
+
+class TestZeroProbabilityClasses:
+    """A predictor that rules out an achievable class has infinite regret."""
+
+    def test_worst_case_is_infinite_at_that_class(self):
+        rep = worst_case_regret(_kt_without_class_2_3, 5, 2)
+        assert rep.value_nats == math.inf
+        assert rep.maximizer.counts == (2, 3)
+
+    def test_luckiness_worst_case_is_infinite_at_that_class(self):
+        rep = worst_case_luckiness_regret(_kt_without_class_2_3, DirichletParams((1.0, 1.0)), 5, 2)
+        assert rep.value_nats == math.inf
+        assert rep.maximizer.counts == (2, 3)
+
+    def test_infinity_split_both_sides_infinite(self):
+        assert infinity_split_check(_kt_without_class_2_3, 5, 2) == (math.inf, math.inf)
