@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate as _integrate
 
 from .exceptions import NumericError, UnsupportedError
 from .numerics import LogProb, log_sum_exp
@@ -111,13 +110,14 @@ def simplex_quadrature(
     cfg = config or OracleConfig()
     if tol is None:
         tol = cfg.quadrature_tol
+    from scipy import integrate  # imported on use: slow to load, and most commands never integrate
     margin = 1e-3
     total = 0.0
     err = 0.0
     for lo, hi in ((0.0, margin), (margin, 1.0 - margin), (1.0 - margin, 1.0)):
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", _integrate.IntegrationWarning)
-            value, estimate = _integrate.quad(
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            value, estimate = integrate.quad(
                 integrand, lo, hi, epsabs=tol / 4.0, epsrel=1e-12, limit=200
             )
         total += value

@@ -23,7 +23,9 @@ dispatch: it evaluates the unnormalized log joint of every row of a (K, m)
 count array at once, and ``log_joints`` subtracts the horizon's log
 normalizer. ``log_normalizer`` reduces multiplicities plus numerators over
 the array of all type classes and memoizes in a thread-safe cache keyed by
-(spec, n, m).
+(spec, n, m). ``cumulative_log_loss`` codes a whole sequence in one backward
+pass over the lattice of prefix counts; ``conditional_distribution`` answers
+one next-symbol query by enumerating the suffix classes after each symbol.
 """
 
 from __future__ import annotations
@@ -425,6 +427,31 @@ def conditional_distribution(
     return probs / probs.sum()
 
 
+def _prefix_log_marginals(spec: PredictorSpec, path: np.ndarray, horizon: int) -> np.ndarray:
+    """ln of the horizon joint summed over all suffixes, at each row of a (T+1, m) prefix-count path.
+
+    One backward pass M_L(c) = logaddexp_k M_{L+1}(c + e_k) from the numerators
+    at level ``horizon``; the common normalizer is omitted. In ascending lex
+    order the level-(L+1) rows with c_k >= 1 are the level-L rows plus e_k, in
+    the same order, so a level costs one mask per symbol and two levels are held.
+    """
+    counts = count_vectors(horizon, path.shape[1])
+    marginals = log_numerators(spec, counts)
+    out = np.empty(path.shape[0])
+    for level in range(horizon, -1, -1):
+        if level < path.shape[0]:
+            out[level] = marginals[np.flatnonzero((counts == path[level]).all(axis=1))[0]]
+        if level:
+            has = counts >= 1
+            lower = marginals[has[:, 0]]
+            for k in range(1, counts.shape[1]):
+                lower = np.logaddexp(lower, marginals[has[:, k]])
+            counts = counts[has[:, 0]]
+            counts[:, 0] -= 1
+            marginals = lower
+    return out
+
+
 def cumulative_log_loss(
     spec: PredictorSpec,
     sequence: Sequence[int],
@@ -434,14 +461,18 @@ def cumulative_log_loss(
 ) -> float:
     """Sum over the sequence of -ln p(next symbol | past), in nats.
 
-    Horizon-dependent predictors are evaluated at the full sequence length,
-    so the chain of conditionals telescopes back to -log_joint.
+    Horizon-dependent predictors are evaluated at ``horizon`` (default: the
+    sequence length). One backward pass gives M(c_t), the log horizon joint
+    summed over all suffixes of each prefix, and step t costs
+    M(c_{t-1}) - M(c_t); at the full length the chain telescopes back to
+    -log_joint.
     """
     seq = [int(x) for x in sequence]
     if m is None:
         m = spec_alphabet_size(spec)
         if m is None:
             raise ValueError("alphabet size m is required for this predictor kind")
+    _check_spec_m(spec, m)
     for x in seq:
         if not 1 <= x <= m:
             raise ValueError(f"symbol {x} outside alphabet 1..{m}")
@@ -449,10 +480,7 @@ def cumulative_log_loss(
         horizon = len(seq)
     if horizon < len(seq):
         raise ValueError(f"horizon {horizon} shorter than the sequence length {len(seq)}")
-    total = 0.0
-    past = CountVector.zeros(m)
-    for x in seq:
-        probs = conditional_distribution(spec, past, horizon=horizon)
-        total -= math.log(probs[x - 1])
-        past = past.with_symbol(x)
-    return total
+    steps = np.eye(m, dtype=np.int64)[np.array(seq, dtype=np.int64) - 1]
+    path = np.vstack([np.zeros((1, m), dtype=np.int64), np.cumsum(steps, axis=0)])
+    marginals = _prefix_log_marginals(spec, path, horizon)
+    return math.fsum(marginals[:-1] - marginals[1:])

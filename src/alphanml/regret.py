@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import integrate as _integrate
-from scipy import optimize as _optimize
 
 from .exceptions import NumericError, UnsupportedError
 from .numerics import (
@@ -176,9 +174,9 @@ class TypeClassTable:
 
     def renyi_values(self, thetas: np.ndarray, alpha: float) -> np.ndarray:
         """D_alpha(p_theta || predictor) on sequence space, per theta row."""
-        lp = self.log_ptheta(thetas)
         if alpha == 1.0:
             return self.kl_values(thetas)
+        lp = self.log_ptheta(thetas)
         inner = self.log_mult[None, :] + alpha * lp + (1.0 - alpha) * self.log_joint[None, :]
         return log_sum_exp_array(inner, axis=1) / (alpha - 1.0)
 
@@ -198,10 +196,11 @@ def integrate_unit_interval(
     Returns (value, error estimate); callers compare the estimate against
     their own tolerance.
     """
+    from scipy import integrate  # imported on use: slow to load, and most commands never integrate
     total = 0.0
     err = 0.0
     for lo, hi in ((0.0, margin), (margin, 1.0 - margin), (1.0 - margin, 1.0)):
-        value, estimate = _integrate.quad(f, lo, hi, epsabs=epsabs, epsrel=1e-12, limit=limit)
+        value, estimate = integrate.quad(f, lo, hi, epsabs=epsabs, epsrel=1e-12, limit=limit)
         total += value
         err += estimate
     return total, err
@@ -286,10 +285,12 @@ def maximize_on_simplex(
             best_t, best_v = t_ref, v_ref
         return SimplexPoint((best_t, 1.0 - best_t)), best_v
     if m == 3:
+        from scipy import optimize  # imported on use: slow to load, and only m = 3 needs it
         thetas = count_vectors(lattice_step, 3) / lattice_step
+        # 2048-point chunks keep temporaries small enough for the allocator to reuse
         vals = np.concatenate(
-            [np.asarray(objective(thetas[start : start + 8192]), dtype=np.float64)
-             for start in range(0, thetas.shape[0], 8192)]
+            [np.asarray(objective(thetas[start : start + 2048]), dtype=np.float64)
+             for start in range(0, thetas.shape[0], 2048)]
         )
         k = lex_argmax(vals)
         best_v = float(vals[k])
@@ -302,7 +303,7 @@ def maximize_on_simplex(
                 return math.inf
             return -float(objective(np.array([[t1, t2, t3]]))[0])
 
-        res = _optimize.minimize(
+        res = optimize.minimize(
             neg,
             x0=best_theta[:2],
             method="Nelder-Mead",

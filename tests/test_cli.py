@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,3 +246,14 @@ class TestThreadsFlag:
             cli.main(["predict", "--m", "2", "--counts", "1,2", "--alpha", "2", "--threads", value])
         assert info.value.code == 2
         assert "--threads" in capsys.readouterr().err
+
+
+class TestImportCost:
+    """The command loads no optimizer or quadrature module until a computation needs one."""
+
+    def test_cli_import_leaves_optimize_and_integrate_unloaded(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = "import sys, alphanml.cli; print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])"
+        result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"

@@ -276,3 +276,44 @@ class TestChainRule:
         a = cumulative_log_loss(spec, (1, 1, 2, 3, 3, 2), m=3)
         b = cumulative_log_loss(spec, (3, 2, 1, 3, 2, 1), m=3)
         np.testing.assert_allclose(a, b, rtol=1e-12)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_lattice_matches_enumerated_conditionals(self, data):
+        """The backward lattice pass equals the per-step enumeration route, to 1e-12."""
+        m = data.draw(st.sampled_from([2, 3]))
+        weights = st.floats(min_value=0.3, max_value=3.0)
+        prior = DirichletParams(tuple(data.draw(st.lists(weights, min_size=m, max_size=m))))
+        alpha = data.draw(st.floats(min_value=1.05, max_value=4.0).filter(lambda a: not a.is_integer()))
+        b_lucky = DirichletParams(tuple(data.draw(st.lists(st.floats(1.0, 3.0), min_size=m, max_size=m))))
+        b_tilt = DirichletParams(tuple(data.draw(st.lists(st.floats(0.8, 3.0), min_size=m, max_size=m))))
+        spec = data.draw(st.sampled_from([
+            Mixture(prior), AlphaNML(alpha, prior), NML(), LuckinessNML(b_lucky), LuckinessAlphaNML(alpha, b_tilt),
+        ]))
+        seq = data.draw(st.lists(st.integers(1, m), max_size=10))
+        horizon = len(seq) + data.draw(st.sampled_from([0, 3]))
+        loss = cumulative_log_loss(spec, seq, m, horizon=horizon)
+        past = CountVector.zeros(m)
+        steps = []
+        for x in seq:
+            steps.append(-math.log(conditional_distribution(spec, past, horizon=horizon)[x - 1]))
+            past = past.with_symbol(x)
+        np.testing.assert_allclose(loss, math.fsum(steps), rtol=1e-12, atol=0.0)
+        if seq and horizon == len(seq):  # at n = 0, -log_joint is 0 only up to rounding
+            np.testing.assert_allclose(loss, -log_joint(spec, past), rtol=1e-10, atol=0.0)
+
+    def test_empty_sequence_costs_nothing(self):
+        assert cumulative_log_loss(AlphaNML(2.0, J2), ()) == 0.0
+        assert cumulative_log_loss(NML(), [], m=3, horizon=4) == 0.0
+
+    def test_alphabet_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            cumulative_log_loss(AlphaNML(2.0, J2), (1, 2), m=3)
+
+    def test_infeasible_luckiness_rejected(self):
+        with pytest.raises(InfeasibleModelError):
+            cumulative_log_loss(LuckinessNML(DirichletParams((0.5, 2.0))), (1, 2, 2))
+
+    def test_horizon_shorter_than_sequence_rejected(self):
+        with pytest.raises(ValueError):
+            cumulative_log_loss(kt(2), (1, 2, 1), horizon=2)
