@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NumericError, UnsupportedError
+from .exceptions import UnsupportedError
 from .predictors import (
     DEFAULT_CACHE,
     DirichletParams,
@@ -35,10 +35,11 @@ from .predictors import (
 )
 from .regret import (
     JointFn,
+    DirichletDensity,
     RegretReport,
     TypeClassTable,
-    dirichlet_log_pdf,
-    integrate_unit_interval,
+    accept_quadrature,
+    dirichlet_quadrature,
     joint_values,
     lex_argmax,
     maximize_on_simplex,
@@ -145,16 +146,8 @@ def average_luckiness_regret(
     if m != 2 or lf.b.m != 2:
         raise UnsupportedError("average luckiness regret is quadrature-based and supports m = 2 only")
     table = TypeClassTable(n, m, predictor, cache=cache)
-
-    def integrand(t: float) -> float:
-        theta = np.array([[t, 1.0 - t]])
-        pdf = math.exp(dirichlet_log_pdf(theta, lf.b)[0])
-        return pdf * float(table.kl_values(theta)[0])
-
-    value, err = integrate_unit_interval(integrand)
-    if err > tol:
-        raise NumericError(f"quadrature error {err:.2e} exceeds {tol:.2e}", partial=value)
-    return value
+    value, err = dirichlet_quadrature(lf.b, lambda pdf, theta: pdf * float(table.kl_values(theta)[0]))
+    return accept_quadrature(value, err, tol, "the average luckiness regret")
 
 
 def luckiness_alpha_regret(
@@ -183,21 +176,16 @@ def luckiness_alpha_regret(
     tilt = tilted_params(alpha, lf.b)
     table = TypeClassTable(n, m, predictor, cache=cache)
 
-    def integrand(t: float) -> float:
-        theta = np.array([[t, 1.0 - t]])
-        pdf = math.exp(dirichlet_log_pdf(theta, tilt)[0])
+    def weighted(pdf: float, theta: np.ndarray) -> float:
         lp = table.log_ptheta(theta)[0]
         inner = table.log_mult + alpha * lp + (1.0 - alpha) * table.log_joint
         hi = np.max(inner)
         return pdf * math.exp(hi) * float(np.sum(np.exp(inner - hi)))
 
-    value, err = integrate_unit_interval(integrand)
-    if value <= 0.0 or err > tol * max(value, 1e-300):
-        raise NumericError(
-            f"quadrature for the tilted alpha-regret did not converge (value={value:.3e}, err={err:.3e})",
-            partial=value,
-        )
-    return math.log(value) / (alpha - 1.0)
+    value, err = dirichlet_quadrature(tilt, weighted)
+    # the log below needs a positive value; a nan bound fails the acceptance test
+    bound = tol * max(value, 1e-300) if value > 0.0 else math.nan
+    return math.log(accept_quadrature(value, err, bound, "the tilted alpha-regret")) / (alpha - 1.0)
 
 
 def luckiness_alpha_regret_supform(
@@ -222,9 +210,10 @@ def luckiness_alpha_regret_supform(
     if lf.b.m != m:
         raise ValueError(f"luckiness has m={lf.b.m}, got m={m}")
     table = TypeClassTable(n, m, predictor, cache=cache)
+    density = DirichletDensity(lf.b)
 
     def objective(thetas: np.ndarray) -> np.ndarray:
-        return dirichlet_log_pdf(thetas, lf.b) + table.renyi_values(thetas, alpha)
+        return density.log_pdf(thetas) + table.renyi_values(thetas, alpha)
 
     point, value = maximize_on_simplex(m, objective)
     return RegretReport(

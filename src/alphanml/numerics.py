@@ -3,8 +3,11 @@
 Every probability in this package is carried as a natural-log value: a plain
 float where -inf encodes probability zero (type alias ``LogProb``). Sums of
 probabilities go through ``log_sum_exp``; the 0 * log(0) = 0 convention is
-enforced by the single shared ``xlogy`` helper. Conversions to bits happen
-only at output boundaries (divide by ln 2).
+enforced by the shared ``xlogy`` helper, with one exception:
+``regret.TypeClassTable.log_ptheta`` takes ``xlogy(1, theta)`` once per
+coordinate, scales it by the counts, and itself puts -inf where a zero
+coordinate meets a positive count. Conversions to bits happen only at
+output boundaries (divide by ln 2).
 
 Type-class scans evaluate whole arrays at once: ``log_sum_exp`` accepts a
 numpy array and reduces it with one vectorized ``exp`` and an exactly
@@ -38,7 +41,8 @@ def log_gamma(x: float) -> float:
 def xlogy(x, y):
     """x * ln(y) with the 0 * ln(0) = 0 convention, elementwise.
 
-    Single shared helper so the convention cannot drift between callers.
+    Shared so the convention cannot drift between callers. ln is the C
+    library's, so c * xlogy(1, y) == xlogy(c, y) bit for bit.
     """
     return _special.xlogy(x, y)
 
@@ -81,7 +85,8 @@ def log_sum_exp_array(values: np.ndarray, axis: int | None = None) -> np.ndarray
     shift = np.max(values, axis=axis, keepdims=True)
     safe = np.where(np.isfinite(shift), shift, 0.0)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(values - safe), axis=axis)) + np.squeeze(safe, axis=axis)
+        shifted = values - safe
+        out = np.log(np.sum(np.exp(shifted, out=shifted), axis=axis)) + np.squeeze(safe, axis=axis)
     neg = np.isneginf(np.squeeze(shift, axis=axis))
     if np.any(neg):
         out = np.where(neg, -np.inf, out)

@@ -19,7 +19,8 @@ with a Gamma-ratio expression under the Jeffreys prior.
 
 Maximization over theta uses a dense grid plus golden-section refinement on
 the 1-simplex, and a triangular lattice plus Nelder-Mead refinement on the
-2-simplex. Argmax ties break to the lexicographically smallest point:
+2-simplex; the grid and the lattice are evaluated GRID_CHUNK points per
+objective call. Argmax ties break to the lexicographically smallest point:
 ``lex_argmax`` takes the first candidate within a relative ``TIE_REL`` of
 the maximum, and a refinement replaces it only when it is better by more
 than that window.
@@ -63,6 +64,7 @@ LATTICE_STEP = 256  # m = 3 triangular-lattice resolution (step 1/256)
 REFINE_ITERS = 200  # m = 3 Nelder-Mead refinement iterations
 GOLDEN_TOL = 1e-10  # m = 2 refinement width in theta
 TIE_REL = 1e-12  # relative window treating argmax candidates as tied
+GRID_CHUNK = 512  # grid and lattice points per objective call; keeps the (points, classes) temporaries in cache
 
 
 def lex_argmax(values: np.ndarray) -> int:
@@ -146,6 +148,9 @@ class TypeClassTable:
 
     Holds counts, log multiplicities and predictor log joints, and evaluates
     divergence objectives vectorized over batches of source parameters.
+    ``log_ptheta`` takes one log per theta coordinate and scales it by each
+    class's counts; the 0 * ln 0 = 0 rule for a zero coordinate lives there,
+    in the ``positive`` table (counts > 0) that marks where it gives -inf.
     """
 
     def __init__(
@@ -161,31 +166,46 @@ class TypeClassTable:
         self.n = n
         self.m = m
         self.counts = counts.astype(np.float64)
+        self.columns = [np.ascontiguousarray(self.counts[:, i]) for i in range(m)]
+        self.positive = counts > 0
         self.log_mult = log_multiplicities(counts)
         self.log_joint = joint_values(predictor, counts, cache=cache)
 
     def log_ptheta(self, thetas: np.ndarray) -> np.ndarray:
-        """(P, K) matrix of ln p_theta(counts) for a (P, m) batch of thetas."""
+        """(P, K) matrix of ln p_theta(counts) for a (P, m) batch of simplex points."""
         thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
+        logs = xlogy(1.0, thetas)
+        zero = thetas == 0.0
+        has_zero = zero.any()
+        if has_zero:
+            logs[zero] = 0.0
+        # c * xlogy(1, theta) == xlogy(c, theta) bit for bit, and summing from
+        # zero one symbol at a time keeps the rounding of the per-cell formula
         out = np.zeros((thetas.shape[0], self.counts.shape[0]))
         for i in range(self.m):
-            out += xlogy(self.counts[None, :, i], thetas[:, i][:, None])
+            out += logs[:, i, None] * self.columns[i]
+        if has_zero:
+            for i in range(self.m):
+                out[np.ix_(zero[:, i], self.positive[:, i])] = -np.inf
         return out
 
     def renyi_values(self, thetas: np.ndarray, alpha: float) -> np.ndarray:
         """D_alpha(p_theta || predictor) on sequence space, per theta row."""
         if alpha == 1.0:
             return self.kl_values(thetas)
-        lp = self.log_ptheta(thetas)
-        inner = self.log_mult[None, :] + alpha * lp + (1.0 - alpha) * self.log_joint[None, :]
+        inner = self.log_ptheta(thetas)
+        inner *= alpha
+        inner += self.log_mult
+        inner += (1.0 - alpha) * self.log_joint
         return log_sum_exp_array(inner, axis=1) / (alpha - 1.0)
 
     def kl_values(self, thetas: np.ndarray) -> np.ndarray:
         """KL(p_theta || predictor) on sequence space, per theta row."""
         lp = self.log_ptheta(thetas)
-        weight = np.exp(self.log_mult[None, :] + lp)
-        gap = np.where(np.isfinite(lp), lp - self.log_joint[None, :], 0.0)
-        return np.sum(weight * gap, axis=1)
+        gap = np.where(np.isfinite(lp), lp - self.log_joint, 0.0)
+        lp += self.log_mult
+        gap *= np.exp(lp, out=lp)
+        return np.sum(gap, axis=1)
 
 
 def integrate_unit_interval(
@@ -206,14 +226,57 @@ def integrate_unit_interval(
     return total, err
 
 
-def dirichlet_log_pdf(thetas: np.ndarray, params: DirichletParams) -> np.ndarray:
-    """ln of the Dirichlet density at each row of a (P, m) batch of thetas."""
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
-    a = params.as_array()
-    out = -log_multivariate_beta(a) * np.ones(thetas.shape[0])
-    for i in range(params.m):
-        out += xlogy(a[i] - 1.0, thetas[:, i])
-    return out
+class DirichletDensity:
+    """The Dirichlet(params) density on the simplex.
+
+    The normalizer ln B(a) and the exponents a_i - 1 are computed once, at
+    construction, not on every evaluation.
+    """
+
+    def __init__(self, params: DirichletParams):
+        self.neg_log_norm = -log_multivariate_beta(params.a)
+        self.exponents = params.as_array() - 1.0
+
+    def log_pdf(self, thetas: np.ndarray) -> np.ndarray:
+        """ln of the density at each row of a (P, m) batch of thetas."""
+        thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
+        terms = xlogy(self.exponents, thetas)
+        out = self.neg_log_norm + terms[:, 0]
+        for i in range(1, self.exponents.size):
+            out += terms[:, i]
+        return out
+
+
+def dirichlet_quadrature(
+    params: DirichletParams, weighted: Callable[[float, np.ndarray], float]
+) -> tuple[float, float]:
+    """Integral over t in [0, 1] of weighted(density, theta) at theta = [[t, 1 - t]].
+
+    ``density`` is the Dirichlet(params) density at theta; the integrand
+    multiplies it into its own term. Returns (value, error estimate) of
+    ``integrate_unit_interval``.
+    """
+    density = DirichletDensity(params)
+
+    def integrand(t: float) -> float:
+        theta = np.array([[t, 1.0 - t]])
+        return weighted(math.exp(density.log_pdf(theta)[0]), theta)
+
+    return integrate_unit_interval(integrand)
+
+
+def accept_quadrature(value: float, err: float, bound: float, what: str) -> float:
+    """value, if it is finite and its error estimate is within bound.
+
+    Otherwise raises NumericError carrying value. A nan value, error
+    estimate or bound fails the test.
+    """
+    if math.isfinite(value) and err <= bound:
+        return value
+    raise NumericError(
+        f"quadrature for {what} failed (value={value:.3e}, err={err:.3e}, bound={bound:.3e})",
+        partial=value,
+    )
 
 
 def _golden_section_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -251,6 +314,14 @@ def _embed2(ts: np.ndarray) -> np.ndarray:
     return np.stack([ts, 1.0 - ts], axis=1)
 
 
+def _chunked_values(objective: Callable[[np.ndarray], np.ndarray], thetas: np.ndarray) -> np.ndarray:
+    """objective over the rows of thetas, GRID_CHUNK rows per call."""
+    return np.concatenate(
+        [np.asarray(objective(thetas[start : start + GRID_CHUNK]), dtype=np.float64)
+         for start in range(0, thetas.shape[0], GRID_CHUNK)]
+    )
+
+
 def maximize_on_simplex(
     m: int,
     objective: Callable[[np.ndarray], np.ndarray],
@@ -271,7 +342,7 @@ def maximize_on_simplex(
     """
     if m == 2:
         ts = np.linspace(0.0, 1.0, grid_points)
-        vals = np.asarray(objective(_embed2(ts)), dtype=np.float64)
+        vals = _chunked_values(objective, _embed2(ts))
         j = lex_argmax(vals)
         best_t, best_v = float(ts[j]), float(vals[j])
 
@@ -287,11 +358,7 @@ def maximize_on_simplex(
     if m == 3:
         from scipy import optimize  # imported on use: slow to load, and only m = 3 needs it
         thetas = count_vectors(lattice_step, 3) / lattice_step
-        # 2048-point chunks keep temporaries small enough for the allocator to reuse
-        vals = np.concatenate(
-            [np.asarray(objective(thetas[start : start + 2048]), dtype=np.float64)
-             for start in range(0, thetas.shape[0], 2048)]
-        )
+        vals = _chunked_values(objective, thetas)
         k = lex_argmax(vals)
         best_v = float(vals[k])
         best_theta = thetas[k]
@@ -368,16 +435,8 @@ def sibson_mi_alpha(
         if m != 2:
             raise UnsupportedError("the alpha = 1 limit is quadrature-based and supports m = 2 only")
         table = TypeClassTable(n, m, Mixture(a))
-
-        def integrand(t: float) -> float:
-            theta = np.array([[t, 1.0 - t]])
-            pdf = math.exp(dirichlet_log_pdf(theta, a)[0])
-            return pdf * float(table.kl_values(theta)[0])
-
-        value, err = integrate_unit_interval(integrand)
-        if err > 1e-8:
-            raise NumericError(f"quadrature error {err:.2e} too large for I_1", partial=value)
-        return value
+        value, err = dirichlet_quadrature(a, lambda pdf, theta: pdf * float(table.kl_values(theta)[0]))
+        return accept_quadrature(value, err, 1e-8, "I_1")
     return alpha / (alpha - 1.0) * log_normalizer(AlphaNML(alpha, a), n, m)
 
 

@@ -6,16 +6,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
 
 from alphanml import (
     AlphaNML,
     DirichletParams,
+    LuckinessAlphaNML,
     Mixture,
     NML,
+    NumericError,
     SimplexPoint,
     TypeClassTable,
     UnsupportedError,
     alpha_regret,
+    average_luckiness_regret,
     asymptotic_min_alpha_regret,
     asymptotic_rmax,
     average_regret,
@@ -25,6 +31,9 @@ from alphanml import (
     alpha_split_check,
     log_joint,
     log_sum_exp,
+    log_sum_exp_array,
+    luckiness_alpha_regret,
+    luckiness_alpha_regret_supform,
     maximize_on_simplex,
     predictor_kl,
     sibson_mi_alpha,
@@ -34,6 +43,7 @@ from alphanml import (
     worst_case_luckiness_regret,
     worst_case_regret,
 )
+from alphanml.regret import accept_quadrature
 
 J2 = DirichletParams.jeffreys(2)
 J3 = DirichletParams.jeffreys(3)
@@ -215,8 +225,79 @@ class TestSimplexMaximization:
             maximize_on_simplex(4, lambda th: th[:, 0])
 
 
+def _per_cell_log_ptheta(table, thetas):
+    """One xlogy per (theta, class, symbol) cell: the oracle for log_ptheta."""
+    out = np.zeros((thetas.shape[0], table.counts.shape[0]))
+    for i in range(table.m):
+        out += special.xlogy(table.counts[None, :, i], thetas[:, i][:, None])
+    return out
+
+
+def _per_cell_kl(table, thetas):
+    lp = _per_cell_log_ptheta(table, thetas)
+    weight = np.exp(table.log_mult[None, :] + lp)
+    gap = np.where(np.isfinite(lp), lp - table.log_joint[None, :], 0.0)
+    return np.sum(weight * gap, axis=1)
+
+
+def _per_cell_renyi(table, thetas, alpha):
+    if alpha == 1.0:
+        return _per_cell_kl(table, thetas)
+    lp = _per_cell_log_ptheta(table, thetas)
+    inner = table.log_mult[None, :] + alpha * lp + (1.0 - alpha) * table.log_joint[None, :]
+    return log_sum_exp_array(inner, axis=1) / (alpha - 1.0)
+
+
+# coordinates before normalization: exact zeros and ones, subnormals and the rest of [0, 1]
+_coordinate = st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0))
+
+
+@st.composite
+def _table_and_thetas(draw):
+    m = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(min_value=0, max_value=14 if m == 2 else 9))
+    prior = DirichletParams(tuple(draw(st.floats(min_value=0.2, max_value=3.0)) for _ in range(m)))
+    predictor = draw(st.sampled_from((Mixture(prior), AlphaNML(2.5, prior), NML())))
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        row = np.array([draw(_coordinate) for _ in range(m)])
+        if draw(st.booleans()):
+            row = np.eye(m)[draw(st.integers(min_value=0, max_value=m - 1))]
+        total = row.sum()
+        rows.append(row / total if total > 0.0 else np.eye(m)[0])
+    # plus generic interior points, whose logs exercise every rounding case of ln
+    rows.extend(np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32))).dirichlet(np.ones(m), size=32))
+    return TypeClassTable(n, m, predictor), np.array(rows)
+
+
 class TestTypeClassTable:
     """Vectorized per-class tables used by the simplex objectives."""
+
+    @given(_table_and_thetas(), st.sampled_from((1.0, 1.5, 2.0, 3.7, 12.0)))
+    @settings(max_examples=150, deadline=None)
+    def test_objectives_equal_the_per_cell_xlogy_formula(self, case, alpha):
+        """One log per coordinate gives the per-cell xlogy values bit for bit."""
+        table, thetas = case
+        with np.errstate(all="ignore"):
+            assert np.array_equal(table.log_ptheta(thetas), _per_cell_log_ptheta(table, thetas))
+            assert np.array_equal(table.kl_values(thetas), _per_cell_kl(table, thetas))
+            assert np.array_equal(table.renyi_values(thetas, alpha), _per_cell_renyi(table, thetas, alpha))
+
+    def test_zero_coordinate_rule(self):
+        """0 * ln 0 = 0 where a class has no count of a zero-probability symbol; -inf where it has."""
+        table = TypeClassTable(2, 3, kt(3))
+        lp = table.log_ptheta(np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]))
+        rows = [tuple(int(c) for c in row) for row in table.counts]
+        expected = {
+            (0, 0, 2): (-math.inf, -math.inf),
+            (0, 1, 1): (-math.inf, -math.inf),
+            (0, 2, 0): (2 * math.log(0.5), -math.inf),
+            (1, 0, 1): (-math.inf, -math.inf),
+            (1, 1, 0): (2 * math.log(0.5), -math.inf),
+            (2, 0, 0): (2 * math.log(0.5), 0.0),
+        }
+        for k, row in enumerate(rows):
+            assert (lp[0, k], lp[1, k]) == expected[row]
 
     def test_source_probabilities_normalize(self, rng):
         table = TypeClassTable(6, 2, kt(2))
@@ -329,3 +410,78 @@ class TestZeroProbabilityClasses:
 
     def test_infinity_split_both_sides_infinite(self):
         assert infinity_split_check(_kt_without_class_2_3, 5, 2) == (math.inf, math.inf)
+
+    def test_tilted_alpha_regret_raises_instead_of_nan(self):
+        """q = 0 on a class makes the alpha > 1 integrand nan; that is a NumericError, not a value."""
+        with pytest.raises(NumericError):
+            luckiness_alpha_regret(_kt_without_class_2_3, DirichletParams((1.5, 2.0)), 5, 2.0)
+
+    def test_average_luckiness_regret_raises_instead_of_inf(self):
+        with pytest.raises(NumericError):
+            average_luckiness_regret(_kt_without_class_2_3, DirichletParams((1.5, 2.0)), 5)
+
+
+class TestQuadratureAcceptance:
+    """The acceptance test shared by the three quadrature paths rejects nan and inf."""
+
+    def test_accepts_a_finite_value_within_the_bound(self):
+        assert accept_quadrature(1.25, 1e-9, 1e-8, "x") == 1.25
+
+    @pytest.mark.parametrize(
+        "value, err, bound",
+        [
+            (1.0, 2e-8, 1e-8),
+            (math.nan, 0.0, 1e-8),
+            (1.0, math.nan, 1e-8),
+            (1.0, 0.0, math.nan),
+            (math.inf, 0.0, 1e-8),
+            (-math.inf, 0.0, 1e-8),
+        ],
+    )
+    def test_rejects(self, value, err, bound):
+        with pytest.raises(NumericError) as info:
+            accept_quadrature(value, err, bound, "x")
+        assert repr(info.value.partial) == repr(value)
+
+
+class TestObjectiveGoldens:
+    """Exact float64 results of the simplex maximizations and quadratures.
+
+    Pinned with ==, so any change to the order of the floating-point
+    operations of the objectives, the densities or the integrands shows.
+    """
+
+    def test_alpha_regret_two_symbols(self):
+        rep = alpha_regret(AlphaNML(2.5, DirichletParams((0.2, 0.3))), 200, 2, 1.8)
+        assert (rep.value_nats, rep.maximizer.theta) == (2.732737755915937, (0.5988971889123653, 0.4011028110876347))
+
+    def test_alpha_regret_three_symbols(self):
+        rep = alpha_regret(AlphaNML(2.0, DirichletParams((0.1, 0.15, 0.2))), 12, 3, 2.7)
+        assert (rep.value_nats, rep.maximizer.theta) == (
+            3.0562954536685014,
+            (0.3756102389672636, 0.33317256352963126, 0.2912171975031052),
+        )
+
+    def test_average_regret_two_symbols(self):
+        rep = average_regret(AlphaNML(1.6, DirichletParams((0.2, 0.3))), 200, 2)
+        assert (rep.value_nats, rep.maximizer.theta) == (2.7169960376062896, (0.598596268297088, 0.401403731702912))
+
+    def test_luckiness_supform_three_symbols(self):
+        predictor = AlphaNML(2.2, DirichletParams((0.8, 1.5, 0.5)))
+        rep = luckiness_alpha_regret_supform(predictor, DirichletParams((1.5, 2.0, 1.2)), 12, 3, 1.9)
+        assert (rep.value_nats, rep.maximizer.theta) == (
+            2.832411363645754,
+            (0.3233355226974124, 0.4769712187459425, 0.1996932585566451),
+        )
+
+    def test_tilted_alpha_regret_prior_below_one(self):
+        """b = (0.8, 0.9) at alpha = 1.5 tilts the prior to (0.7, 0.85)."""
+        b = DirichletParams((0.8, 0.9))
+        assert luckiness_alpha_regret(LuckinessAlphaNML(1.5, b), b, 60, 1.5) == 1.8505191550898028
+
+    def test_average_luckiness_regret_prior_below_one(self):
+        predictor = AlphaNML(2.0, DirichletParams((0.5, 0.5)))
+        assert average_luckiness_regret(predictor, DirichletParams((0.6, 0.9)), 60) == 1.8199338318397942
+
+    def test_order_one_radius_prior_below_one(self):
+        assert sibson_mi_alpha(60, 2, 1.0, DirichletParams((0.4, 0.7))) == 1.7741446963040608
