@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import UnsupportedError
+from .numerics import accept_quadrature
 from .predictors import (
     DEFAULT_CACHE,
     DirichletParams,
@@ -38,7 +39,6 @@ from .regret import (
     DirichletDensity,
     RegretReport,
     TypeClassTable,
-    accept_quadrature,
     dirichlet_quadrature,
     joint_values,
     lex_argmax,
@@ -114,7 +114,7 @@ def worst_case_luckiness_regret(
     if lf.b.m != m:
         raise ValueError(f"luckiness has m={lf.b.m}, got m={m}")
     counts = count_vectors(n, m)
-    vals = log_numerators(LuckinessNML(lf.b), counts) - joint_values(predictor, counts, cache=cache)
+    vals = log_numerators(LuckinessNML(lf.b), counts) - joint_values(predictor, counts, cache=cache, complete=True)
     k = lex_argmax(vals)
     return RegretReport(
         kind="luckiness_worst_case",

@@ -12,8 +12,14 @@ output boundaries (divide by ln 2).
 Type-class scans evaluate whole arrays at once: ``log_sum_exp`` accepts a
 numpy array and reduces it with one vectorized ``exp`` and an exactly
 rounded ``math.fsum``, so the result does not depend on the order of the
-terms. ``log_gamma`` is the C library ``lgamma``; array callers use
-``scipy.special.gammaln``.
+terms. ``log_gamma`` is the C library ``lgamma``, for scalars. Array scans
+call ``scipy.special.gammaln`` and ``xlogy`` once per symbol on a table over
+k = 0..max count and gather every class's cells from it
+(``predictors.log_numerators``), so a scan of K classes makes about
+m * (n + 1) cell evaluations plus one per class for its row total.
+
+``accept_quadrature`` is the one acceptance test for quadratures: a value
+is returned only if it is finite and its error estimate is within bound.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import special as _special
+
+from .exceptions import NumericError
 
 LogProb = float  # natural-log probability; -inf encodes zero
 
@@ -114,3 +122,17 @@ def log_multivariate_beta(params: Sequence[float]) -> float:
     if not np.all(ps > 0.0):
         raise ValueError(f"multivariate Beta requires positive parameters, got {ps}")
     return math.fsum(log_gamma(p) for p in ps) - log_gamma(float(ps.sum()))
+
+
+def accept_quadrature(value: float, err: float, bound: float, what: str) -> float:
+    """value, if it is finite and its error estimate is within bound.
+
+    Otherwise raises NumericError carrying value. A nan value, error
+    estimate or bound fails the test.
+    """
+    if math.isfinite(value) and err <= bound:
+        return value
+    raise NumericError(
+        f"quadrature for {what} failed (value={value:.3e}, err={err:.3e}, bound={bound:.3e})",
+        partial=value,
+    )

@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exceptions import NumericError, UnsupportedError
-from .numerics import LogProb, log_sum_exp
+from .exceptions import UnsupportedError
+from .numerics import LogProb, accept_quadrature, log_sum_exp
 
 _ENUMERATION_GUARD = 10_000_000
 _STREAM_CHUNK = 1 << 15
@@ -102,8 +102,8 @@ def simplex_quadrature(
 
     The interval is split near both endpoints (margin 1e-3) so integrable
     endpoint singularities, e.g. Dirichlet(1/2) densities, converge cleanly.
-    Raises NumericError carrying the partial estimate if the combined error
-    estimate misses the tolerance.
+    Raises NumericError carrying the partial estimate if it is not finite or
+    the combined error estimate misses the tolerance (``accept_quadrature``).
     """
     if m != 2:
         raise UnsupportedError(f"simplex_quadrature supports m=2 only, got m={m}")
@@ -122,12 +122,7 @@ def simplex_quadrature(
             )
         total += value
         err += estimate
-    if err > max(tol, 1e-13):
-        raise NumericError(
-            f"quadrature error estimate {err:.3e} exceeds tolerance {tol:.3e}",
-            partial=total,
-        )
-    return total
+    return accept_quadrature(total, err, max(tol, 1e-13), "the simplex integral")
 
 
 def sequence_counts(sequence: Sequence[int], m: int) -> tuple[int, ...]:

@@ -20,12 +20,18 @@ Five predictor kinds share one evaluation surface:
 All joints are exchangeable (functions of the count vector alone) and are
 computed in the natural-log domain. ``log_numerators`` is the one per-kind
 dispatch: it evaluates the unnormalized log joint of every row of a (K, m)
-count array at once, and ``log_joints`` subtracts the horizon's log
-normalizer. ``log_normalizer`` reduces multiplicities plus numerators over
-the array of all type classes and memoizes in a thread-safe cache keyed by
-(spec, n, m). ``cumulative_log_loss`` codes a whole sequence in one backward
-pass over the lattice of prefix counts; ``conditional_distribution`` answers
-one next-symbol query by enumerating the suffix classes after each symbol.
+count array at once. Every kind is a sum of per-symbol terms (``gammaln`` or
+``xlogy`` of one value per count and symbol) minus a function of the row
+total, so a scan evaluates the special function once per symbol on
+k = 0..max count and gathers its cells from those tables. ``log_joints``
+subtracts the horizon's log normalizer. ``log_normalizer`` reduces
+multiplicities plus numerators over the array of all type classes and
+memoizes in a thread-safe cache keyed by (spec, n, m); a scan that already
+holds every class (``log_joints(..., complete=True)``) hands its classes and
+numerators to the normalizer on a cache miss instead of enumerating again.
+``cumulative_log_loss`` codes a whole sequence in one backward pass over the
+lattice of prefix counts; ``conditional_distribution`` answers one
+next-symbol query by enumerating the suffix classes after each symbol.
 """
 
 from __future__ import annotations
@@ -191,7 +197,7 @@ def log_dirichlet_alpha_integral(counts: CountVector, alpha: float, a: Dirichlet
         raise ValueError(f"counts have m={counts.m}, prior has m={a.m}")
     if not alpha >= 1.0:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
-    return float(_log_alpha_integrals(np.array([counts.counts], dtype=np.float64), alpha, a)[0])
+    return float(_log_alpha_integrals(np.array([counts.counts]), alpha, a)[0])
 
 
 def log_luckiness_supremum(counts: CountVector, b: DirichletParams) -> LogProb:
@@ -206,45 +212,84 @@ def log_luckiness_supremum(counts: CountVector, b: DirichletParams) -> LogProb:
     return float(log_numerators(LuckinessNML(b), [counts.counts])[0])
 
 
+def _as_counts(counts) -> np.ndarray:
+    """counts as an integer array; a negative or non-whole count, which would
+    wrap or miss a table index, is a ValueError."""
+    arr = np.asarray(counts)
+    if arr.dtype.kind not in "iu":
+        whole = np.isfinite(arr) & (np.floor(arr) == arr)
+        if not whole.all():
+            raise ValueError(f"counts must be whole numbers, got {arr[~whole].flat[0]}")
+    arr = arr.astype(np.int64, copy=False)
+    if arr.size and arr.min() < 0:
+        raise ValueError(f"counts must be non-negative, got {arr.min()}")
+    return arr
+
+
+def _separable_rows(cell: Callable[[np.ndarray], np.ndarray], f: Callable, counts: np.ndarray) -> np.ndarray:
+    """sum_i f(v_i) - f(sum_i v_i) per row, with v_i = cell(c_i) for symbol i.
+
+    ``cell`` maps float counts to one value per symbol. When K > max count
+    + 1, ``cell`` and ``f`` run once per symbol on k = 0..max count and the
+    (K, m) cells are gathered from those tables; smaller arrays (single rows,
+    m = 2 scans where K = n + 1) evaluate every cell. Each cell holds the
+    same float either way and rows are summed the same way, so both routes
+    agree bit for bit. The row-total term stays per row: the float sum of
+    the cells differs from row to row in its last bits.
+    """
+    rows, m = counts.shape
+    top = int(counts.max()) if rows > 1 else 0
+    if rows > top + 1:
+        k = np.arange(top + 1, dtype=np.float64)[:, None]
+        table = np.broadcast_to(cell(k), (top + 1, m)).ravel()
+        at = counts * m + np.arange(m)  # flat index of cell (c_i, i)
+        values = table[at]
+        terms = f(table)[at]
+    else:
+        values = np.broadcast_to(cell(counts.astype(np.float64)), (rows, m))
+        terms = f(values)
+    return np.sum(terms, axis=1) - f(np.sum(values, axis=1))
+
+
 def _log_alpha_integrals(counts: np.ndarray, alpha: float, a: DirichletParams) -> np.ndarray:
-    """ln B(alpha*c + a) - ln B(a) for each row c of a float count array."""
-    return _log_beta_rows(alpha * counts + a.as_array()) - log_multivariate_beta(a.a)
+    """ln B(alpha*c + a) - ln B(a) for each row c of a count array."""
+    return _separable_rows(lambda k: alpha * k + a.as_array(), gammaln, counts) - log_multivariate_beta(a.a)
 
 
-def _log_beta_rows(params: np.ndarray) -> np.ndarray:
-    return np.sum(gammaln(params), axis=1) - gammaln(np.sum(params, axis=1))
-
-
-def _xlogx_rows(x: np.ndarray) -> np.ndarray:
-    """sum_i x_i ln x_i - X ln X per row, X the row total: ln of the maximized likelihood."""
-    total = np.sum(x, axis=1)
-    return np.sum(xlogy(x, x), axis=1) - xlogy(total, total)
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    return xlogy(x, x)
 
 
 def log_numerators(spec: PredictorSpec, counts) -> np.ndarray:
     """Unnormalized log joints of every row of a (K, m) count array.
 
+    Each kind is a sum of per-symbol terms minus a function of the row's
+    total (``_separable_rows``), so a scan reads the per-symbol terms from
+    tables over k = 0..max count. Counts must be non-negative whole numbers
+    (ValueError otherwise).
     Constants common to all count vectors of a horizon may be dropped, so
     only differences at a fixed n, and ``log_joints``, are meaningful.
     """
-    cs = np.asarray(counts, dtype=np.float64)
+    cs = _as_counts(counts)
     if isinstance(spec, (Mixture, AlphaNML)):
         alpha = getattr(spec, "alpha", 1.0)
         return _log_alpha_integrals(cs, alpha, spec.a) / alpha
     if isinstance(spec, NML):
-        return _xlogx_rows(cs)
+        return _separable_rows(lambda k: k, _xlogx, cs)
     if isinstance(spec, LuckinessNML):
-        e = cs + spec.b.as_array() - 1.0
-        bad = np.flatnonzero(np.any(e < 0.0, axis=1))
+        # an exponent e_i = c_i + b_i - 1 of the tilted supremum is negative iff c_i = 0 and b_i < 1
+        b = spec.b.as_array()
+        bad = np.flatnonzero(np.any((cs == 0) & (b < 1.0), axis=1))
         if bad.size:
+            row = cs[bad[0]]
             raise InfeasibleModelError(
-                f"luckiness NML does not exist for b={spec.b.a}: exponent {e[bad[0]].min()} < 0 at "
-                f"counts={tuple(int(c) for c in cs[bad[0]])} makes the tilted supremum unbounded"
+                f"luckiness NML does not exist for b={spec.b.a}: exponent {(row + b - 1.0).min()} < 0 at "
+                f"counts={tuple(int(c) for c in row)} makes the tilted supremum unbounded"
             )
-        return _xlogx_rows(e) - log_multivariate_beta(spec.b.a)
+        return _separable_rows(lambda k: k + b - 1.0, _xlogx, cs) - log_multivariate_beta(spec.b.a)
     if isinstance(spec, LuckinessAlphaNML):
         params = tilted_params(spec.alpha, spec.b).as_array()
-        return _log_beta_rows(spec.alpha * cs + params) / spec.alpha
+        return _separable_rows(lambda k: spec.alpha * k + params, gammaln, cs) / spec.alpha
     raise TypeError(f"unknown predictor spec {spec!r}")
 
 
@@ -293,9 +338,34 @@ class NormalizerCache:
 DEFAULT_CACHE = NormalizerCache()
 
 
-def _compute_log_normalizer(spec: PredictorSpec, n: int, m: int) -> float:
-    counts = count_vectors(n, m)
-    return log_sum_exp(log_multiplicities(counts) + log_numerators(spec, counts))
+def _compute_log_normalizer(
+    spec: PredictorSpec,
+    n: int,
+    m: int,
+    counts: np.ndarray | None = None,
+    numerators: np.ndarray | None = None,
+    log_mult: np.ndarray | None = None,
+) -> float:
+    """ln sum over the classes of (n, m) of multiplicity * exp(log numerator).
+
+    A scan that already holds every class (``count_vectors(n, m)``, in any
+    order) passes it, with its numerators and multiplicities where it has
+    them; the log-sum-exp does not depend on the order of its terms.
+    """
+    if counts is None:
+        counts = count_vectors(n, m)
+    if numerators is None:
+        numerators = log_numerators(spec, counts)
+    if log_mult is None:
+        log_mult = log_multiplicities(counts)
+    return log_sum_exp(log_mult + numerators)
+
+
+def _cached_log_normalizer(
+    spec: PredictorSpec, n: int, m: int, cache: NormalizerCache | None, *arrays: np.ndarray | None
+) -> float:
+    compute = lambda: _compute_log_normalizer(spec, n, m, *arrays)  # noqa: E731
+    return compute() if cache is None else cache.get_or_compute(spec, n, m, compute)
 
 
 def log_normalizer(
@@ -313,29 +383,37 @@ def log_normalizer(
     accepted and ignored.
     """
     _check_spec_m(spec, m)
-    if cache is None:
-        return _compute_log_normalizer(spec, n, m)
-    return cache.get_or_compute(spec, n, m, lambda: _compute_log_normalizer(spec, n, m))
+    return _cached_log_normalizer(spec, n, m, cache)
 
 
 def log_joints(
-    spec: PredictorSpec, counts, *, cache: NormalizerCache | None = DEFAULT_CACHE
+    spec: PredictorSpec,
+    counts,
+    *,
+    cache: NormalizerCache | None = DEFAULT_CACHE,
+    complete: bool = False,
+    log_mult: np.ndarray | None = None,
 ) -> np.ndarray:
     """ln of the predictor's probability of one sequence of each row's class.
 
     Every row of the (K, m) count array must have the same total n.
+    ``complete=True`` says the rows are every class of (n, m), each once, as
+    ``count_vectors`` returns them; a normalizer-cache miss then reduces
+    their numerators, and ``log_mult`` (their log multiplicities) when
+    given, instead of enumerating the classes again.
     """
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = _as_counts(counts)
     m = counts.shape[1]
     _check_spec_m(spec, m)
     numerators = log_numerators(spec, counts)
     if isinstance(spec, Mixture) or (isinstance(spec, AlphaNML) and spec.alpha == 1.0):
         # exact identity: the mixture, and the alpha family at alpha = 1, are normalized
         return numerators
-    totals = np.unique(counts.sum(axis=1))
-    if totals.size != 1:
-        raise ValueError(f"count vectors of several horizons {totals.tolist()} in one call")
-    return numerators - log_normalizer(spec, int(totals[0]), m, cache=cache)
+    totals = counts.sum(axis=1)
+    if not totals.size or totals.min() != totals.max():
+        raise ValueError(f"count vectors of several horizons {np.unique(totals).tolist()} in one call")
+    scan = (counts, numerators, log_mult) if complete else ()
+    return numerators - _cached_log_normalizer(spec, int(totals[0]), m, cache, *scan)
 
 
 def log_joint(

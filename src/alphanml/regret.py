@@ -38,6 +38,7 @@ from .exceptions import NumericError, UnsupportedError
 from .numerics import (
     LOG_PI,
     LOG_TWO,
+    accept_quadrature,
     log_gamma,
     log_multivariate_beta,
     log_sum_exp_array,
@@ -134,10 +135,15 @@ def joint_values(
     counts: np.ndarray,
     *,
     cache: NormalizerCache | None = DEFAULT_CACHE,
+    complete: bool = False,
+    log_mult: np.ndarray | None = None,
 ) -> np.ndarray:
-    """ln joint of each row of a (K, m) count array, for a spec or any counts -> log-prob callable."""
+    """ln joint of each row of a (K, m) count array, for a spec or any counts -> log-prob callable.
+
+    ``complete`` and ``log_mult`` pass through to ``log_joints``.
+    """
     if isinstance(predictor, PredictorSpec):
-        return log_joints(predictor, counts, cache=cache)
+        return log_joints(predictor, counts, cache=cache, complete=complete, log_mult=log_mult)
     if callable(predictor):
         return np.array([predictor(CountVector(tuple(row))) for row in counts.tolist()], dtype=np.float64)
     raise TypeError(f"predictor must be a PredictorSpec or callable, got {predictor!r}")
@@ -169,7 +175,7 @@ class TypeClassTable:
         self.columns = [np.ascontiguousarray(self.counts[:, i]) for i in range(m)]
         self.positive = counts > 0
         self.log_mult = log_multiplicities(counts)
-        self.log_joint = joint_values(predictor, counts, cache=cache)
+        self.log_joint = joint_values(predictor, counts, cache=cache, complete=True, log_mult=self.log_mult)
 
     def log_ptheta(self, thetas: np.ndarray) -> np.ndarray:
         """(P, K) matrix of ln p_theta(counts) for a (P, m) batch of simplex points."""
@@ -263,20 +269,6 @@ def dirichlet_quadrature(
         return weighted(math.exp(density.log_pdf(theta)[0]), theta)
 
     return integrate_unit_interval(integrand)
-
-
-def accept_quadrature(value: float, err: float, bound: float, what: str) -> float:
-    """value, if it is finite and its error estimate is within bound.
-
-    Otherwise raises NumericError carrying value. A nan value, error
-    estimate or bound fails the test.
-    """
-    if math.isfinite(value) and err <= bound:
-        return value
-    raise NumericError(
-        f"quadrature for {what} failed (value={value:.3e}, err={err:.3e}, bound={bound:.3e})",
-        partial=value,
-    )
 
 
 def _golden_section_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -400,7 +392,7 @@ def worst_case_regret(
     that assigns zero probability to an achievable type class yields +inf.
     """
     counts = count_vectors(n, m)
-    vals = log_numerators(NML(), counts) - joint_values(predictor, counts, cache=cache)
+    vals = log_numerators(NML(), counts) - joint_values(predictor, counts, cache=cache, complete=True)
     k = lex_argmax(vals)
     return RegretReport(
         kind="worst_case",
@@ -486,7 +478,10 @@ def infinity_split_check(
     """
     lhs = worst_case_regret(predictor, n, m, cache=cache).value_nats
     counts = count_vectors(n, m)
-    gap = np.max(log_joints(NML(), counts, cache=cache) - joint_values(predictor, counts, cache=cache))
+    gap = np.max(
+        log_joints(NML(), counts, cache=cache, complete=True)
+        - joint_values(predictor, counts, cache=cache, complete=True)
+    )
     rhs = sibson_mi_infinity(n, m) + float(gap)
     return lhs, rhs
 
@@ -591,11 +586,12 @@ def predictor_kl(
 ) -> float:
     """KL(p || q) between two exchangeable predictors on sequence space."""
     counts = count_vectors(n, m)
-    lp = joint_values(p, counts, cache=cache)
+    log_mult = log_multiplicities(counts)
+    lp = joint_values(p, counts, cache=cache, complete=True, log_mult=log_mult)
     support = lp != -math.inf
-    lq = joint_values(q, counts, cache=cache)[support]
+    lq = joint_values(q, counts, cache=cache, complete=True, log_mult=log_mult)[support]
     lp = lp[support]
-    return math.fsum(np.exp(log_multiplicities(counts)[support] + lp) * (lp - lq))
+    return math.fsum(np.exp(log_mult[support] + lp) * (lp - lq))
 
 
 def asymptotic_rmax(n: int, m: int, alpha: float) -> float:

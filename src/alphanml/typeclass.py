@@ -5,9 +5,11 @@ sequences collapses to a sum over the C(n+m-1, m-1) occupancy-count vectors,
 each weighted by its multinomial multiplicity. ``count_vectors`` returns
 every class of (n, m) as one (K, m) integer array in ascending lexicographic
 order, and ``log_multiplicities`` gives their log multinomial coefficients as
-a product of binomials, each built from cumulative sums of
-ln((r - j) / (j + 1)). Scans evaluate predictors on these arrays and reduce
-them in one step; ``log_multinomial`` is the exact scalar fallback.
+a product of binomials read from one table: a row of ln C(r, c) per distinct
+suffix sum r, built with one vectorized log of (r - j) / (j + 1) and one
+cumulative sum per block of rows. Scans evaluate predictors on these arrays
+and reduce them in one step; ``log_multinomial`` is the exact scalar
+fallback.
 
 ``reduce_over_type_classes`` is the per-class reference: it calls a Python
 term on one ``CountVector`` at a time, in fixed-size chunks (``serial=True``
@@ -108,23 +110,61 @@ def log_multiplicities(counts: np.ndarray) -> np.ndarray:
 
     The multinomial is the product over i < m-1 of binomials C(r_i, c_i),
     where r_i = c_i + ... + c_{m-1} is the count left for coordinates i
-    onward. Each distinct r_i gets one row of ln C(r, c) for c = 0..r.
+    onward; each is read from one table of ln C(r, c) rows, one row per
+    distinct r_i (``_log_binomial_rows``).
     """
     counts = np.asarray(counts, dtype=np.int64)
-    rest = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1]
-    keys = np.unique(rest[:, :-1])
-    table = np.concatenate([_log_binomial_row(r) for r in keys.tolist()])
-    offsets = np.cumsum(keys + 1) - (keys + 1)
+    if counts.shape[0] == 0:
+        return np.zeros(0)
+    if counts.min() < 0:
+        raise ValueError(f"counts must be non-negative, got {counts.min()}")
+    suffix = counts[:, -1]
+    rest = []
+    for i in range(counts.shape[1] - 2, -1, -1):
+        suffix = suffix + counts[:, i]
+        rest.append(suffix)
+    rest.reverse()  # r_0, ..., r_{m-2}
+    present = np.bincount(np.concatenate(rest)) > 0
+    keys = np.flatnonzero(present)
+    table, starts = _log_binomial_rows(keys)
+    slot = np.zeros(present.size, dtype=np.int64)
+    slot[keys] = starts
     out = np.zeros(counts.shape[0])
-    for i in range(counts.shape[1] - 1):
-        out += table[offsets[np.searchsorted(keys, rest[:, i])] + counts[:, i]]
+    for i, r in enumerate(rest):
+        out += table[slot[r] + counts[:, i]]
     return out
 
 
-def _log_binomial_row(r: int) -> np.ndarray:
-    """ln C(r, c) for c = 0..r, as cumulative sums of ln((r - j) / (j + 1))."""
-    j = np.arange(r, dtype=np.float64)
-    return np.concatenate([[0.0], np.cumsum(np.log((r - j) / (j + 1.0)))])
+def _log_binomial_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ln C(r, c) for c = 0..r and each r of the ascending ``keys``, in one flat table.
+
+    Returns the table and where each r's row starts. A run of keys shares one
+    zero-initialized block padded to its largest r, filled by one log of
+    (r - j) / (j + 1) and summed along rows by one cumsum; the padding (logs
+    of zero and negative ratios) is never read. Runs grow downward from the
+    largest key while the block holds at most twice the entries its rows
+    need, so every class array of one horizon is a single block, and rows of
+    very different lengths never pad to the longest.
+    """
+    blocks = []
+    starts = np.empty(keys.size, dtype=np.int64)
+    size = 0
+    hi = keys.size
+    while hi:
+        width = int(keys[hi - 1]) + 1
+        need = np.cumsum(keys[hi - 1 :: -1] + 1)  # entries the top 1, 2, ... rows need
+        fits = np.arange(1, hi + 1) * width <= 2 * need
+        rows = hi if fits.all() else int(np.argmin(fits))
+        r = keys[hi - rows : hi, None]
+        j = np.arange(width - 1, dtype=np.float64)
+        block = np.zeros((rows, width))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log((r - j) / (j + 1.0), out=block[:, 1:])
+        blocks.append(np.cumsum(block, axis=1).ravel())
+        starts[hi - rows : hi] = size + width * np.arange(rows)
+        size += block.size
+        hi -= rows
+    return np.concatenate(blocks), starts
 
 
 def enumerate_count_vectors(n: int, m: int) -> Iterator[CountVector]:

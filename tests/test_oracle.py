@@ -118,6 +118,12 @@ class TestQuadrature:
             simplex_quadrature(lambda t: 1.0 / t)
         assert hasattr(info.value, "partial")
 
+    def test_nan_integrand_raises(self):
+        """A nan estimate fails the finite-and-within-bound test instead of being returned."""
+        with pytest.raises(NumericError) as info:
+            simplex_quadrature(lambda t: math.nan)
+        assert math.isnan(info.value.partial)
+
     def test_config_frozen(self):
         cfg = OracleConfig()
         with pytest.raises(AttributeError):
