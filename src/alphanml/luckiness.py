@@ -31,7 +31,6 @@ from .predictors import (
     LuckinessNML,
     NormalizerCache,
     PredictorSpec,
-    log_numerators,
     tilted_params,
 )
 from .regret import (
@@ -39,12 +38,11 @@ from .regret import (
     DirichletDensity,
     RegretReport,
     TypeClassTable,
+    _worst_case_scan,
     dirichlet_quadrature,
-    joint_values,
-    lex_argmax,
     maximize_on_simplex,
 )
-from .typeclass import CountVector, count_vectors
+from .typeclass import CountVector
 
 
 @dataclass(frozen=True)
@@ -103,7 +101,6 @@ def worst_case_luckiness_regret(
     m: int,
     *,
     cache: NormalizerCache | None = DEFAULT_CACHE,
-    threads: int = 1,
 ) -> RegretReport:
     """Max over counts of ln(tilted supremum) - ln(predictor joint).
 
@@ -113,17 +110,7 @@ def worst_case_luckiness_regret(
     lf = _as_luckiness(pi)
     if lf.b.m != m:
         raise ValueError(f"luckiness has m={lf.b.m}, got m={m}")
-    counts = count_vectors(n, m)
-    vals = log_numerators(LuckinessNML(lf.b), counts) - joint_values(predictor, counts, cache=cache, complete=True)
-    k = lex_argmax(vals)
-    return RegretReport(
-        kind="luckiness_worst_case",
-        value_nats=float(vals[k]),
-        n=n,
-        m=m,
-        predictor=predictor,
-        maximizer=CountVector(tuple(counts[k].tolist())),
-    )
+    return _worst_case_scan("luckiness_worst_case", LuckinessNML(lf.b), predictor, n, m, cache)
 
 
 def average_luckiness_regret(
@@ -133,7 +120,6 @@ def average_luckiness_regret(
     m: int = 2,
     *,
     cache: NormalizerCache | None = DEFAULT_CACHE,
-    threads: int = 1,
     tol: float = 1e-8,
 ) -> float:
     """E over theta ~ Dirichlet(b) of KL(p_theta || predictor), by quadrature.
@@ -158,7 +144,6 @@ def luckiness_alpha_regret(
     m: int = 2,
     *,
     cache: NormalizerCache | None = DEFAULT_CACHE,
-    threads: int = 1,
     tol: float = 1e-7,
 ) -> float:
     """Tilted alpha-regret: (1/(alpha-1)) ln E_tilted[sum_x p^alpha q^(1-alpha)].
@@ -196,7 +181,6 @@ def luckiness_alpha_regret_supform(
     alpha: float,
     *,
     cache: NormalizerCache | None = DEFAULT_CACHE,
-    threads: int = 1,
 ) -> RegretReport:
     """sup over theta of [ln pi(theta) + D_alpha(p_theta || predictor)].
 

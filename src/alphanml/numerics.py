@@ -60,7 +60,8 @@ def log_sum_exp(terms: Iterable[LogProb]) -> LogProb:
 
     Shift-by-max with an exactly rounded (fsum) accumulation, so the result
     is invariant under permutations of the input. All -inf yields -inf;
-    an empty collection is an error; +inf inputs are rejected.
+    an empty collection is an error; +inf inputs are rejected; a nan term
+    raises NumericError.
     """
     if isinstance(terms, np.ndarray):
         values = terms.astype(np.float64, copy=False).ravel()
@@ -68,7 +69,9 @@ def log_sum_exp(terms: Iterable[LogProb]) -> LogProb:
         values = np.fromiter(terms, dtype=np.float64)
     if values.size == 0:
         raise ValueError("log_sum_exp of an empty collection")
-    hi = float(values.max())
+    hi = float(values.max())  # nan if any term is nan
+    if math.isnan(hi):
+        raise NumericError("log_sum_exp received nan")
     if hi == -math.inf:
         return -math.inf
     if hi == math.inf:

@@ -26,10 +26,9 @@ _STREAM_CHUNK = 1 << 15
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Safety rails and accuracy targets for brute-force runs."""
+    """Grid size for brute-force simplex maximization."""
 
     grid_points: int = 1_000_000
-    quadrature_tol: float = 1e-10
 
 
 def _check_enumeration(n: int, m: int) -> None:
@@ -45,7 +44,6 @@ def brute_sequence_sum(
     n: int,
     m: int,
     per_sequence_term: Callable[[tuple[int, ...]], LogProb],
-    config: OracleConfig | None = None,
 ) -> float:
     """ln sum over all m^n sequences of exp(per_sequence_term(sequence)).
 
@@ -92,12 +90,7 @@ def brute_simplex_max(
     return best_theta, best_val
 
 
-def simplex_quadrature(
-    integrand: Callable[[float], float],
-    tol: float | None = None,
-    m: int = 2,
-    config: OracleConfig | None = None,
-) -> float:
+def simplex_quadrature(integrand: Callable[[float], float], tol: float = 1e-10, m: int = 2) -> float:
     """Adaptive integral of ``integrand`` over the 1-simplex [0, 1].
 
     The interval is split near both endpoints (margin 1e-3) so integrable
@@ -107,9 +100,6 @@ def simplex_quadrature(
     """
     if m != 2:
         raise UnsupportedError(f"simplex_quadrature supports m=2 only, got m={m}")
-    cfg = config or OracleConfig()
-    if tol is None:
-        tol = cfg.quadrature_tol
     from scipy import integrate  # imported on use: slow to load, and most commands never integrate
     margin = 1e-3
     total = 0.0

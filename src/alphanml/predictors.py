@@ -321,9 +321,7 @@ class NormalizerCache:
             if key not in self._values:
                 raise KeyError(f"no cached normalizer for {key}")
             cached = self._values[key]
-        fresh = reduce_over_type_classes(
-            n, m, lambda cv: float(log_numerators(spec, [cv.counts])[0]), serial=True
-        )
+        fresh = reduce_over_type_classes(n, m, lambda cv: float(log_numerators(spec, [cv.counts])[0]))
         return math.isclose(cached, fresh, rel_tol=rel_tol, abs_tol=1e-12)
 
     def clear(self) -> None:
@@ -379,8 +377,11 @@ def log_normalizer(
     """ln sum over type classes of multiplicity * exp(log numerator).
 
     For a mixture (or alpha = 1) this is ~0 by normalization; for NML it is
-    the log Shtarkov sum, the minimax worst-case regret. ``threads`` is
-    accepted and ignored.
+    the log Shtarkov sum, the minimax worst-case regret.
+
+    ``threads`` is accepted and ignored; it is the one such keyword left,
+    because the benchmark's scaling probe (``perfbench/workloads.py``)
+    passes it. It goes once a benchmark-only change removes that probe.
     """
     _check_spec_m(spec, m)
     return _cached_log_normalizer(spec, n, m, cache)
@@ -416,13 +417,7 @@ def log_joints(
     return numerators - _cached_log_normalizer(spec, int(totals[0]), m, cache, *scan)
 
 
-def log_joint(
-    spec: PredictorSpec,
-    counts: CountVector,
-    *,
-    cache: NormalizerCache | None = DEFAULT_CACHE,
-    threads: int = 1,
-) -> LogProb:
+def log_joint(spec: PredictorSpec, counts: CountVector, *, cache: NormalizerCache | None = DEFAULT_CACHE) -> LogProb:
     """ln of the predictor's probability of one sequence with these counts."""
     return float(log_joints(spec, [counts.counts], cache=cache)[0])
 

@@ -166,7 +166,6 @@ class TypeClassTable:
         predictor: PredictorSpec | JointFn,
         *,
         cache: NormalizerCache | None = DEFAULT_CACHE,
-        threads: int = 1,
     ):
         counts = count_vectors(n, m)
         self.n = n
@@ -314,26 +313,19 @@ def _chunked_values(objective: Callable[[np.ndarray], np.ndarray], thetas: np.nd
     )
 
 
-def maximize_on_simplex(
-    m: int,
-    objective: Callable[[np.ndarray], np.ndarray],
-    *,
-    grid_points: int = GRID_POINTS,
-    lattice_step: int = LATTICE_STEP,
-    refine_iters: int = REFINE_ITERS,
-) -> tuple[SimplexPoint, float]:
+def maximize_on_simplex(m: int, objective: Callable[[np.ndarray], np.ndarray]) -> tuple[SimplexPoint, float]:
     """Maximize a vectorized objective((P, m) thetas) -> (P,) over the simplex.
 
-    m = 2: uniform grid of ``grid_points`` points on [0, 1] including both
-    endpoints, then golden-section refinement to width 1e-10. m = 3:
-    triangular lattice of step 1/``lattice_step`` then Nelder-Mead
-    refinement capped at ``refine_iters`` iterations. The first grid or
-    lattice point within TIE_REL of the maximum wins ties, and a refined
-    point replaces it only when better by more than that window; larger
-    alphabets are unsupported.
+    m = 2: uniform grid of GRID_POINTS points on [0, 1] including both
+    endpoints, then golden-section refinement to width GOLDEN_TOL. m = 3:
+    triangular lattice of step 1/LATTICE_STEP then Nelder-Mead refinement
+    capped at REFINE_ITERS iterations. The first grid or lattice point
+    within TIE_REL of the maximum wins ties, and a refined point replaces it
+    only when better by more than that window; larger alphabets are
+    unsupported.
     """
     if m == 2:
-        ts = np.linspace(0.0, 1.0, grid_points)
+        ts = np.linspace(0.0, 1.0, GRID_POINTS)
         vals = _chunked_values(objective, _embed2(ts))
         j = lex_argmax(vals)
         best_t, best_v = float(ts[j]), float(vals[j])
@@ -342,14 +334,14 @@ def maximize_on_simplex(
             return float(objective(_embed2(np.array([t])))[0])
 
         lo = float(ts[max(j - 1, 0)])
-        hi = float(ts[min(j + 1, grid_points - 1)])
+        hi = float(ts[min(j + 1, GRID_POINTS - 1)])
         t_ref, v_ref = _golden_section_max(f, lo, hi, GOLDEN_TOL)
         if _beats(v_ref, best_v):
             best_t, best_v = t_ref, v_ref
         return SimplexPoint((best_t, 1.0 - best_t)), best_v
     if m == 3:
         from scipy import optimize  # imported on use: slow to load, and only m = 3 needs it
-        thetas = count_vectors(lattice_step, 3) / lattice_step
+        thetas = count_vectors(LATTICE_STEP, 3) / LATTICE_STEP
         vals = _chunked_values(objective, thetas)
         k = lex_argmax(vals)
         best_v = float(vals[k])
@@ -366,7 +358,7 @@ def maximize_on_simplex(
             neg,
             x0=best_theta[:2],
             method="Nelder-Mead",
-            options={"maxiter": refine_iters, "xatol": 1e-12, "fatol": 1e-13},
+            options={"maxiter": REFINE_ITERS, "xatol": 1e-12, "fatol": 1e-13},
         )
         if math.isfinite(res.fun) and _beats(-float(res.fun), best_v):
             t1 = min(max(float(res.x[0]), 0.0), 1.0)
@@ -378,24 +370,24 @@ def maximize_on_simplex(
     raise UnsupportedError(f"simplex maximization supports m in {{2, 3}}, got m={m}")
 
 
-def worst_case_regret(
+def _worst_case_scan(
+    kind: str,
+    benchmark: PredictorSpec,
     predictor: PredictorSpec | JointFn,
     n: int,
     m: int,
-    *,
-    cache: NormalizerCache | None = DEFAULT_CACHE,
-    threads: int = 1,
+    cache: NormalizerCache | None,
 ) -> RegretReport:
-    """Max over type classes of ln(maximized likelihood) - ln(predictor joint).
+    """Max over type classes of the benchmark's log numerator minus the predictor's log joint.
 
-    Ties break to the lexicographically smallest count vector. A predictor
-    that assigns zero probability to an achievable type class yields +inf.
+    The one scan behind the plain (``NML()``) and luckiness
+    (``LuckinessNML(b)``) worst-case regrets.
     """
     counts = count_vectors(n, m)
-    vals = log_numerators(NML(), counts) - joint_values(predictor, counts, cache=cache, complete=True)
+    vals = log_numerators(benchmark, counts) - joint_values(predictor, counts, cache=cache, complete=True)
     k = lex_argmax(vals)
     return RegretReport(
-        kind="worst_case",
+        kind=kind,
         value_nats=float(vals[k]),
         n=n,
         m=m,
@@ -404,13 +396,28 @@ def worst_case_regret(
     )
 
 
-def sibson_mi_infinity(n: int, m: int, *, threads: int = 1) -> float:
+def worst_case_regret(
+    predictor: PredictorSpec | JointFn,
+    n: int,
+    m: int,
+    *,
+    cache: NormalizerCache | None = DEFAULT_CACHE,
+) -> RegretReport:
+    """Max over type classes of ln(maximized likelihood) - ln(predictor joint).
+
+    Ties break to the lexicographically smallest count vector. A predictor
+    that assigns zero probability to an achievable type class yields +inf.
+    """
+    return _worst_case_scan("worst_case", NML(), predictor, n, m, cache)
+
+
+def sibson_mi_infinity(n: int, m: int, *, cache: NormalizerCache | None = DEFAULT_CACHE) -> float:
     """ln of the Shtarkov sum: the minimax worst-case regret (NML's regret)."""
-    return log_normalizer(NML(), n, m)
+    return log_normalizer(NML(), n, m, cache=cache)
 
 
 def sibson_mi_alpha(
-    n: int, m: int, alpha: float, a: DirichletParams, *, threads: int = 1
+    n: int, m: int, alpha: float, a: DirichletParams, *, cache: NormalizerCache | None = DEFAULT_CACHE
 ) -> float:
     """Information radius of order alpha between the prior and the source.
 
@@ -426,10 +433,10 @@ def sibson_mi_alpha(
     if alpha == 1.0:
         if m != 2:
             raise UnsupportedError("the alpha = 1 limit is quadrature-based and supports m = 2 only")
-        table = TypeClassTable(n, m, Mixture(a))
+        table = TypeClassTable(n, m, Mixture(a), cache=cache)
         value, err = dirichlet_quadrature(a, lambda pdf, theta: pdf * float(table.kl_values(theta)[0]))
         return accept_quadrature(value, err, 1e-8, "I_1")
-    return alpha / (alpha - 1.0) * log_normalizer(AlphaNML(alpha, a), n, m)
+    return alpha / (alpha - 1.0) * log_normalizer(AlphaNML(alpha, a), n, m, cache=cache)
 
 
 def w_alpha_direct(n: int, m: int, alpha: float, a: DirichletParams) -> WAlphaResult:
@@ -470,7 +477,6 @@ def infinity_split_check(
     m: int,
     *,
     cache: NormalizerCache | None = DEFAULT_CACHE,
-    threads: int = 1,
 ) -> tuple[float, float]:
     """Both sides of: worst-case regret = ln Shtarkov sum + D_inf(NML || predictor).
 
@@ -482,7 +488,7 @@ def infinity_split_check(
         log_joints(NML(), counts, cache=cache, complete=True)
         - joint_values(predictor, counts, cache=cache, complete=True)
     )
-    rhs = sibson_mi_infinity(n, m) + float(gap)
+    rhs = sibson_mi_infinity(n, m, cache=cache) + float(gap)
     return lhs, rhs
 
 
@@ -493,7 +499,6 @@ def alpha_split_check(
     a: DirichletParams,
     *,
     cache: NormalizerCache | None = DEFAULT_CACHE,
-    threads: int = 1,
 ) -> tuple[float, float]:
     """Both sides of the alpha-family worst-case decomposition.
 
@@ -501,7 +506,7 @@ def alpha_split_check(
     I_alpha + the direct remainder maximum.
     """
     lhs = worst_case_regret(AlphaNML(alpha, a), n, m, cache=cache).value_nats
-    rhs = (alpha - 1.0) / alpha * sibson_mi_alpha(n, m, alpha, a) + w_alpha_direct(n, m, alpha, a).value
+    rhs = (alpha - 1.0) / alpha * sibson_mi_alpha(n, m, alpha, a, cache=cache) + w_alpha_direct(n, m, alpha, a).value
     return lhs, rhs
 
 
@@ -512,7 +517,6 @@ def renyi_divergence_vs_predictor(
     alpha: float,
     *,
     cache: NormalizerCache | None = DEFAULT_CACHE,
-    threads: int = 1,
 ) -> float:
     """D_alpha(p_theta^n || predictor) on sequence space; alpha = 1 is KL."""
     if isinstance(theta, SimplexPoint):
@@ -531,7 +535,6 @@ def average_regret(
     m: int,
     *,
     cache: NormalizerCache | None = DEFAULT_CACHE,
-    threads: int = 1,
 ) -> RegretReport:
     """sup over theta of KL(p_theta || predictor): the alpha -> 1 regret."""
     return alpha_regret(predictor, n, m, 1.0, cache=cache)
@@ -544,8 +547,6 @@ def alpha_regret(
     alpha: float,
     *,
     cache: NormalizerCache | None = DEFAULT_CACHE,
-    threads: int = 1,
-    grid_points: int = GRID_POINTS,
 ) -> RegretReport:
     """sup over theta of D_alpha(p_theta || predictor) on sequence space.
 
@@ -562,7 +563,7 @@ def alpha_regret(
     def objective(thetas: np.ndarray) -> np.ndarray:
         return table.renyi_values(thetas, alpha)
 
-    point, value = maximize_on_simplex(m, objective, grid_points=grid_points)
+    point, value = maximize_on_simplex(m, objective)
     kind = "average" if alpha == 1.0 else "alpha"
     return RegretReport(
         kind=kind,
@@ -582,7 +583,6 @@ def predictor_kl(
     m: int,
     *,
     cache: NormalizerCache | None = DEFAULT_CACHE,
-    threads: int = 1,
 ) -> float:
     """KL(p || q) between two exchangeable predictors on sequence space."""
     counts = count_vectors(n, m)
@@ -620,7 +620,6 @@ def figure1_table(
     m: int = 2,
     *,
     cache: NormalizerCache | None = DEFAULT_CACHE,
-    threads: int = 1,
 ) -> list[dict]:
     """Percent worst-case-regret increase of the alpha family over NML.
 
@@ -630,7 +629,7 @@ def figure1_table(
     rows: list[dict] = []
     a = DirichletParams.jeffreys(m)
     for n in n_list:
-        nml_regret = sibson_mi_infinity(n, m)
+        nml_regret = sibson_mi_infinity(n, m, cache=cache)
         for alpha in alpha_list:
             spec = Mixture(a) if alpha == 1.0 else AlphaNML(float(alpha), a)
             value = worst_case_regret(spec, n, m, cache=cache).value_nats

@@ -12,22 +12,19 @@ and reduce them in one step; ``log_multinomial`` is the exact scalar
 fallback.
 
 ``reduce_over_type_classes`` is the per-class reference: it calls a Python
-term on one ``CountVector`` at a time, in fixed-size chunks (``serial=True``
-reduces all classes at once). The array scans are checked against it.
+term on one ``CountVector`` at a time and reduces every class in one
+log-sum-exp. The array scans are checked against it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .numerics import LogProb, log_multinomial, log_sum_exp
-
-CHUNK_SIZE = 2048
 
 
 @dataclass(frozen=True)
@@ -180,30 +177,13 @@ def iter_with_log_multiplicity(n: int, m: int) -> Iterator[tuple[CountVector, fl
         yield CountVector(tuple(row)), log_mult
 
 
-def reduce_over_type_classes(
-    n: int,
-    m: int,
-    term: Callable[[CountVector], LogProb],
-    *,
-    threads: int = 1,
-    chunk_size: int = CHUNK_SIZE,
-    serial: bool = False,
-) -> float:
+def reduce_over_type_classes(n: int, m: int, term: Callable[[CountVector], LogProb]) -> float:
     """ln sum over type classes of multiplicity * exp(term(counts)).
 
     The per-class reference for the array scans. ``term`` must be a pure
-    function of the count vector. Classes are reduced in chunks of
-    ``chunk_size`` whose partial log-sums are combined in order;
-    ``serial=True`` reduces all classes at once. ``threads`` is accepted and
-    ignored.
+    function of the count vector; it is called once per class.
     """
-    items = iter_with_log_multiplicity(n, m)
-    if serial:
-        return log_sum_exp([log_mult + term(cv) for cv, log_mult in items])
-    partials = []
-    while chunk := list(islice(items, chunk_size)):
-        partials.append(log_sum_exp([log_mult + term(cv) for cv, log_mult in chunk]))
-    return log_sum_exp(partials)
+    return log_sum_exp([log_mult + term(cv) for cv, log_mult in iter_with_log_multiplicity(n, m)])
 
 
 def verify_multiplicities(n: int, m: int, rel_tol: float = 1e-12) -> bool:

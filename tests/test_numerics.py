@@ -10,6 +10,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alphanml.exceptions import NumericError
 from alphanml.numerics import (
     LOG_TWO,
     log_gamma,
@@ -105,6 +106,13 @@ class TestLogSumExp:
             log_sum_exp([])
         with pytest.raises(ValueError):
             log_sum_exp([0.0, math.inf])
+
+    def test_nan_term_raises(self):
+        """A nan term is a numeric failure, not a nan result."""
+        with pytest.raises(NumericError):
+            log_sum_exp([0.0, math.nan])
+        with pytest.raises(NumericError):
+            log_sum_exp(np.array([math.nan, -math.inf]))
 
     def test_array_flat_matches_scalar(self, rng):
         values = rng.normal(size=(6, 7)) * 50

@@ -43,6 +43,7 @@ from alphanml import (
     worst_case_luckiness_regret,
     worst_case_regret,
 )
+from alphanml.predictors import DEFAULT_CACHE
 from alphanml.regret import accept_quadrature
 
 J2 = DirichletParams.jeffreys(2)
@@ -164,6 +165,27 @@ class TestInformationRadius:
         values = [sibson_mi_alpha(4, 2, a, J2) for a in (1.5, 2.0, 4.0, 16.0)]
         values.append(sibson_mi_infinity(4, 2))
         assert values == sorted(values)
+
+
+class TestCachePassThrough:
+    """cache= reaches the information radius too: cache=None leaves DEFAULT_CACHE untouched."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda cache: infinity_split_check(kt(2), 12, 2, cache=cache),
+            lambda cache: alpha_split_check(2.0, 12, 2, J2, cache=cache),
+            lambda cache: figure1_table([6, 12], [1.0, 2.0, 3.0], cache=cache),
+            lambda cache: sibson_mi_infinity(12, 3, cache=cache),
+            lambda cache: sibson_mi_alpha(12, 3, 2.5, J3, cache=cache),
+        ],
+        ids=["infinity_split", "alpha_split", "figure1", "sibson_infinity", "sibson_alpha"],
+    )
+    def test_cache_none_leaves_default_cache_empty(self, call):
+        DEFAULT_CACHE.clear()
+        uncached = call(None)
+        assert len(DEFAULT_CACHE) == 0
+        assert uncached == call(DEFAULT_CACHE)
 
 
 class TestAlphaRegret:

@@ -1,4 +1,4 @@
-"""Count-vector enumeration and deterministic parallel reduction."""
+"""Count-vector enumeration and the per-class reference reduction."""
 
 from __future__ import annotations
 
@@ -9,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphanml.numerics import log_multinomial
+from alphanml.exceptions import NumericError
+from alphanml.numerics import log_multinomial, log_sum_exp
 from alphanml.typeclass import (
     CountVector,
     count_vector_total,
+    count_vectors,
     enumerate_count_vectors,
     iter_with_log_multiplicity,
+    log_multiplicities,
     reduce_over_type_classes,
     verify_multiplicities,
 )
@@ -87,26 +90,16 @@ class TestEnumeration:
     def test_multiplicities_sum_to_m_power_n(self, nm):
         """sum over classes of multiplicity = m^n (uniform source normalizes)."""
         n, m = nm
-        total = reduce_over_type_classes(n, m, lambda cv: 0.0, serial=True)
+        total = reduce_over_type_classes(n, m, lambda cv: 0.0)
         np.testing.assert_allclose(total, n * math.log(m), rtol=1e-12, atol=1e-12)
 
 
 class TestReduction:
-    """Chunked log-sum-exp over type classes, identical for any thread count."""
+    """One log-sum-exp over every type class, one term call per class."""
 
     @staticmethod
     def _term(cv: CountVector) -> float:
         return -0.3 * cv.counts[0] + 0.1 * sum(c * c for c in cv.counts)
-
-    def test_thread_count_invariant_bitwise(self):
-        """threads = 1, 2, 8 produce the same float, bit for bit."""
-        results = {reduce_over_type_classes(40, 3, self._term, threads=t) for t in (1, 2, 8)}
-        assert len(results) == 1
-
-    def test_chunked_matches_serial_reference(self):
-        got = reduce_over_type_classes(25, 3, self._term, threads=4)
-        ref = reduce_over_type_classes(25, 3, self._term, serial=True)
-        np.testing.assert_allclose(got, ref, rtol=1e-13)
 
     def test_small_cases_exact(self):
         """n = 1 reduces over m singleton classes."""
@@ -115,6 +108,17 @@ class TestReduction:
 
     def test_term_receiving_each_class_once(self):
         seen = []
-        reduce_over_type_classes(6, 2, lambda cv: seen.append(cv) or 0.0, threads=1)
+        reduce_over_type_classes(6, 2, lambda cv: seen.append(cv) or 0.0)
         assert len(seen) == count_vector_total(6, 2)
         assert len(set(seen)) == len(seen)
+
+    def test_matches_array_reduction_bitwise(self):
+        """At K = 3321 classes the per-class route is one log-sum-exp of the array route, bit for bit."""
+        counts = count_vectors(80, 3)
+        terms = -0.3 * counts[:, 0] + 0.1 * (counts * counts).sum(axis=1)
+        expected = log_sum_exp(log_multiplicities(counts) + terms)
+        assert reduce_over_type_classes(80, 3, self._term) == expected
+
+    def test_nan_term_raises(self):
+        with pytest.raises(NumericError):
+            reduce_over_type_classes(3, 2, lambda cv: math.nan)
