@@ -76,31 +76,40 @@ def log_sum_exp(terms: Iterable[LogProb]) -> LogProb:
         return -math.inf
     if hi == math.inf:
         raise ValueError("log_sum_exp received +inf")
-    return hi + math.log(math.fsum(np.exp(values - hi)))
+    return hi + math.log(math.fsum(memoryview(np.exp(values - hi))))
 
 
 def log_sum_exp_array(values: np.ndarray, axis: int | None = None) -> np.ndarray | float:
     """Vectorized shift-by-max log-sum-exp along an axis (fixed summation order).
 
-    Rows whose maximum is -inf reduce to -inf instead of nan.
+    Rows whose maximum is -inf (+inf) reduce to -inf (+inf) instead of nan.
+    A nan term raises NumericError. Only a nan term makes a row's maximum
+    nan, so the check reads the reduced maxima, one per row, and only when
+    one of them is not finite.
     """
     values = np.asarray(values, dtype=np.float64)
     if axis is None:
         flat = values.ravel()
         if flat.size == 0:
             raise ValueError("log_sum_exp of an empty array")
-        m = float(np.max(flat))
-        if m == -math.inf:
-            return -math.inf
-        return m + float(np.log(np.sum(np.exp(flat - m))))
-    shift = np.max(values, axis=axis, keepdims=True)
-    safe = np.where(np.isfinite(shift), shift, 0.0)
+        m = float(np.max(flat))  # nan if any term is nan
+        if math.isinf(m):
+            return m
+        out = m + float(np.log(np.sum(np.exp(flat - m))))
+        if math.isnan(out):
+            raise NumericError("log_sum_exp_array received nan")
+        return out
+    shift = np.max(values, axis=axis, keepdims=True)  # nan in a row with a nan term
+    finite = np.isfinite(shift)
+    safe = np.where(finite, shift, 0.0)
     with np.errstate(divide="ignore"):
         shifted = values - safe
         out = np.log(np.sum(np.exp(shifted, out=shifted), axis=axis)) + np.squeeze(safe, axis=axis)
-    neg = np.isneginf(np.squeeze(shift, axis=axis))
-    if np.any(neg):
-        out = np.where(neg, -np.inf, out)
+    if not finite.all():
+        shift = np.squeeze(shift, axis=axis)
+        if np.isnan(shift).any():
+            raise NumericError("log_sum_exp_array received nan")
+        out = np.where(np.isneginf(shift), -np.inf, out)
     return out
 
 

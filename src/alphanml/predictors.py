@@ -30,7 +30,9 @@ memoizes in a thread-safe cache keyed by (spec, n, m); a scan that already
 holds every class (``log_joints(..., complete=True)``) hands its classes and
 numerators to the normalizer on a cache miss instead of enumerating again.
 ``cumulative_log_loss`` codes a whole sequence in one backward pass over the
-lattice of prefix counts; ``conditional_distribution`` answers one
+lattice of prefix counts: every level is a slice of the horizon's class and
+mask arrays, and each prefix is read at its lex rank
+(``typeclass.count_vector_ranks``). ``conditional_distribution`` answers one
 next-symbol query by enumerating the suffix classes after each symbol.
 """
 
@@ -52,7 +54,13 @@ from .numerics import (
     log_sum_exp,
     xlogy,
 )
-from .typeclass import CountVector, count_vectors, log_multiplicities, reduce_over_type_classes
+from .typeclass import (
+    CountVector,
+    count_vector_ranks,
+    count_vectors,
+    log_multiplicities,
+    reduce_over_type_classes,
+)
 
 _INTEGER_PRODUCT_CAP = 4096  # largest alpha unrolled as an explicit product
 
@@ -506,21 +514,28 @@ def _prefix_log_marginals(spec: PredictorSpec, path: np.ndarray, horizon: int) -
     One backward pass M_L(c) = logaddexp_k M_{L+1}(c + e_k) from the numerators
     at level ``horizon``; the common normalizer is omitted. In ascending lex
     order the level-(L+1) rows with c_k >= 1 are the level-L rows plus e_k, in
-    the same order, so a level costs one mask per symbol and two levels are held.
+    the same order. Every level is a slice of the horizon's arrays: level L is
+    ``count_vectors(horizon, m)[start:]`` with c_0 lowered by horizon - L, so
+    its rows with c_0 >= 1 are the tail after the first C(L+m-2, m-2), and its
+    c_k >= 1 masks for k >= 1 are slices of one mask built at the horizon.
+    Each prefix is read at its lex rank (``count_vector_ranks``).
     """
-    counts = count_vectors(horizon, path.shape[1])
+    m = path.shape[1]
+    counts = count_vectors(horizon, m)
+    has = np.ascontiguousarray(counts.T[1:] >= 1)  # c_k >= 1 for k >= 1; these columns never change
     marginals = log_numerators(spec, counts)
+    ranks = count_vector_ranks(path)
     out = np.empty(path.shape[0])
+    start = 0
     for level in range(horizon, -1, -1):
         if level < path.shape[0]:
-            out[level] = marginals[np.flatnonzero((counts == path[level]).all(axis=1))[0]]
+            out[level] = marginals[ranks[level]]
         if level:
-            has = counts >= 1
-            lower = marginals[has[:, 0]]
-            for k in range(1, counts.shape[1]):
-                lower = np.logaddexp(lower, marginals[has[:, k]])
-            counts = counts[has[:, 0]]
-            counts[:, 0] -= 1
+            first = math.comb(level + m - 2, m - 2)  # level-L rows with c_0 = 0
+            lower = marginals[first:]
+            for k in range(m - 1):
+                lower = np.logaddexp(lower, marginals[has[k, start:]])
+            start += first
             marginals = lower
     return out
 

@@ -9,7 +9,8 @@ a product of binomials read from one table: a row of ln C(r, c) per distinct
 suffix sum r, built with one vectorized log of (r - j) / (j + 1) and one
 cumulative sum per block of rows. Scans evaluate predictors on these arrays
 and reduce them in one step; ``log_multinomial`` is the exact scalar
-fallback.
+fallback. ``count_vector_ranks`` inverts ``count_vectors``: it gives each
+count vector's row in the array of its horizon.
 
 ``reduce_over_type_classes`` is the per-class reference: it calls a Python
 term on one ``CountVector`` at a time and reduces every class in one
@@ -100,6 +101,31 @@ def count_vectors(n: int, m: int) -> np.ndarray:
         sums = np.hstack([np.repeat(sums, fan, axis=0), nxt[:, None]])
     edges = np.hstack([np.zeros((sums.shape[0], 1), np.int64), sums, np.full((sums.shape[0], 1), n)])
     return np.diff(edges, axis=1)
+
+
+def count_vector_ranks(counts) -> np.ndarray:
+    """Row index of each count vector in ``count_vectors(its total, m)``.
+
+    The inverse of ``count_vectors``. The classes before c in ascending lex
+    order are, for each i < m-1, those that agree with c before coordinate i
+    and have a smaller c_i. With R_i = c_i + ... + c_{m-1} the count left at
+    coordinate i and N_p(r) = C(r+p-1, p-1) the compositions of r into p
+    parts, they number N_{m-i}(R_i) - N_{m-i}(R_i - c_i); N_p is built on
+    r = 0..max total as m - 1 cumulative sums of N_1 = 1.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.size and counts.min() < 0:
+        raise ValueError(f"counts must be non-negative, got {counts.min()}")
+    m = counts.shape[1]
+    left = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1]  # R_0, ..., R_{m-1}
+    compositions = [np.ones(int(left[:, 0].max(initial=0)) + 1, dtype=np.int64)]  # N_1, N_2, ...
+    for _ in range(m - 1):
+        compositions.append(np.cumsum(compositions[-1]))
+    ranks = np.zeros(counts.shape[0], dtype=np.int64)
+    for i in range(m - 1):
+        table = compositions[m - 1 - i]  # N_{m-i}
+        ranks += table[left[:, i]] - table[left[:, i] - counts[:, i]]
+    return ranks
 
 
 def log_multiplicities(counts: np.ndarray) -> np.ndarray:

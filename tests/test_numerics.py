@@ -114,6 +114,32 @@ class TestLogSumExp:
         with pytest.raises(NumericError):
             log_sum_exp(np.array([math.nan, -math.inf]))
 
+    @given(
+        st.lists(st.one_of(finite_floats, st.just(-math.inf)), min_size=1, max_size=300),
+        st.sampled_from([list, np.array]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_fsum_over_the_array(self, terms, container):
+        """Summing a memoryview of the exponentials gives the fsum over the array, bit for bit."""
+        values = np.array(terms)
+        hi = float(values.max())
+        expected = -math.inf if hi == -math.inf else hi + math.log(math.fsum(np.exp(values - hi)))
+        assert log_sum_exp(container(terms)) == expected
+
+    def test_array_nan_term_raises(self):
+        """Both forms of the array reduction fail on nan instead of returning it."""
+        with pytest.raises(NumericError):
+            log_sum_exp_array(np.array([0.0, math.nan]))
+        with pytest.raises(NumericError):
+            log_sum_exp_array(np.array([[0.0, 1.0], [0.0, math.nan]]), axis=1)
+        with pytest.raises(NumericError):
+            log_sum_exp_array(np.array([[-math.inf, math.nan]]), axis=1)
+
+    def test_array_pos_inf(self):
+        """A +inf term reduces to +inf in both forms."""
+        assert log_sum_exp_array(np.array([0.0, math.inf])) == math.inf
+        assert log_sum_exp_array(np.array([[0.0, math.inf], [0.0, 0.0]]), axis=1)[0] == math.inf
+
     def test_array_flat_matches_scalar(self, rng):
         values = rng.normal(size=(6, 7)) * 50
         np.testing.assert_allclose(

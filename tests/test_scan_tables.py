@@ -4,7 +4,10 @@
 of evaluating every cell; the references below are the per-cell formulas
 they replaced, and the tables must agree with them bit for bit. A
 worst-case scan hands its classes and numerators to the normalizer on a
-cache miss, which must not change any value or maximizer.
+cache miss, which must not change any value or maximizer. The backward
+pass of ``cumulative_log_loss`` reads each level as a slice of the horizon's
+arrays and each prefix at its lex rank; the reference is the pass that
+copied the counts and searched them for the prefix at every level.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from alphanml import (
     NormalizerCache,
     cli,
     count_vectors,
+    cumulative_log_loss,
     log_joint,
     log_joints,
     log_multiplicities,
@@ -82,6 +86,31 @@ def reference_log_numerators(spec, counts) -> np.ndarray:
         return _xlogx_rows(cs + spec.b.as_array() - 1.0) - log_multivariate_beta(spec.b.a)
     params = tilted_params(spec.alpha, spec.b).as_array()
     return _log_beta_rows(spec.alpha * cs + params) / spec.alpha
+
+
+def reference_prefix_log_marginals(spec, path: np.ndarray, horizon: int) -> np.ndarray:
+    """The backward pass that lowers a copy of the counts and searches it for the prefix at every level."""
+    counts = count_vectors(horizon, path.shape[1])
+    marginals = log_numerators(spec, counts)
+    out = np.empty(path.shape[0])
+    for level in range(horizon, -1, -1):
+        if level < path.shape[0]:
+            out[level] = marginals[np.flatnonzero((counts == path[level]).all(axis=1))[0]]
+        if level:
+            has = counts >= 1
+            lower = marginals[has[:, 0]]
+            for k in range(1, counts.shape[1]):
+                lower = np.logaddexp(lower, marginals[has[:, k]])
+            counts = counts[has[:, 0]]
+            counts[:, 0] -= 1
+            marginals = lower
+    return out
+
+
+def _prefix_path(sequence, m: int) -> np.ndarray:
+    """(T+1, m) prefix counts of a sequence, from the empty prefix on."""
+    steps = np.eye(m, dtype=np.int64)[np.array(sequence, dtype=np.int64) - 1]
+    return np.vstack([np.zeros((1, m), dtype=np.int64), np.cumsum(steps, axis=0)])
 
 
 def _specs(m: int, draw) -> list:
@@ -169,6 +198,31 @@ class TestNumeratorTables:
 
     def test_empty_array_gives_empty_result(self):
         assert log_numerators(NML(), np.zeros((0, 2), dtype=np.int64)).shape == (0,)
+
+
+class TestPrefixMarginals:
+    """Sliced levels and ranked prefixes give the row-search pass bit for bit."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_kind_equals_row_search_pass(self, data):
+        m = data.draw(st.integers(2, 5))
+        seq = data.draw(st.lists(st.integers(1, m), max_size={2: 30, 3: 16, 4: 10, 5: 8}[m]))
+        horizon = len(seq) + data.draw(st.sampled_from([0, 3]))
+        path = _prefix_path(seq, m)
+        for spec in _specs(m, data.draw):
+            ref = reference_prefix_log_marginals(spec, path, horizon)
+            assert np.array_equal(predictors._prefix_log_marginals(spec, path, horizon), ref)
+            assert cumulative_log_loss(spec, seq, m, horizon=horizon) == math.fsum(ref[:-1] - ref[1:])
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("horizon", [0, 3])
+    def test_empty_sequence(self, m, horizon):
+        path = _prefix_path([], m)
+        for spec in (NML(), Mixture(DirichletParams.jeffreys(m)), AlphaNML(2.5, DirichletParams.jeffreys(m))):
+            ref = reference_prefix_log_marginals(spec, path, horizon)
+            assert np.array_equal(predictors._prefix_log_marginals(spec, path, horizon), ref)
+            assert cumulative_log_loss(spec, [], m, horizon=horizon) == 0.0
 
 
 class TestLogJointsHorizonCheck:

@@ -13,6 +13,7 @@ from alphanml.exceptions import NumericError
 from alphanml.numerics import log_multinomial, log_sum_exp
 from alphanml.typeclass import (
     CountVector,
+    count_vector_ranks,
     count_vector_total,
     count_vectors,
     enumerate_count_vectors,
@@ -92,6 +93,29 @@ class TestEnumeration:
         n, m = nm
         total = reduce_over_type_classes(n, m, lambda cv: 0.0)
         np.testing.assert_allclose(total, n * math.log(m), rtol=1e-12, atol=1e-12)
+
+
+class TestRanks:
+    """``count_vector_ranks`` inverts ``count_vectors``."""
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_every_class_ranks_at_its_row(self, m):
+        for n in range(16):
+            counts = count_vectors(n, m)
+            assert np.array_equal(count_vector_ranks(counts), np.arange(counts.shape[0]))
+
+    @given(st.integers(2, 5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_prefix_paths_match_row_search(self, m, data):
+        """Rows of several totals, as a sequence's prefix counts are."""
+        seq = data.draw(st.lists(st.integers(0, m - 1), max_size=14))
+        path = np.vstack([np.zeros((1, m), dtype=np.int64), np.cumsum(np.eye(m, dtype=np.int64)[seq], axis=0)])
+        found = [np.flatnonzero((count_vectors(int(row.sum()), m) == row).all(axis=1))[0] for row in path]
+        assert count_vector_ranks(path).tolist() == found
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError):
+            count_vector_ranks([[2, -1, 3]])
 
 
 class TestReduction:
