@@ -162,10 +162,14 @@ def luckiness_alpha_regret(
     table = TypeClassTable(n, m, predictor, cache=cache)
 
     def weighted(pdf: float, theta: np.ndarray) -> float:
-        lp = table.log_ptheta(theta)[0]
-        inner = table.log_mult + alpha * lp + (1.0 - alpha) * table.log_joint
-        hi = np.max(inner)
-        return pdf * math.exp(hi) * float(np.sum(np.exp(inner - hi)))
+        lp = table._log_ptheta(theta)[0].reshape(-1)  # one row, from either route
+        inner = table._renyi_inner(lp, alpha)
+        hi = inner.max()
+        if not math.isfinite(hi):
+            # q = 0 on a class (hi = +inf) or a nan cell: a nan node, which accept_quadrature rejects
+            return math.nan
+        inner -= hi
+        return pdf * math.exp(hi) * float(np.add.reduce(np.exp(inner, out=inner)))
 
     value, err = dirichlet_quadrature(tilt, weighted)
     # the log below needs a positive value; a nan bound fails the acceptance test

@@ -4,9 +4,10 @@ Every probability in this package is carried as a natural-log value: a plain
 float where -inf encodes probability zero (type alias ``LogProb``). Sums of
 probabilities go through ``log_sum_exp``; the 0 * log(0) = 0 convention is
 enforced by the shared ``xlogy`` helper, with one exception:
-``regret.TypeClassTable.log_ptheta`` takes ``xlogy(1, theta)`` once per
-coordinate, scales it by the counts, and itself puts -inf where a zero
-coordinate meets a positive count. Conversions to bits happen only at
+``regret.TypeClassTable`` takes ``xlogy(1, theta)`` once per coordinate
+(``math.log``, the same C library log, for a lone interior theta), scales
+it by the counts, and itself puts -inf where a zero coordinate meets a
+positive count. Conversions to bits happen only at
 output boundaries (divide by ln 2).
 
 Type-class scans evaluate whole arrays at once: ``log_sum_exp`` accepts a

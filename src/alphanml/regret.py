@@ -20,10 +20,13 @@ with a Gamma-ratio expression under the Jeffreys prior.
 Maximization over theta uses a dense grid plus golden-section refinement on
 the 1-simplex, and a triangular lattice plus Nelder-Mead refinement on the
 2-simplex; the grid and the lattice are evaluated GRID_CHUNK points per
-objective call. Argmax ties break to the lexicographically smallest point:
-``lex_argmax`` takes the first candidate within a relative ``TIE_REL`` of
-the maximum, and a refinement replaces it only when it is better by more
-than that window.
+objective call. The refinement probes and the quadrature nodes are single
+interior points, which ``TypeClassTable`` evaluates on (K,) rows with the
+batch route's operations, so they cost a few numpy calls each and give the
+batch route's values bit for bit. Argmax ties break to the
+lexicographically smallest point: ``lex_argmax`` takes the first candidate
+within a relative ``TIE_REL`` of the maximum, and a refinement replaces it
+only when it is better by more than that window.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .predictors import (
     NML,
     NormalizerCache,
     PredictorSpec,
+    _cached_log_normalizer,
     log_joints,
     log_normalizer,
     log_numerators,
@@ -154,9 +158,15 @@ class TypeClassTable:
 
     Holds counts, log multiplicities and predictor log joints, and evaluates
     divergence objectives vectorized over batches of source parameters.
-    ``log_ptheta`` takes one log per theta coordinate and scales it by each
-    class's counts; the 0 * ln 0 = 0 rule for a zero coordinate lives there,
-    in the ``positive`` table (counts > 0) that marks where it gives -inf.
+    The batch route takes ``xlogy(1, theta)`` once per coordinate and scales
+    it by each class's counts; the 0 * ln 0 = 0 rule for a zero coordinate
+    lives there, in the ``positive`` table (counts > 0) that marks where it
+    gives -inf. A batch of one theta whose coordinates are all positive and
+    finite (a quadrature node, a golden-section or Nelder-Mead probe) takes
+    the row kernel instead: the same operations in the same order on (K,)
+    rows, so every value equals the batch route's bit for bit at a fraction
+    of its per-call cost. ``(1 - alpha) * log_joint`` is computed once per
+    alpha.
     """
 
     def __init__(
@@ -175,10 +185,53 @@ class TypeClassTable:
         self.positive = counts > 0
         self.log_mult = log_multiplicities(counts)
         self.log_joint = joint_values(predictor, counts, cache=cache, complete=True, log_mult=self.log_mult)
+        self._tilt: tuple[float | None, np.ndarray | None] = (None, None)  # (alpha, (1 - alpha) * log_joint)
 
     def log_ptheta(self, thetas: np.ndarray) -> np.ndarray:
         """(P, K) matrix of ln p_theta(counts) for a (P, m) batch of simplex points."""
-        thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
+        return np.atleast_2d(self._log_ptheta(thetas)[0])
+
+    def renyi_values(self, thetas: np.ndarray, alpha: float) -> np.ndarray:
+        """D_alpha(p_theta || predictor) on sequence space, per theta row."""
+        if alpha == 1.0:
+            return self.kl_values(thetas)
+        inner = self._renyi_inner(self._log_ptheta(thetas)[0], alpha)
+        if inner.ndim == 1:
+            hi = inner.max()
+            if math.isfinite(hi):
+                # log_sum_exp_array's steps for a row with a finite maximum
+                inner -= hi
+                return (np.log(np.add.reduce(np.exp(inner, out=inner), keepdims=True)) + hi) / (alpha - 1.0)
+            inner = inner[None, :]
+        return log_sum_exp_array(inner, axis=1) / (alpha - 1.0)
+
+    def kl_values(self, thetas: np.ndarray) -> np.ndarray:
+        """KL(p_theta || predictor) on sequence space, per theta row."""
+        lp, finite = self._log_ptheta(thetas)
+        # 0 * ln(0 / q) = 0 where p_theta is 0; the mask is the identity when every cell is finite
+        gap = lp - self.log_joint if finite else np.where(np.isfinite(lp), lp - self.log_joint, 0.0)
+        lp += self.log_mult
+        gap *= np.exp(lp, out=lp)
+        return np.add.reduce(gap, axis=-1, keepdims=gap.ndim == 1)  # (1,) for a row, (P,) for a batch
+
+    def _log_ptheta(self, thetas) -> tuple[np.ndarray, bool]:
+        """ln p_theta, and whether every cell of it is finite.
+
+        One theta whose coordinates are all in (0, inf) takes the row kernel
+        and gives a (K,) row; any other batch takes the batch route and gives
+        (P, K).
+        """
+        thetas = np.asarray(thetas, dtype=np.float64)
+        if thetas.ndim != 2:
+            thetas = np.atleast_2d(thetas)
+        if thetas.shape[0] == 1:
+            (coordinates,) = thetas.tolist()
+            if all(0.0 < t < math.inf for t in coordinates):
+                return self._row(coordinates), True
+        return self._log_ptheta_batch(thetas)
+
+    def _log_ptheta_batch(self, thetas: np.ndarray) -> tuple[np.ndarray, bool]:
+        """The batch route: (P, K) ln p_theta, and whether every cell of it is finite."""
         logs = xlogy(1.0, thetas)
         zero = thetas == 0.0
         has_zero = zero.any()
@@ -192,25 +245,31 @@ class TypeClassTable:
         if has_zero:
             for i in range(self.m):
                 out[np.ix_(zero[:, i], self.positive[:, i])] = -np.inf
+        return out, not has_zero and bool(np.isfinite(logs).all())
+
+    def _row(self, coordinates: list[float]) -> np.ndarray:
+        """The row kernel: ln p_theta as a (K,) row for one theta with coordinates in (0, inf).
+
+        ``math.log`` is the C library's log, as ``xlogy`` is (``np.log`` is
+        not, and differs in the last bit for some inputs), and the sum runs
+        from zero one symbol at a time as in the batch route, so the row
+        equals the batch route's bit for bit, signs of zero included.
+        """
+        out = np.zeros(self.log_mult.size)
+        for t, column in zip(coordinates, self.columns):
+            out += math.log(t) * column
         return out
 
-    def renyi_values(self, thetas: np.ndarray, alpha: float) -> np.ndarray:
-        """D_alpha(p_theta || predictor) on sequence space, per theta row."""
-        if alpha == 1.0:
-            return self.kl_values(thetas)
-        inner = self.log_ptheta(thetas)
-        inner *= alpha
-        inner += self.log_mult
-        inner += (1.0 - alpha) * self.log_joint
-        return log_sum_exp_array(inner, axis=1) / (alpha - 1.0)
-
-    def kl_values(self, thetas: np.ndarray) -> np.ndarray:
-        """KL(p_theta || predictor) on sequence space, per theta row."""
-        lp = self.log_ptheta(thetas)
-        gap = np.where(np.isfinite(lp), lp - self.log_joint, 0.0)
+    def _renyi_inner(self, lp: np.ndarray, alpha: float) -> np.ndarray:
+        """alpha ln p_theta + ln multiplicity + (1 - alpha) ln q, per cell, in place on lp."""
+        tilt_alpha, tilt = self._tilt
+        if alpha != tilt_alpha:
+            tilt = (1.0 - alpha) * self.log_joint
+            self._tilt = (alpha, tilt)
+        lp *= alpha
         lp += self.log_mult
-        gap *= np.exp(lp, out=lp)
-        return np.sum(gap, axis=1)
+        lp += tilt
+        return lp
 
 
 def integrate_unit_interval(
@@ -258,14 +317,17 @@ def dirichlet_quadrature(
     """Integral over t in [0, 1] of weighted(density, theta) at theta = [[t, 1 - t]].
 
     ``density`` is the Dirichlet(params) density at theta; the integrand
-    multiplies it into its own term. Returns (value, error estimate) of
-    ``integrate_unit_interval``.
+    multiplies it into its own term. The density is evaluated on scalars,
+    in the order of ``DirichletDensity.log_pdf``. Returns (value, error
+    estimate) of ``integrate_unit_interval``.
     """
     density = DirichletDensity(params)
+    neg_log_norm = density.neg_log_norm
+    e0, e1 = density.exponents.tolist()
 
     def integrand(t: float) -> float:
-        theta = np.array([[t, 1.0 - t]])
-        return weighted(math.exp(density.log_pdf(theta)[0]), theta)
+        s = 1.0 - t
+        return weighted(math.exp(neg_log_norm + xlogy(e0, t) + xlogy(e1, s)), np.array([[t, s]]))
 
     return integrate_unit_interval(integrand)
 
@@ -331,7 +393,7 @@ def maximize_on_simplex(m: int, objective: Callable[[np.ndarray], np.ndarray]) -
         best_t, best_v = float(ts[j]), float(vals[j])
 
         def f(t: float) -> float:
-            return float(objective(_embed2(np.array([t])))[0])
+            return float(objective(np.array([[t, 1.0 - t]]))[0])
 
         lo = float(ts[max(j - 1, 0)])
         hi = float(ts[min(j + 1, GRID_POINTS - 1)])
@@ -381,10 +443,18 @@ def _worst_case_scan(
     """Max over type classes of the benchmark's log numerator minus the predictor's log joint.
 
     The one scan behind the plain (``NML()``) and luckiness
-    (``LuckinessNML(b)``) worst-case regrets.
+    (``LuckinessNML(b)``) worst-case regrets. When the predictor is the
+    benchmark itself, its joints are the same numerators less the
+    normalizer, so the numerators are evaluated once.
     """
     counts = count_vectors(n, m)
-    vals = log_numerators(benchmark, counts) - joint_values(predictor, counts, cache=cache, complete=True)
+    numerators = log_numerators(benchmark, counts)
+    if predictor == benchmark:
+        # log_joints' steps for a complete scan, on the numerators at hand
+        joints = numerators - _cached_log_normalizer(benchmark, n, m, cache, counts, numerators)
+    else:
+        joints = joint_values(predictor, counts, cache=cache, complete=True)
+    vals = numerators - joints
     k = lex_argmax(vals)
     return RegretReport(
         kind=kind,

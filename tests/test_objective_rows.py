@@ -1,0 +1,357 @@
+"""The row kernel of the simplex objectives against the batch route it bypasses.
+
+A batch of one theta whose coordinates are all positive (a quadrature node,
+a golden-section or Nelder-Mead probe) is evaluated on (K,) rows with one
+``math.log`` per coordinate; every other batch takes the batch route, which
+skips its finiteness mask when no theta has a zero coordinate. Quadrature
+nodes evaluate the Dirichlet density on scalars, and a worst-case scan whose
+predictor is its own benchmark evaluates the numerators once. The references
+below are the routes these replaced, and every value must equal theirs bit
+for bit (signs of zero included).
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import xlogy
+
+from alphanml import (
+    AlphaNML,
+    DirichletParams,
+    LuckinessNML,
+    Mixture,
+    NML,
+    NormalizerCache,
+    NumericError,
+    TypeClassTable,
+    alpha_regret,
+    average_luckiness_regret,
+    log_joint,
+    log_joints,
+    log_numerators,
+    log_sum_exp_array,
+    luckiness_alpha_regret,
+    luckiness_alpha_regret_supform,
+    maximize_on_simplex,
+    sibson_mi_alpha,
+    tilted_params,
+    worst_case_luckiness_regret,
+    worst_case_regret,
+)
+from alphanml import predictors, regret
+from alphanml.numerics import accept_quadrature
+from alphanml.regret import DirichletDensity, dirichlet_quadrature, integrate_unit_interval
+
+
+def reference_log_ptheta(table, thetas):
+    """The batch route of ``TypeClassTable.log_ptheta``, for every batch."""
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
+    logs = xlogy(1.0, thetas)
+    zero = thetas == 0.0
+    has_zero = zero.any()
+    if has_zero:
+        logs[zero] = 0.0
+    # c * xlogy(1, theta) == xlogy(c, theta) bit for bit, and summing from
+    # zero one symbol at a time keeps the rounding of the per-cell formula
+    out = np.zeros((thetas.shape[0], table.counts.shape[0]))
+    for i in range(table.m):
+        out += logs[:, i, None] * table.columns[i]
+    if has_zero:
+        for i in range(table.m):
+            out[np.ix_(zero[:, i], table.positive[:, i])] = -np.inf
+    return out
+
+
+def reference_renyi_values(table, thetas, alpha):
+    """D_alpha(p_theta || predictor) on sequence space, per theta row."""
+    if alpha == 1.0:
+        return reference_kl_values(table, thetas)
+    inner = reference_log_ptheta(table, thetas)
+    inner *= alpha
+    inner += table.log_mult
+    inner += (1.0 - alpha) * table.log_joint
+    return log_sum_exp_array(inner, axis=1) / (alpha - 1.0)
+
+
+def reference_kl_values(table, thetas):
+    """KL(p_theta || predictor) on sequence space, per theta row."""
+    lp = reference_log_ptheta(table, thetas)
+    gap = np.where(np.isfinite(lp), lp - table.log_joint, 0.0)
+    lp += table.log_mult
+    gap *= np.exp(lp, out=lp)
+    return np.sum(gap, axis=1)
+
+
+def reference_dirichlet_quadrature(params, weighted):
+    """The quadrature whose integrand took the density from ``DirichletDensity.log_pdf``."""
+    density = DirichletDensity(params)
+
+    def integrand(t: float) -> float:
+        theta = np.array([[t, 1.0 - t]])
+        return weighted(math.exp(density.log_pdf(theta)[0]), theta)
+
+    return integrate_unit_interval(integrand)
+
+
+def reference_luckiness_alpha_regret(predictor, b, n, alpha, tol=1e-7):
+    """``luckiness_alpha_regret`` with the tilted integrand on the batch route."""
+    tilt = tilted_params(alpha, b)
+    table = TypeClassTable(n, 2, predictor, cache=None)
+
+    def weighted(pdf: float, theta: np.ndarray) -> float:
+        lp = reference_log_ptheta(table, theta)[0]
+        inner = table.log_mult + alpha * lp + (1.0 - alpha) * table.log_joint
+        hi = np.max(inner)
+        return pdf * math.exp(hi) * float(np.sum(np.exp(inner - hi)))
+
+    with np.errstate(invalid="ignore"):  # inf - inf on a zero-probability class
+        value, err = reference_dirichlet_quadrature(tilt, weighted)
+    bound = tol * max(value, 1e-300) if value > 0.0 else math.nan
+    return math.log(accept_quadrature(value, err, bound, "the tilted alpha-regret")) / (alpha - 1.0)
+
+
+def reference_kl_quadrature(predictor, params, n, tol):
+    """``average_luckiness_regret`` and the order-one radius with the batch-route KL integrand."""
+    table = TypeClassTable(n, 2, predictor, cache=None)
+    value, err = reference_dirichlet_quadrature(params, lambda pdf, theta: pdf * float(reference_kl_values(table, theta)[0]))
+    return accept_quadrature(value, err, tol, "the average luckiness regret")
+
+
+def _same(a, b) -> bool:
+    """Equal shape and bytes: the same floats, signs of zero and nan bits included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _outcome(call):
+    """A call's value, or the repr of the partial value of the NumericError it raised."""
+    try:
+        return call()
+    except NumericError as exc:
+        return ("NumericError", repr(exc.partial))
+
+
+# uniform draws whose numpy log differs from the C library's in the last bit
+_DRAWS = np.random.default_rng(20261018).random(100_000)
+_LOG_SPLITS = _DRAWS[np.log(_DRAWS) != np.array([math.log(x) for x in _DRAWS.tolist()])].tolist() or _DRAWS[:64].tolist()
+
+_interior = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+_coordinate = st.one_of(
+    st.sampled_from(_LOG_SPLITS), _interior, st.just(0.0), st.just(1.0), st.just(5e-324), st.just(1.0 - 2**-53)
+)
+
+
+@st.composite
+def _rows(draw, m: int):
+    """One theta: split coordinates, interior points, vertices, faces and subnormals."""
+    kind = draw(st.sampled_from(("split", "free", "vertex")))
+    if kind == "vertex":
+        return np.eye(m)[draw(st.integers(0, m - 1))]
+    if kind == "split":
+        x = draw(st.sampled_from(_LOG_SPLITS))
+        u = draw(st.sampled_from(_LOG_SPLITS))
+        return np.array([x, 1.0 - x]) if m == 2 else np.array([x, (1.0 - x) * u, (1.0 - x) * (1.0 - u)])
+    row = np.array([draw(_coordinate) for _ in range(m)])
+    total = row.sum()
+    return row / total if draw(st.booleans()) and total > 0.0 else row
+
+
+def _predictor(draw, m: int):
+    prior = DirichletParams(tuple(draw(st.floats(min_value=0.2, max_value=3.0)) for _ in range(m)))
+    spec = draw(st.sampled_from((Mixture(prior), AlphaNML(2.5, prior), NML())))
+    if not draw(st.booleans()):
+        return spec
+    ruled_out = draw(st.one_of(st.none(), st.integers(0, 3)))
+
+    def joint(cv):
+        """A CountVector callable; optionally zero probability on the class with c_0 = ruled_out."""
+        if cv.counts[0] == ruled_out:
+            return -math.inf
+        return log_joint(spec, cv, cache=None)
+
+    return joint
+
+
+@st.composite
+def _tables(draw):
+    m = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(min_value=0, max_value=14))
+    return m, TypeClassTable(n, m, _predictor(draw, m), cache=None)
+
+
+_ALPHAS = st.sampled_from((1.0, 1.5, 2.0, 3.7, 12.0))
+
+
+class TestRowKernel:
+    """One theta takes the row kernel; its values equal the batch route's bit for bit."""
+
+    @given(_tables(), st.data(), _ALPHAS)
+    @settings(max_examples=150, deadline=None)
+    def test_single_rows_equal_the_batch_route(self, case, data, alpha):
+        m, table = case
+        for _ in range(4):
+            theta = data.draw(_rows(m))[None, :]
+            with np.errstate(all="ignore"):
+                assert _same(table.log_ptheta(theta), reference_log_ptheta(table, theta))
+                assert _same(table.kl_values(theta), reference_kl_values(table, theta))
+                assert _same(
+                    _outcome(lambda: table.renyi_values(theta, alpha)),
+                    _outcome(lambda: reference_renyi_values(table, theta, alpha)),
+                )
+
+    @given(_tables(), st.data(), _ALPHAS)
+    @settings(max_examples=80, deadline=None)
+    def test_batches_equal_the_batch_route(self, case, data, alpha):
+        """Batches with and without zero coordinates: the mask is skipped only where it is the identity."""
+        m, table = case
+        thetas = np.array([data.draw(_rows(m)) for _ in range(data.draw(st.integers(2, 6)))])
+        with np.errstate(all="ignore"):
+            assert _same(table.log_ptheta(thetas), reference_log_ptheta(table, thetas))
+            assert _same(table.kl_values(thetas), reference_kl_values(table, thetas))
+            assert _same(
+                _outcome(lambda: table.renyi_values(thetas, alpha)),
+                _outcome(lambda: reference_renyi_values(table, thetas, alpha)),
+            )
+
+    def test_split_pool_holds_inputs_where_numpy_log_differs(self):
+        """The strategy above must draw where np.log and math.log disagree, when this platform has such points."""
+        differs = np.log(np.array(_LOG_SPLITS)) != np.array([math.log(x) for x in _LOG_SPLITS])
+        if not differs.any():
+            pytest.skip("numpy's log equals the C library's on this platform")
+        assert differs.all()
+
+    def test_empty_horizon_keeps_the_sign_of_zero(self):
+        table = TypeClassTable(0, 3, NML())
+        theta = np.array([[0.25, 0.25, 0.5]])
+        lp = table.log_ptheta(theta)
+        assert lp.tolist() == [[0.0]] and not np.signbit(lp).any()
+        assert _same(table.renyi_values(theta, 2.0), reference_renyi_values(table, theta, 2.0))
+
+    def test_tilt_follows_the_order(self):
+        """(1 - alpha) ln q is computed once per order and replaced when the order changes."""
+        table = TypeClassTable(9, 2, AlphaNML(2.0, DirichletParams((0.3, 0.8))))
+        theta = np.array([[0.3, 0.7]])
+        for alpha in (2.0, 3.7, 2.0, 1.5, 1.5):
+            assert _same(table.renyi_values(theta, alpha), reference_renyi_values(table, theta, alpha))
+
+
+class TestProbes:
+    """Golden-section and Nelder-Mead probes through the row kernel find the batch route's maximum."""
+
+    @given(st.sampled_from((2, 3)), st.integers(1, 12), _ALPHAS, st.floats(0.2, 3.0), st.floats(0.2, 3.0))
+    @settings(max_examples=10, deadline=None)
+    def test_alpha_regret_equals_maximizing_the_reference_objective(self, m, n, alpha, a0, a1):
+        prior = DirichletParams((a0, a1) if m == 2 else (a0, a1, 0.5))
+        predictor = AlphaNML(1.8, prior)
+        rep = alpha_regret(predictor, n, m, alpha, cache=None)
+        table = TypeClassTable(n, m, predictor, cache=None)
+        point, value = maximize_on_simplex(m, lambda thetas: reference_renyi_values(table, thetas, alpha))
+        assert (rep.value_nats, rep.maximizer) == (value, point)
+
+    def test_supform_equals_maximizing_the_reference_objective(self):
+        predictor = AlphaNML(2.2, DirichletParams((0.8, 1.5, 0.5)))
+        b = DirichletParams((1.5, 2.0, 1.2))
+        rep = luckiness_alpha_regret_supform(predictor, b, 12, 3, 1.9, cache=None)
+        table = TypeClassTable(12, 3, predictor, cache=None)
+        density = DirichletDensity(b)
+        point, value = maximize_on_simplex(
+            3, lambda thetas: density.log_pdf(thetas) + reference_renyi_values(table, thetas, 1.9)
+        )
+        assert (rep.value_nats, rep.maximizer) == (value, point)
+
+
+_PARAMS = st.tuples(
+    st.one_of(st.just(1.0), st.floats(0.2, 3.0)), st.one_of(st.just(1.0), st.floats(0.2, 3.0))
+).map(DirichletParams)
+
+
+class TestQuadratureNodes:
+    """Scalar densities and row-kernel integrands give the old quadratures bit for bit."""
+
+    @given(_PARAMS)
+    @settings(max_examples=40, deadline=None)
+    def test_every_node_gets_the_log_pdf_density(self, params):
+        nodes, reference_nodes = [], []
+
+        def recorder(calls):
+            def weighted(pdf, theta):
+                calls.append((pdf, theta.shape, theta.tobytes()))
+                return pdf * theta[0, 0]
+
+            return weighted
+
+        assert dirichlet_quadrature(params, recorder(nodes)) == reference_dirichlet_quadrature(
+            params, recorder(reference_nodes)
+        )
+        assert nodes == reference_nodes
+
+    @given(st.integers(0, 14), _PARAMS, st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_kl_quadratures(self, n, params, data):
+        predictor = _predictor(data.draw, 2)
+        assert _outcome(lambda: average_luckiness_regret(predictor, params, n, cache=None, tol=1e-8)) == _outcome(
+            lambda: reference_kl_quadrature(predictor, params, n, 1e-8)
+        )
+        assert _outcome(lambda: sibson_mi_alpha(n, 2, 1.0, params, cache=None)) == _outcome(
+            lambda: reference_kl_quadrature(Mixture(params), params, n, 1e-8)
+        )
+
+    @given(st.integers(0, 14), st.sampled_from((1.5, 2.0, 3.7, 12.0)), st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_tilted_alpha_regret(self, n, alpha, data):
+        b = DirichletParams((data.draw(st.floats(0.95, 3.0)), data.draw(st.floats(0.95, 3.0))))
+        predictor = _predictor(data.draw, 2)
+        assert _outcome(lambda: luckiness_alpha_regret(predictor, b, n, alpha, cache=None)) == _outcome(
+            lambda: reference_luckiness_alpha_regret(predictor, b, n, alpha)
+        )
+
+
+class TestWorstCaseNumerators:
+    """A worst-case scan of the benchmark's own kind evaluates its numerators once."""
+
+    @pytest.fixture
+    def numerator_calls(self, monkeypatch):
+        calls = []
+
+        def counting(spec, counts):
+            calls.append(spec)
+            return log_numerators(spec, counts)
+
+        monkeypatch.setattr(predictors, "log_numerators", counting)
+        monkeypatch.setattr(regret, "log_numerators", counting)
+        return calls
+
+    @pytest.mark.parametrize("cache_state", ["none", "cold", "warm"])
+    def test_nml_scan(self, numerator_calls, cache_state):
+        cache = None if cache_state == "none" else NormalizerCache()
+        if cache_state == "warm":
+            worst_case_regret(NML(), 40, 3, cache=cache)
+            numerator_calls.clear()
+        rep = worst_case_regret(NML(), 40, 3, cache=cache)
+        assert numerator_calls == [NML()]
+        counts = predictors.count_vectors(40, 3)
+        vals = log_numerators(NML(), counts) - log_joints(NML(), counts, cache=None, complete=True)
+        assert rep.value_nats == float(vals.max())
+
+    @pytest.mark.parametrize("cache_state", ["none", "cold", "warm"])
+    def test_luckiness_scan(self, numerator_calls, cache_state):
+        b = DirichletParams((1.3, 1.7, 2.1))
+        cache = None if cache_state == "none" else NormalizerCache()
+        if cache_state == "warm":
+            worst_case_luckiness_regret(LuckinessNML(b), b, 30, 3, cache=cache)
+            numerator_calls.clear()
+        rep = worst_case_luckiness_regret(LuckinessNML(b), b, 30, 3, cache=cache)
+        assert numerator_calls == [LuckinessNML(b)]
+        counts = predictors.count_vectors(30, 3)
+        vals = log_numerators(LuckinessNML(b), counts) - log_joints(LuckinessNML(b), counts, cache=None, complete=True)
+        k = int(np.argmax(vals >= vals.max() - 1e-12 * max(1.0, abs(vals.max()))))
+        assert (rep.value_nats, rep.maximizer.counts) == (float(vals[k]), tuple(counts[k].tolist()))
+
+    def test_other_predictors_still_evaluate_their_own(self, numerator_calls):
+        worst_case_regret(Mixture(DirichletParams.jeffreys(3)), 20, 3, cache=None)
+        assert numerator_calls == [NML(), Mixture(DirichletParams.jeffreys(3))]
