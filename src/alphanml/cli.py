@@ -125,7 +125,8 @@ def _parse_n_list(text: str) -> list[int]:
     return values
 
 
-def _build_spec(args, m: int) -> PredictorSpec:
+def _build_spec(args, m: int) -> tuple[str, PredictorSpec]:
+    """The predictor name the flags select, and its spec."""
     prior = _parse_prior(args.prior, m) if args.prior else None
     name = args.predictor
     if name is None:
@@ -133,29 +134,19 @@ def _build_spec(args, m: int) -> PredictorSpec:
             raise ValueError("provide --predictor or --alpha (implies the alpha family)")
         name = "anml"
     if name == "kt":
-        return kt(m)
+        return name, kt(m)
     if name == "laplace":
-        return laplace(m)
+        return name, laplace(m)
     if name == "nml":
-        return NML()
+        return name, NML()
     if name == "anml":
         alpha = 1.0 if args.alpha is None else args.alpha
-        return AlphaNML(alpha, prior or DirichletParams.jeffreys(m))
+        return name, AlphaNML(alpha, prior or DirichletParams.jeffreys(m))
     if name == "lanml":
         if args.alpha is None:
             raise ValueError("lanml requires --alpha")
-        return LuckinessAlphaNML(args.alpha, prior or DirichletParams.jeffreys(m))
+        return name, LuckinessAlphaNML(args.alpha, prior or DirichletParams.jeffreys(m))
     raise ValueError(f"unknown predictor {name!r}")
-
-
-def _spec_record_label(spec: PredictorSpec) -> str:
-    if isinstance(spec, Mixture):
-        if tuple(spec.a.a) == (0.5,) * spec.a.m:
-            return "kt"
-        if tuple(spec.a.a) == (1.0,) * spec.a.m:
-            return "laplace"
-        return "mixture"
-    return spec.label
 
 
 def _maximizer_text(maximizer) -> str:
@@ -171,7 +162,7 @@ def _maximizer_text(maximizer) -> str:
 
 def cmd_predict(args) -> int:
     m = args.m
-    spec = _build_spec(args, m)
+    _, spec = _build_spec(args, m)
     past = _parse_counts(args.counts, m)
     probs = conditional_distribution(spec, past, horizon=args.horizon)
     if abs(float(np.sum(probs)) - 1.0) > 1e-10:
@@ -183,7 +174,7 @@ def cmd_predict(args) -> int:
 
 def cmd_regret(args) -> int:
     m = args.m
-    spec = _build_spec(args, m)
+    name, spec = _build_spec(args, m)
     if args.kind == "worst":
         report = worst_case_regret(spec, args.n, m)
     elif args.kind == "average":
@@ -193,26 +184,18 @@ def cmd_regret(args) -> int:
             raise ValueError("--kind alpha requires --alpha")
         report = alpha_regret(spec, args.n, m, args.alpha)
 
-    asymptote = None
-    if args.kind == "worst":
-        label = _spec_record_label(spec)
-        if label == "kt":
-            asymptote = asymptotic_rmax(args.n, m, 1.0)
-        elif label == "nml":
-            asymptote = asymptotic_rmax(args.n, m, math.inf)
-        elif isinstance(spec, AlphaNML) and tuple(spec.a.a) == (0.5,) * m:
-            asymptote = asymptotic_rmax(args.n, m, spec.alpha)
-    alpha_val = getattr(spec, "alpha", None)
-    if alpha_val is None:
-        alpha_val = report.alpha
-    if alpha_val is None:
-        alpha_val = 1.0 if isinstance(spec, Mixture) else math.inf if isinstance(spec, NML) else None
+    alpha_val = getattr(spec, "alpha", report.alpha)
+    if alpha_val is None:  # the worst case of kt or laplace (order 1) or nml (order infinity)
+        alpha_val = math.inf if name == "nml" else 1.0
+    # the asymptote is that of the alpha family under the Jeffreys prior; kt is alpha = 1, nml alpha = infinity
+    jeffreys_family = name in ("kt", "nml") or (name == "anml" and spec.a == DirichletParams.jeffreys(m))
+    asymptote = asymptotic_rmax(args.n, m, alpha_val) if args.kind == "worst" and jeffreys_family else None
     scale = 1.0 if args.base == "nats" else 1.0 / LOG_TWO
     row = {
         "n": args.n,
         "m": m,
         "alpha": alpha_val,
-        "predictor": _spec_record_label(spec),
+        "predictor": name,
         "kind": report.kind,
         "value_nats": report.value_nats,
         "value_bits": report.value_bits,
@@ -221,7 +204,7 @@ def cmd_regret(args) -> int:
         f"gap_{args.base}": None if asymptote is None else (report.value_nats - asymptote) * scale,
     }
     _emit([row], args.format, sys.stdout)
-    if args.kind == "alpha" and isinstance(spec, AlphaNML) and spec.alpha > 1.0:
+    if args.kind == "alpha" and name == "anml" and spec.alpha > 1.0:
         bound = sibson_mi_alpha(args.n, m, spec.alpha, spec.a)
         ok = report.value_nats >= bound - 1e-9
         sys.stderr.write(

@@ -16,8 +16,9 @@ rounded ``math.fsum``, so the result does not depend on the order of the
 terms. ``log_gamma`` is the C library ``lgamma``, for scalars. Array scans
 call ``scipy.special.gammaln`` and ``xlogy`` once per symbol on a table over
 k = 0..max count and gather every class's cells from it
-(``predictors.log_numerators``), so a scan of K classes makes about
-m * (n + 1) cell evaluations plus one per class for its row total.
+(``predictors._separable_rows``, on each kind's separable form), so a scan
+of K classes makes about m * (n + 1) cell evaluations plus one per class
+for its row total.
 
 ``accept_quadrature`` is the one acceptance test for quadratures: a value
 is returned only if it is finite and its error estimate is within bound.
@@ -84,22 +85,16 @@ def log_sum_exp_array(values: np.ndarray, axis: int | None = None) -> np.ndarray
     """Vectorized shift-by-max log-sum-exp along an axis (fixed summation order).
 
     Rows whose maximum is -inf (+inf) reduce to -inf (+inf) instead of nan.
+    ``axis=None`` reduces the whole array as one row and returns a float.
     A nan term raises NumericError. Only a nan term makes a row's maximum
     nan, so the check reads the reduced maxima, one per row, and only when
     one of them is not finite.
     """
     values = np.asarray(values, dtype=np.float64)
     if axis is None:
-        flat = values.ravel()
-        if flat.size == 0:
+        if values.size == 0:
             raise ValueError("log_sum_exp of an empty array")
-        m = float(np.max(flat))  # nan if any term is nan
-        if math.isinf(m):
-            return m
-        out = m + float(np.log(np.sum(np.exp(flat - m))))
-        if math.isnan(out):
-            raise NumericError("log_sum_exp_array received nan")
-        return out
+        return float(log_sum_exp_array(values.reshape(1, -1), axis=1)[0])
     shift = np.max(values, axis=axis, keepdims=True)  # nan in a row with a nan term
     finite = np.isfinite(shift)
     safe = np.where(finite, shift, 0.0)

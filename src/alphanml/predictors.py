@@ -18,12 +18,16 @@ Five predictor kinds share one evaluation surface:
                           which must stay positive for the integral to exist.
 
 All joints are exchangeable (functions of the count vector alone) and are
-computed in the natural-log domain. ``log_numerators`` is the one per-kind
-dispatch: it evaluates the unnormalized log joint of every row of a (K, m)
-count array at once. Every kind is a sum of per-symbol terms (``gammaln`` or
-``xlogy`` of one value per count and symbol) minus a function of the row
-total, so a scan evaluates the special function once per symbol on
-k = 0..max count and gathers its cells from those tables. ``log_joints``
+computed in the natural-log domain. ``_separable`` is the one per-kind
+dispatch: it gives each kind's separable form, a per-symbol cell map
+k -> v_i(k), a special function f (``gammaln`` or x ln x), a divisor alpha,
+the Dirichlet parameters whose ln B is subtracted, and the alphabet size
+the parameters pin. The unnormalized log joint of counts c is
+(sum_i f(v_i(c_i)) - f(sum_i v_i(c_i)) - ln B) / alpha, and
+``log_numerators``, ``spec_alphabet_size``, ``log_dirichlet_alpha_integral``,
+``log_joints`` and the one-step ``conditional_distribution`` read that
+form. A scan evaluates f once per symbol on k = 0..max count and gathers
+every class's cells from those tables. ``log_joints``
 subtracts the horizon's log normalizer. ``log_normalizer`` reduces
 multiplicities plus numerators over the array of all type classes and
 memoizes in a thread-safe cache keyed by (spec, n, m); a scan that already
@@ -32,8 +36,9 @@ numerators to the normalizer on a cache miss instead of enumerating again.
 ``cumulative_log_loss`` codes a whole sequence in one backward pass over the
 lattice of prefix counts: every level is a slice of the horizon's class and
 mask arrays, and each prefix is read at its lex rank
-(``typeclass.count_vector_ranks``). ``conditional_distribution`` answers one
-next-symbol query by enumerating the suffix classes after each symbol.
+(``typeclass.count_vector_ranks``). ``conditional_distribution`` answers a
+next-symbol query of a Beta-ratio kind one step ahead in closed form, and
+any other query by enumerating the suffix classes after each symbol.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -56,6 +61,7 @@ from .numerics import (
 )
 from .typeclass import (
     CountVector,
+    _whole_symbols,
     count_vector_ranks,
     count_vectors,
     log_multiplicities,
@@ -100,22 +106,16 @@ class DirichletParams:
 class PredictorSpec:
     """Immutable, hashable description of a predictor (a tagged union)."""
 
-    label = "predictor"
-
 
 @dataclass(frozen=True)
 class Mixture(PredictorSpec):
     a: DirichletParams
-
-    label = "mixture"
 
 
 @dataclass(frozen=True)
 class AlphaNML(PredictorSpec):
     alpha: float
     a: DirichletParams
-
-    label = "anml"
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha >= 1.0):
@@ -124,22 +124,18 @@ class AlphaNML(PredictorSpec):
 
 @dataclass(frozen=True)
 class NML(PredictorSpec):
-    label = "nml"
+    """Normalized maximum likelihood; it has no parameters."""
 
 
 @dataclass(frozen=True)
 class LuckinessNML(PredictorSpec):
     b: DirichletParams
 
-    label = "lnml"
-
 
 @dataclass(frozen=True)
 class LuckinessAlphaNML(PredictorSpec):
     alpha: float
     b: DirichletParams
-
-    label = "lanml"
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha >= 1.0):
@@ -174,21 +170,15 @@ def tilted_params(alpha: float, b: DirichletParams) -> DirichletParams:
 
 def spec_alphabet_size(spec: PredictorSpec) -> int | None:
     """The alphabet size pinned by the predictor's parameters, if any."""
-    if isinstance(spec, Mixture):
-        return spec.a.m
-    if isinstance(spec, AlphaNML):
-        return spec.a.m
-    if isinstance(spec, LuckinessNML):
-        return spec.b.m
-    if isinstance(spec, LuckinessAlphaNML):
-        return spec.b.m
-    return None
+    return _separable(spec).m
 
 
-def _check_spec_m(spec: PredictorSpec, m: int) -> None:
-    sm = spec_alphabet_size(spec)
-    if sm is not None and sm != m:
-        raise ValueError(f"spec is over an alphabet of size {sm}, got m={m}")
+def _checked_form(spec: PredictorSpec, m: int) -> _Separable:
+    """The spec's separable form, after checking that its parameters are over m symbols."""
+    form = _separable(spec)
+    if form.m is not None and form.m != m:
+        raise ValueError(f"spec is over an alphabet of size {form.m}, got m={m}")
+    return form
 
 
 def log_ml(counts: CountVector) -> LogProb:
@@ -199,13 +189,12 @@ def log_ml(counts: CountVector) -> LogProb:
 def log_dirichlet_alpha_integral(counts: CountVector, alpha: float, a: DirichletParams) -> LogProb:
     """ln integral of Dirichlet(a) * p_theta^alpha over the simplex.
 
-    Closed form: ln B(alpha*counts + a) - ln B(a).
+    Closed form: ln B(alpha*counts + a) - ln B(a), the alpha family's log
+    numerator before its 1/alpha power.
     """
     if counts.m != a.m:
         raise ValueError(f"counts have m={counts.m}, prior has m={a.m}")
-    if not alpha >= 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
-    return float(_log_alpha_integrals(np.array([counts.counts]), alpha, a)[0])
+    return float(_separable_rows(_separable(AlphaNML(alpha, a)), np.array([counts.counts]))[0])
 
 
 def log_luckiness_supremum(counts: CountVector, b: DirichletParams) -> LogProb:
@@ -234,17 +223,52 @@ def _as_counts(counts) -> np.ndarray:
     return arr
 
 
-def _separable_rows(cell: Callable[[np.ndarray], np.ndarray], f: Callable, counts: np.ndarray) -> np.ndarray:
-    """sum_i f(v_i) - f(sum_i v_i) per row, with v_i = cell(c_i) for symbol i.
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    return xlogy(x, x)
 
-    ``cell`` maps float counts to one value per symbol. When K > max count
-    + 1, ``cell`` and ``f`` run once per symbol on k = 0..max count and the
-    (K, m) cells are gathered from those tables; smaller arrays (single rows,
-    m = 2 scans where K = n + 1) evaluate every cell. Each cell holds the
-    same float either way and rows are summed the same way, so both routes
-    agree bit for bit. The row-total term stays per row: the float sum of
-    the cells differs from row to row in its last bits.
+
+class _Separable(NamedTuple):
+    """A kind's unnormalized log joint: (sum_i f(v_i) - f(sum_i v_i) - ln B(beta)) / alpha.
+
+    The kinds with f = ``gammaln`` (the mixture, alpha-NML and luckiness
+    alpha-NML) have Beta-ratio joints: B(v)^(1/alpha) up to a constant, with
+    cells v_i = alpha * c_i + a_i. NML and luckiness NML have f = x ln x.
     """
+
+    cell: Callable[[np.ndarray], np.ndarray]  # float counts k -> the cells v_i(k) of every symbol i
+    f: Callable[[np.ndarray], np.ndarray]  # gammaln or x ln x
+    alpha: float
+    beta: DirichletParams | None  # the parameters whose ln B is subtracted, if any
+    m: int | None  # the alphabet size the parameters pin
+
+
+def _separable(spec: PredictorSpec) -> _Separable:
+    """The one per-kind dispatch. Building a form costs one tuple: cells and ln B are computed on use."""
+    if isinstance(spec, (Mixture, AlphaNML)):
+        alpha = getattr(spec, "alpha", 1.0)
+        return _Separable(lambda k: alpha * k + spec.a.as_array(), gammaln, alpha, spec.a, spec.a.m)
+    if isinstance(spec, NML):
+        return _Separable(lambda k: k, _xlogx, 1.0, None, None)
+    if isinstance(spec, LuckinessNML):
+        return _Separable(lambda k: k + spec.b.as_array() - 1.0, _xlogx, 1.0, spec.b, spec.b.m)
+    if isinstance(spec, LuckinessAlphaNML):
+        cell = lambda k: spec.alpha * k + tilted_params(spec.alpha, spec.b).as_array()  # noqa: E731
+        return _Separable(cell, gammaln, spec.alpha, None, spec.b.m)
+    raise TypeError(f"unknown predictor spec {spec!r}")
+
+
+def _separable_rows(form: _Separable, counts: np.ndarray) -> np.ndarray:
+    """sum_i f(v_i) - f(sum_i v_i) - ln B(beta) per row, with v_i = cell(c_i) for symbol i.
+
+    When K > max count + 1, ``cell`` and ``f`` run once per symbol on
+    k = 0..max count and the (K, m) cells are gathered from those tables;
+    smaller arrays (single rows, m = 2 scans where K = n + 1) evaluate every
+    cell. Each cell holds the same float either way and rows are summed the
+    same way, so both routes agree bit for bit. The row-total term stays
+    per row: the float sum of the cells differs from row to row in its last
+    bits.
+    """
+    cell, f = form.cell, form.f
     rows, m = counts.shape
     top = int(counts.max()) if rows > 1 else 0
     if rows > top + 1:
@@ -256,49 +280,34 @@ def _separable_rows(cell: Callable[[np.ndarray], np.ndarray], f: Callable, count
     else:
         values = np.broadcast_to(cell(counts.astype(np.float64)), (rows, m))
         terms = f(values)
-    return np.sum(terms, axis=1) - f(np.sum(values, axis=1))
-
-
-def _log_alpha_integrals(counts: np.ndarray, alpha: float, a: DirichletParams) -> np.ndarray:
-    """ln B(alpha*c + a) - ln B(a) for each row c of a count array."""
-    return _separable_rows(lambda k: alpha * k + a.as_array(), gammaln, counts) - log_multivariate_beta(a.a)
-
-
-def _xlogx(x: np.ndarray) -> np.ndarray:
-    return xlogy(x, x)
+    out = np.sum(terms, axis=1) - f(np.sum(values, axis=1))
+    if form.beta is not None:
+        out -= log_multivariate_beta(form.beta.a)
+    return out
 
 
 def log_numerators(spec: PredictorSpec, counts) -> np.ndarray:
     """Unnormalized log joints of every row of a (K, m) count array.
 
     Each kind is a sum of per-symbol terms minus a function of the row's
-    total (``_separable_rows``), so a scan reads the per-symbol terms from
+    total (``_separable``), so a scan reads the per-symbol terms from
     tables over k = 0..max count. Counts must be non-negative whole numbers
     (ValueError otherwise).
     Constants common to all count vectors of a horizon may be dropped, so
     only differences at a fixed n, and ``log_joints``, are meaningful.
     """
     cs = _as_counts(counts)
-    if isinstance(spec, (Mixture, AlphaNML)):
-        alpha = getattr(spec, "alpha", 1.0)
-        return _log_alpha_integrals(cs, alpha, spec.a) / alpha
-    if isinstance(spec, NML):
-        return _separable_rows(lambda k: k, _xlogx, cs)
-    if isinstance(spec, LuckinessNML):
-        # an exponent e_i = c_i + b_i - 1 of the tilted supremum is negative iff c_i = 0 and b_i < 1
-        b = spec.b.as_array()
-        bad = np.flatnonzero(np.any((cs == 0) & (b < 1.0), axis=1))
+    form = _separable(spec)
+    if form.beta is not None and form.f is _xlogx and np.any(low := form.cell(0.0) < 0.0):
+        # luckiness NML: an exponent e_i = c_i + b_i - 1 of the tilted supremum is negative iff c_i = 0 and b_i < 1
+        bad = np.flatnonzero(np.any((cs == 0) & low, axis=1))
         if bad.size:
             row = cs[bad[0]]
             raise InfeasibleModelError(
-                f"luckiness NML does not exist for b={spec.b.a}: exponent {(row + b - 1.0).min()} < 0 at "
+                f"luckiness NML does not exist for b={form.beta.a}: exponent {form.cell(row).min()} < 0 at "
                 f"counts={tuple(int(c) for c in row)} makes the tilted supremum unbounded"
             )
-        return _separable_rows(lambda k: k + b - 1.0, _xlogx, cs) - log_multivariate_beta(spec.b.a)
-    if isinstance(spec, LuckinessAlphaNML):
-        params = tilted_params(spec.alpha, spec.b).as_array()
-        return _separable_rows(lambda k: spec.alpha * k + params, gammaln, cs) / spec.alpha
-    raise TypeError(f"unknown predictor spec {spec!r}")
+    return _separable_rows(form, cs) / form.alpha
 
 
 class NormalizerCache:
@@ -391,7 +400,7 @@ def log_normalizer(
     because the benchmark's scaling probe (``perfbench/workloads.py``)
     passes it. It goes once a benchmark-only change removes that probe.
     """
-    _check_spec_m(spec, m)
+    _checked_form(spec, m)
     return _cached_log_normalizer(spec, n, m, cache)
 
 
@@ -413,10 +422,10 @@ def log_joints(
     """
     counts = _as_counts(counts)
     m = counts.shape[1]
-    _check_spec_m(spec, m)
+    form = _checked_form(spec, m)
     numerators = log_numerators(spec, counts)
-    if isinstance(spec, Mixture) or (isinstance(spec, AlphaNML) and spec.alpha == 1.0):
-        # exact identity: the mixture, and the alpha family at alpha = 1, are normalized
+    if form.f is gammaln and form.alpha == 1.0 and form.beta is not None:
+        # exact identity: a Dirichlet mixture B(c + a) / B(a), i.e. the mixture or alpha = 1, is normalized
         return numerators
     totals = counts.sum(axis=1)
     if not totals.size or totals.min() != totals.max():
@@ -430,35 +439,19 @@ def log_joint(spec: PredictorSpec, counts: CountVector, *, cache: NormalizerCach
     return float(log_joints(spec, [counts.counts], cache=cache)[0])
 
 
-def _product_form(spec: PredictorSpec) -> tuple[float, DirichletParams] | None:
-    """(alpha, effective Dirichlet params) for kinds whose joint is a Beta ratio."""
-    if isinstance(spec, Mixture):
-        return 1.0, spec.a
-    if isinstance(spec, AlphaNML):
-        return spec.alpha, spec.a
-    if isinstance(spec, LuckinessAlphaNML):
-        return spec.alpha, tilted_params(spec.alpha, spec.b)
-    return None
+def _extension_log_weights(form: _Separable, past: CountVector) -> np.ndarray:
+    """Log weight of extending ``past`` by each symbol at horizon past.n + 1, for a Beta-ratio joint.
 
-
-def _extension_log_weight(
-    alpha: float, params: DirichletParams, past: CountVector, symbol: int, use_integer_fast_path: bool | None
-) -> float:
-    """Log weight of extending ``past`` by ``symbol`` at horizon past.n + 1, for a Beta-ratio joint.
-
-    Terms common to all symbols are dropped; only ratios matter.
+    One more symbol k multiplies B(v) by Gamma(v_k + alpha) / Gamma(v_k)
+    times a factor common to all symbols, which is dropped; only ratios
+    matter.
     """
-    c_k = float(past.counts[symbol - 1])
-    a_k = float(params.a[symbol - 1])
-    base = alpha * c_k + a_k
-    is_int = float(alpha).is_integer() and alpha <= _INTEGER_PRODUCT_CAP
-    if use_integer_fast_path is True and not is_int:
-        raise ValueError(f"integer fast path requested for non-integer alpha={alpha}")
-    use_product = is_int if use_integer_fast_path is None else use_integer_fast_path
-    if use_product:
+    alpha = form.alpha
+    bases = form.cell(np.array(past.counts, dtype=np.float64)).tolist()
+    if float(alpha).is_integer() and alpha <= _INTEGER_PRODUCT_CAP:
         # Gamma(base + alpha) / Gamma(base) unrolled as an explicit product
-        return math.fsum(math.log(base + j) for j in range(int(alpha))) / alpha
-    return (log_gamma(base + alpha) - log_gamma(base)) / alpha
+        return np.array([math.fsum(math.log(base + j) for j in range(int(alpha))) / alpha for base in bases])
+    return np.array([(log_gamma(base + alpha) - log_gamma(base)) / alpha for base in bases])
 
 
 def _log_marginal_numerators(spec: PredictorSpec, past: CountVector, horizon: int) -> np.ndarray:
@@ -472,34 +465,25 @@ def _log_marginal_numerators(spec: PredictorSpec, past: CountVector, horizon: in
     return np.array([log_sum_exp(log_mult + log_numerators(spec, tails + head)) for head in heads])
 
 
-def conditional_distribution(
-    spec: PredictorSpec,
-    past_counts: CountVector,
-    horizon: int | None = None,
-    *,
-    use_integer_fast_path: bool | None = None,
-) -> np.ndarray:
+def conditional_distribution(spec: PredictorSpec, past_counts: CountVector, horizon: int | None = None) -> np.ndarray:
     """Next-symbol probabilities given past counts.
 
     The alpha family and NML are horizon-dependent, so the conditional is
     defined relative to a horizon; the default (past length + 1) is the
     one-step extension, where joints at the extended length are compared
     directly. A longer horizon marginalizes the horizon-length joint over
-    all suffixes. Integer alpha takes an explicit product; otherwise the
-    Gamma-ratio path is used; ``use_integer_fast_path`` forces one route.
+    all suffixes. On the one-step route of a Beta-ratio joint, integer
+    alpha up to 4096 takes an explicit product and any other alpha the
+    Gamma ratio.
     """
     n0 = past_counts.n
-    m = past_counts.m
-    _check_spec_m(spec, m)
+    form = _checked_form(spec, past_counts.m)
     if horizon is None:
         horizon = n0 + 1
     if horizon < n0 + 1:
         raise ValueError(f"horizon must be at least past length + 1 = {n0 + 1}, got {horizon}")
-    form = _product_form(spec)
-    if horizon == n0 + 1 and form is not None:
-        weights = np.array(
-            [_extension_log_weight(*form, past_counts, k, use_integer_fast_path) for k in range(1, m + 1)]
-        )
+    if horizon == n0 + 1 and form.f is gammaln:
+        weights = _extension_log_weights(form, past_counts)
     else:
         # ratio-of-joints kinds and longer horizons: the horizon normalizer is common and cancels
         weights = _log_marginal_numerators(spec, past_counts, horizon)
@@ -555,20 +539,17 @@ def cumulative_log_loss(
     M(c_{t-1}) - M(c_t); at the full length the chain telescopes back to
     -log_joint.
     """
-    seq = [int(x) for x in sequence]
     if m is None:
         m = spec_alphabet_size(spec)
         if m is None:
             raise ValueError("alphabet size m is required for this predictor kind")
-    _check_spec_m(spec, m)
-    for x in seq:
-        if not 1 <= x <= m:
-            raise ValueError(f"symbol {x} outside alphabet 1..{m}")
+    _checked_form(spec, m)
+    seq = _whole_symbols(sequence, m)
     if horizon is None:
         horizon = len(seq)
     if horizon < len(seq):
         raise ValueError(f"horizon {horizon} shorter than the sequence length {len(seq)}")
-    steps = np.eye(m, dtype=np.int64)[np.array(seq, dtype=np.int64) - 1]
+    steps = np.eye(m, dtype=np.int64)[seq - 1]
     path = np.vstack([np.zeros((1, m), dtype=np.int64), np.cumsum(steps, axis=0)])
     marginals = _prefix_log_marginals(spec, path, horizon)
     return math.fsum(marginals[:-1] - marginals[1:])

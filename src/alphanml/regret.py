@@ -195,15 +195,26 @@ class TypeClassTable:
         """D_alpha(p_theta || predictor) on sequence space, per theta row."""
         if alpha == 1.0:
             return self.kl_values(thetas)
-        inner = self._renyi_inner(self._log_ptheta(thetas)[0], alpha)
-        if inner.ndim == 1:
-            hi = inner.max()
+        if len(thetas) == 1:
+            hi, total = self.renyi_sum(thetas, alpha)
             if math.isfinite(hi):
                 # log_sum_exp_array's steps for a row with a finite maximum
-                inner -= hi
-                return (np.log(np.add.reduce(np.exp(inner, out=inner), keepdims=True)) + hi) / (alpha - 1.0)
-            inner = inner[None, :]
-        return log_sum_exp_array(inner, axis=1) / (alpha - 1.0)
+                return (np.log([total]) + hi) / (alpha - 1.0)
+        inner = self._renyi_inner(self._log_ptheta(thetas)[0], alpha)
+        return log_sum_exp_array(np.atleast_2d(inner), axis=1) / (alpha - 1.0)
+
+    def renyi_sum(self, theta, alpha: float) -> tuple[float, float]:
+        """(hi, s) for one theta: the largest term over the classes, and s = sum of exp(term - hi).
+
+        A class's term is alpha ln p_theta + ln multiplicity + (1 - alpha) ln q;
+        s is nan unless hi is finite.
+        """
+        inner = self._renyi_inner(self._log_ptheta(theta)[0].reshape(-1), alpha)  # one row, from either route
+        hi = float(inner.max())
+        if not math.isfinite(hi):
+            return hi, math.nan
+        inner -= hi
+        return hi, float(np.add.reduce(np.exp(inner, out=inner)))
 
     def kl_values(self, thetas: np.ndarray) -> np.ndarray:
         """KL(p_theta || predictor) on sequence space, per theta row."""

@@ -58,16 +58,24 @@ class CountVector:
 
     @classmethod
     def from_sequence(cls, sequence: Sequence[int], m: int) -> "CountVector":
-        cs = [0] * int(m)
-        for x in sequence:
-            if not 1 <= x <= m:
-                raise ValueError(f"symbol {x} outside alphabet 1..{m}")
-            cs[x - 1] += 1
-        return cls(tuple(cs))
+        return cls(tuple(np.bincount(_whole_symbols(sequence, m) - 1, minlength=int(m)).tolist()))
 
     @classmethod
     def zeros(cls, m: int) -> "CountVector":
         return cls((0,) * int(m))
+
+
+def _whole_symbols(sequence: Sequence[int], m: int) -> np.ndarray:
+    """The symbols of a sequence as an int64 array; a symbol that is not a whole number in 1..m is a ValueError."""
+    arr = np.array(list(sequence))
+    if arr.dtype.kind not in "iub":
+        arr = arr.astype(np.float64)
+        whole = np.floor(arr) == arr  # False for nan; +-inf is caught as outside the alphabet
+        if not whole.all():
+            raise ValueError(f"symbols must be whole numbers, got {arr[~whole][0]}")
+    if arr.size and (arr.min() < 1 or arr.max() > m):
+        raise ValueError(f"symbol {arr[(arr < 1) | (arr > m)][0]:g} outside alphabet 1..{m}")
+    return arr.astype(np.int64, copy=False)
 
 
 def _validate_nm(n: int, m: int) -> tuple[int, int]:

@@ -19,6 +19,7 @@ from alphanml import (
     Mixture,
     NML,
     NormalizerCache,
+    PredictorSpec,
     conditional_distribution,
     cumulative_log_loss,
     enumerate_count_vectors,
@@ -29,10 +30,12 @@ from alphanml import (
     log_luckiness_supremum,
     log_ml,
     log_normalizer,
+    log_numerators,
     reduce_over_type_classes,
     tilted_params,
 )
 from alphanml.oracle import sequential_mixture_log_prob, simplex_quadrature
+from alphanml.predictors import spec_alphabet_size
 
 J2 = DirichletParams.jeffreys(2)
 J3 = DirichletParams.jeffreys(3)
@@ -40,6 +43,11 @@ J3 = DirichletParams.jeffreys(3)
 
 class TestParams:
     """Dirichlet parameter containers and the tilt map."""
+
+    @pytest.mark.parametrize("evaluate", [lambda spec: log_numerators(spec, [[1, 2]]), spec_alphabet_size])
+    def test_bare_spec_is_not_a_kind(self, evaluate):
+        with pytest.raises(TypeError, match="unknown predictor spec"):
+            evaluate(PredictorSpec())
 
     def test_jeffreys_and_uniform(self):
         assert DirichletParams.jeffreys(3).a == (0.5, 0.5, 0.5)
@@ -219,11 +227,16 @@ class TestConditionals:
         np.testing.assert_allclose(probs, ref, atol=1e-12)
 
     def test_integer_and_real_alpha_paths_agree(self):
-        """Product-of-logs fast path equals the gamma-ratio path."""
+        """Integer alpha's product-of-logs route equals a softmax of Gamma ratios."""
         past = CountVector((2, 3, 1))
-        spec = AlphaNML(3.0, DirichletParams((0.5, 1.0, 2.0)))
-        fast = conditional_distribution(spec, past, use_integer_fast_path=True)
-        slow = conditional_distribution(spec, past, use_integer_fast_path=False)
+        a = (0.5, 1.0, 2.0)
+        alpha = 3.0
+        spec = AlphaNML(alpha, DirichletParams(a))
+        fast = conditional_distribution(spec, past)
+        lead = np.array(
+            [(math.lgamma(alpha * c + ak + alpha) - math.lgamma(alpha * c + ak)) / alpha for c, ak in zip(past.counts, a)]
+        )
+        slow = np.exp(lead - np.logaddexp.reduce(lead))
         np.testing.assert_allclose(fast, slow, rtol=1e-12)
 
     def test_sums_to_one(self):
@@ -317,3 +330,9 @@ class TestChainRule:
     def test_horizon_shorter_than_sequence_rejected(self):
         with pytest.raises(ValueError):
             cumulative_log_loss(kt(2), (1, 2, 1), horizon=2)
+
+    def test_non_whole_symbol_rejected(self):
+        """A fractional symbol is an error, not truncated to the symbol below it."""
+        with pytest.raises(ValueError, match="whole numbers"):
+            cumulative_log_loss(kt(2), [1.7, 2, True])
+        assert cumulative_log_loss(kt(2), [1.0, 2, True]) == cumulative_log_loss(kt(2), [1, 2, 1])

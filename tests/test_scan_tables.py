@@ -371,6 +371,94 @@ CLI_GOLDENS = [
             "20,2,3,kt,alpha,2.07648042915,2.99572801763,0;1,,\n"
         ),
     ),
+    # the predictor, alpha and asymptote columns, which the CLI reads from the predictor name it parsed
+    (
+        "regret --kind worst --n 20 --m 2 --predictor kt",
+        0,
+        (
+            "n,m,alpha,predictor,kind,value_nats,value_bits,maximizer,asymptotic_nats,gap_nats\n"
+            "20,2,1,kt,worst_case,2.07648042915,2.99572801763,0;20,2.0702310797,0.00624934944569\n"
+        ),
+    ),
+    (
+        "regret --kind worst --n 20 --m 3 --predictor laplace",
+        0,
+        (
+            "n,m,alpha,predictor,kind,value_nats,value_bits,maximizer,asymptotic_nats,gap_nats\n"
+            "20,3,1,laplace,worst_case,5.44241771052,7.85174904142,0;0;20,,\n"
+        ),
+    ),
+    (
+        "regret --kind worst --n 20 --m 3 --predictor nml",
+        0,
+        (
+            "n,m,alpha,predictor,kind,value_nats,value_bits,maximizer,asymptotic_nats,gap_nats\n"
+            "20,3,inf,nml,worst_case,3.26932497734,4.71663893186,0;0;20,2.99573227355,0.273592703782\n"
+        ),
+    ),
+    (
+        "regret --kind worst --n 20 --m 3 --predictor nml --format json --base bits",
+        0,
+        (
+            "[\n"
+            "  {\n"
+            '    "n": 20,\n'
+            '    "m": 3,\n'
+            '    "alpha": Infinity,\n'
+            '    "predictor": "nml",\n'
+            '    "kind": "worst_case",\n'
+            '    "value_nats": 3.26932497734,\n'
+            '    "value_bits": 4.71663893186,\n'
+            '    "maximizer": "0;0;20",\n'
+            '    "asymptotic_bits": 4.32192809489,\n'
+            '    "gap_bits": 0.39471083697\n'
+            "  }\n"
+            "]\n"
+        ),
+    ),
+    (
+        "regret --kind worst --n 20 --m 2 --alpha 2",
+        0,
+        (
+            "n,m,alpha,predictor,kind,value_nats,value_bits,maximizer,asymptotic_nats,gap_nats\n"
+            "20,2,2,anml,worst_case,1.95802172972,2.82482823942,0;20,1.89694428456,0.0610774451566\n"
+        ),
+    ),
+    (
+        "regret --kind worst --n 20 --m 2 --predictor anml --alpha 1 --prior jeffreys",
+        0,
+        (
+            "n,m,alpha,predictor,kind,value_nats,value_bits,maximizer,asymptotic_nats,gap_nats\n"
+            "20,2,1,anml,worst_case,2.07648042915,2.99572801763,0;20,2.0702310797,0.00624934944569\n"
+        ),
+    ),
+    (
+        "regret --kind average --n 20 --m 2 --predictor nml",
+        0,
+        (
+            "n,m,alpha,predictor,kind,value_nats,value_bits,maximizer,asymptotic_nats,gap_nats\n"
+            "20,2,1,nml,average,1.83953079488,2.65388195533,0;1,,\n"
+        ),
+    ),
+    (
+        "predict --m 3 --counts 2,0,1 --predictor anml --alpha 3",
+        0,
+        (
+            "symbol,probability\n"
+            "1,0.568538940039\n"
+            "2,0.094036428063\n"
+            "3,0.337424631898\n"
+        ),
+    ),
+    (
+        "predict --m 2 --counts 3,1 --predictor lanml --alpha 2 --prior 1.5,2",
+        0,
+        (
+            "symbol,probability\n"
+            "1,0.607719043941\n"
+            "2,0.392280956059\n"
+        ),
+    ),
 ]
 
 

@@ -35,6 +35,11 @@ class TestCountVector:
         assert cv.n == 5
         assert cv.m == 3
 
+    def test_from_sequence_rejects_non_whole_symbol(self):
+        with pytest.raises(ValueError, match="whole numbers"):
+            CountVector.from_sequence([1.7, 2], 2)
+        assert CountVector.from_sequence([1.0, 2, True], 2).counts == (2, 1)
+
     def test_with_symbol(self):
         assert CountVector((2, 0)).with_symbol(2).counts == (2, 1)
 
