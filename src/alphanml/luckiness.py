@@ -25,19 +25,13 @@ import numpy as np
 
 from .exceptions import UnsupportedError
 from .numerics import accept_quadrature
-from .predictors import (
-    DEFAULT_CACHE,
-    DirichletParams,
-    LuckinessNML,
-    NormalizerCache,
-    PredictorSpec,
-    tilted_params,
-)
+from .predictors import DirichletParams, LuckinessNML, PredictorSpec, tilted_params
 from .regret import (
     JointFn,
     DirichletDensity,
     RegretReport,
     TypeClassTable,
+    _check_order,
     _worst_case_scan,
     dirichlet_quadrature,
     maximize_on_simplex,
@@ -67,25 +61,6 @@ class LuckinessFunction:
         return cls(b=b, origin="conditional", past=past_counts)
 
 
-@dataclass(frozen=True)
-class TiltedPrior:
-    """The Dirichlet prior with parameters alpha*(b_i - 1) + 1.
-
-    Construction fails (InfeasibleModelError) when the tilt is not
-    integrable, i.e. some parameter would be <= 0.
-    """
-
-    alpha: float
-    b: DirichletParams
-
-    def __post_init__(self):
-        tilted_params(self.alpha, self.b)
-
-    @property
-    def params(self) -> DirichletParams:
-        return tilted_params(self.alpha, self.b)
-
-
 def _as_luckiness(pi: LuckinessFunction | DirichletParams) -> LuckinessFunction:
     if isinstance(pi, LuckinessFunction):
         return pi
@@ -99,8 +74,6 @@ def worst_case_luckiness_regret(
     pi: LuckinessFunction | DirichletParams,
     n: int,
     m: int,
-    *,
-    cache: NormalizerCache | None = DEFAULT_CACHE,
 ) -> RegretReport:
     """Max over counts of ln(tilted supremum) - ln(predictor joint).
 
@@ -110,7 +83,7 @@ def worst_case_luckiness_regret(
     lf = _as_luckiness(pi)
     if lf.b.m != m:
         raise ValueError(f"luckiness has m={lf.b.m}, got m={m}")
-    return _worst_case_scan("luckiness_worst_case", LuckinessNML(lf.b), predictor, n, m, cache)
+    return _worst_case_scan("luckiness_worst_case", LuckinessNML(lf.b), predictor, n, m)
 
 
 def average_luckiness_regret(
@@ -118,9 +91,6 @@ def average_luckiness_regret(
     pi: LuckinessFunction | DirichletParams,
     n: int,
     m: int = 2,
-    *,
-    cache: NormalizerCache | None = DEFAULT_CACHE,
-    tol: float = 1e-8,
 ) -> float:
     """E over theta ~ Dirichlet(b) of KL(p_theta || predictor), by quadrature.
 
@@ -131,9 +101,9 @@ def average_luckiness_regret(
     lf = _as_luckiness(pi)
     if m != 2 or lf.b.m != 2:
         raise UnsupportedError("average luckiness regret is quadrature-based and supports m = 2 only")
-    table = TypeClassTable(n, m, predictor, cache=cache)
+    table = TypeClassTable(n, m, predictor)
     value, err = dirichlet_quadrature(lf.b, lambda pdf, theta: pdf * float(table.kl_values(theta)[0]))
-    return accept_quadrature(value, err, tol, "the average luckiness regret")
+    return accept_quadrature(value, err, 1e-8, "the average luckiness regret")
 
 
 def luckiness_alpha_regret(
@@ -142,9 +112,6 @@ def luckiness_alpha_regret(
     n: int,
     alpha: float,
     m: int = 2,
-    *,
-    cache: NormalizerCache | None = DEFAULT_CACHE,
-    tol: float = 1e-7,
 ) -> float:
     """Tilted alpha-regret: (1/(alpha-1)) ln E_tilted[sum_x p^alpha q^(1-alpha)].
 
@@ -153,13 +120,12 @@ def luckiness_alpha_regret(
     equals the information radius of order alpha under the tilted prior.
     Supported for m = 2 and alpha > 1.
     """
-    if alpha <= 1.0:
-        raise ValueError(f"alpha must be > 1, got {alpha}")
+    _check_order(alpha, above_one=True)
     lf = _as_luckiness(pi)
     if m != 2 or lf.b.m != 2:
         raise UnsupportedError("luckiness alpha-regret is quadrature-based and supports m = 2 only")
     tilt = tilted_params(alpha, lf.b)
-    table = TypeClassTable(n, m, predictor, cache=cache)
+    table = TypeClassTable(n, m, predictor)
 
     def weighted(pdf: float, theta: np.ndarray) -> float:
         hi, total = table.renyi_sum(theta, alpha)
@@ -167,8 +133,8 @@ def luckiness_alpha_regret(
         return pdf * math.exp(hi) * total
 
     value, err = dirichlet_quadrature(tilt, weighted)
-    # the log below needs a positive value; a nan bound fails the acceptance test
-    bound = tol * max(value, 1e-300) if value > 0.0 else math.nan
+    # a relative tolerance of 1e-7; the log below needs a positive value, and a nan bound fails the acceptance test
+    bound = 1e-7 * max(value, 1e-300) if value > 0.0 else math.nan
     return math.log(accept_quadrature(value, err, bound, "the tilted alpha-regret")) / (alpha - 1.0)
 
 
@@ -178,8 +144,6 @@ def luckiness_alpha_regret_supform(
     n: int,
     m: int,
     alpha: float,
-    *,
-    cache: NormalizerCache | None = DEFAULT_CACHE,
 ) -> RegretReport:
     """sup over theta of [ln pi(theta) + D_alpha(p_theta || predictor)].
 
@@ -187,12 +151,11 @@ def luckiness_alpha_regret_supform(
     value approaches the worst-case luckiness regret. Under the constant
     m = 2 luckiness b = (1, 1) this is exactly the plain alpha-regret.
     """
-    if alpha < 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    _check_order(alpha)
     lf = _as_luckiness(pi)
     if lf.b.m != m:
         raise ValueError(f"luckiness has m={lf.b.m}, got m={m}")
-    table = TypeClassTable(n, m, predictor, cache=cache)
+    table = TypeClassTable(n, m, predictor)
     density = DirichletDensity(lf.b)
 
     def objective(thetas: np.ndarray) -> np.ndarray:

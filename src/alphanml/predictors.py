@@ -29,10 +29,15 @@ the parameters pin. The unnormalized log joint of counts c is
 form. A scan evaluates f once per symbol on k = 0..max count and gathers
 every class's cells from those tables. ``log_joints``
 subtracts the horizon's log normalizer. ``log_normalizer`` reduces
-multiplicities plus numerators over the array of all type classes and
-memoizes in a thread-safe cache keyed by (spec, n, m); a scan that already
-holds every class (``log_joints(..., complete=True)``) hands its classes and
-numerators to the normalizer on a cache miss instead of enumerating again.
+multiplicities plus numerators over the array of all type classes. There is
+one normalizer cache, ``DEFAULT_CACHE``, a thread-safe memo keyed by
+(spec, n, m): every joint, regret and information radius memoizes its
+normalizers there, and ``DEFAULT_CACHE.clear()`` empties it. Only
+``log_normalizer`` takes ``cache=`` (another ``NormalizerCache``, or None
+for no memo), because the benchmark's scaling probe times it with
+``cache=None``. A scan that already holds every class
+(``log_joints(..., complete=True)``) hands its classes and numerators to the
+normalizer on a cache miss instead of enumerating again.
 ``cumulative_log_loss`` codes a whole sequence in one backward pass over the
 lattice of prefix counts: every level is a slice of the horizon's class and
 mask arrays, and each prefix is read at its lex rank
@@ -297,7 +302,7 @@ def log_numerators(spec: PredictorSpec, counts) -> np.ndarray:
     only differences at a fixed n, and ``log_joints``, are meaningful.
     """
     cs = _as_counts(counts)
-    form = _separable(spec)
+    form = _checked_form(spec, cs.shape[1])
     if form.beta is not None and form.f is _xlogx and np.any(low := form.cell(0.0) < 0.0):
         # luckiness NML: an exponent e_i = c_i + b_i - 1 of the tilted supremum is negative iff c_i = 0 and b_i < 1
         bad = np.flatnonzero(np.any((cs == 0) & low, axis=1))
@@ -376,11 +381,9 @@ def _compute_log_normalizer(
     return log_sum_exp(log_mult + numerators)
 
 
-def _cached_log_normalizer(
-    spec: PredictorSpec, n: int, m: int, cache: NormalizerCache | None, *arrays: np.ndarray | None
-) -> float:
-    compute = lambda: _compute_log_normalizer(spec, n, m, *arrays)  # noqa: E731
-    return compute() if cache is None else cache.get_or_compute(spec, n, m, compute)
+def _cached_log_normalizer(spec: PredictorSpec, n: int, m: int, *arrays: np.ndarray | None) -> float:
+    """The (spec, n, m) normalizer from ``DEFAULT_CACHE``; a miss reduces ``arrays`` as ``_compute_log_normalizer`` does."""
+    return DEFAULT_CACHE.get_or_compute(spec, n, m, lambda: _compute_log_normalizer(spec, n, m, *arrays))
 
 
 def log_normalizer(
@@ -396,19 +399,21 @@ def log_normalizer(
     For a mixture (or alpha = 1) this is ~0 by normalization; for NML it is
     the log Shtarkov sum, the minimax worst-case regret.
 
-    ``threads`` is accepted and ignored; it is the one such keyword left,
-    because the benchmark's scaling probe (``perfbench/workloads.py``)
-    passes it. It goes once a benchmark-only change removes that probe.
+    ``cache`` (default ``DEFAULT_CACHE``; None computes without a memo) and
+    ``threads`` (accepted and ignored) are the last such keywords, because
+    the benchmark's scaling probe (``perfbench/workloads.py``) passes
+    ``cache=None, threads=t``. Both go once a benchmark-only change removes
+    that probe; every other function memoizes in ``DEFAULT_CACHE``.
     """
     _checked_form(spec, m)
-    return _cached_log_normalizer(spec, n, m, cache)
+    compute = lambda: _compute_log_normalizer(spec, n, m)  # noqa: E731
+    return compute() if cache is None else cache.get_or_compute(spec, n, m, compute)
 
 
 def log_joints(
     spec: PredictorSpec,
     counts,
     *,
-    cache: NormalizerCache | None = DEFAULT_CACHE,
     complete: bool = False,
     log_mult: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -431,12 +436,12 @@ def log_joints(
     if not totals.size or totals.min() != totals.max():
         raise ValueError(f"count vectors of several horizons {np.unique(totals).tolist()} in one call")
     scan = (counts, numerators, log_mult) if complete else ()
-    return numerators - _cached_log_normalizer(spec, int(totals[0]), m, cache, *scan)
+    return numerators - _cached_log_normalizer(spec, int(totals[0]), m, *scan)
 
 
-def log_joint(spec: PredictorSpec, counts: CountVector, *, cache: NormalizerCache | None = DEFAULT_CACHE) -> LogProb:
+def log_joint(spec: PredictorSpec, counts: CountVector) -> LogProb:
     """ln of the predictor's probability of one sequence with these counts."""
-    return float(log_joints(spec, [counts.counts], cache=cache)[0])
+    return float(log_joints(spec, [counts.counts])[0])
 
 
 def _extension_log_weights(form: _Separable, past: CountVector) -> np.ndarray:

@@ -48,12 +48,10 @@ from .numerics import (
     xlogy,
 )
 from .predictors import (
-    DEFAULT_CACHE,
     AlphaNML,
     DirichletParams,
     Mixture,
     NML,
-    NormalizerCache,
     PredictorSpec,
     _cached_log_normalizer,
     log_joints,
@@ -70,6 +68,17 @@ REFINE_ITERS = 200  # m = 3 Nelder-Mead refinement iterations
 GOLDEN_TOL = 1e-10  # m = 2 refinement width in theta
 TIE_REL = 1e-12  # relative window treating argmax candidates as tied
 GRID_CHUNK = 512  # grid and lattice points per objective call; keeps the (points, classes) temporaries in cache
+
+
+def _check_order(alpha: float, *, above_one: bool = False, finite: bool = True) -> None:
+    """Raise ValueError unless alpha >= 1 (alpha > 1 with ``above_one``) and, with ``finite``, alpha < inf.
+
+    A nan order fails the first test.
+    """
+    if not (alpha > 1.0 if above_one else alpha >= 1.0):
+        raise ValueError(f"alpha must be {'>' if above_one else '>='} 1, got {alpha}")
+    if finite and alpha == math.inf:
+        raise ValueError(f"alpha must be finite, got {alpha}")
 
 
 def lex_argmax(values: np.ndarray) -> int:
@@ -98,7 +107,7 @@ class SimplexPoint:
     def __post_init__(self):
         if len(self.theta) < 2:
             raise ValueError("simplex points need dimension >= 2")
-        if any(t < 0.0 or t > 1.0 for t in self.theta):
+        if not all(0.0 <= t <= 1.0 for t in self.theta):  # nan fails too
             raise ValueError(f"coordinates outside [0, 1]: {self.theta}")
         if abs(math.fsum(self.theta) - 1.0) > 1e-12:
             raise ValueError(f"coordinates must sum to 1, got {self.theta}")
@@ -135,19 +144,16 @@ class WAlphaResult(NamedTuple):
 
 
 def joint_values(
-    predictor: PredictorSpec | JointFn,
-    counts: np.ndarray,
-    *,
-    cache: NormalizerCache | None = DEFAULT_CACHE,
-    complete: bool = False,
-    log_mult: np.ndarray | None = None,
+    predictor: PredictorSpec | JointFn, counts: np.ndarray, log_mult: np.ndarray | None = None
 ) -> np.ndarray:
-    """ln joint of each row of a (K, m) count array, for a spec or any counts -> log-prob callable.
+    """ln joint of every class of (n, m), for a spec or any counts -> log-prob callable.
 
-    ``complete`` and ``log_mult`` pass through to ``log_joints``.
+    ``counts`` holds every class once (``count_vectors(n, m)``); a spec's
+    joints come from ``log_joints(..., complete=True)``, which also takes
+    ``log_mult``.
     """
     if isinstance(predictor, PredictorSpec):
-        return log_joints(predictor, counts, cache=cache, complete=complete, log_mult=log_mult)
+        return log_joints(predictor, counts, complete=True, log_mult=log_mult)
     if callable(predictor):
         return np.array([predictor(CountVector(tuple(row))) for row in counts.tolist()], dtype=np.float64)
     raise TypeError(f"predictor must be a PredictorSpec or callable, got {predictor!r}")
@@ -169,14 +175,7 @@ class TypeClassTable:
     alpha.
     """
 
-    def __init__(
-        self,
-        n: int,
-        m: int,
-        predictor: PredictorSpec | JointFn,
-        *,
-        cache: NormalizerCache | None = DEFAULT_CACHE,
-    ):
+    def __init__(self, n: int, m: int, predictor: PredictorSpec | JointFn):
         counts = count_vectors(n, m)
         self.n = n
         self.m = m
@@ -184,7 +183,7 @@ class TypeClassTable:
         self.columns = [np.ascontiguousarray(self.counts[:, i]) for i in range(m)]
         self.positive = counts > 0
         self.log_mult = log_multiplicities(counts)
-        self.log_joint = joint_values(predictor, counts, cache=cache, complete=True, log_mult=self.log_mult)
+        self.log_joint = joint_values(predictor, counts, self.log_mult)
         self._tilt: tuple[float | None, np.ndarray | None] = (None, None)  # (alpha, (1 - alpha) * log_joint)
 
     def log_ptheta(self, thetas: np.ndarray) -> np.ndarray:
@@ -283,19 +282,19 @@ class TypeClassTable:
         return lp
 
 
-def integrate_unit_interval(
-    f: Callable[[float], float], *, epsabs: float = 1e-11, margin: float = 1e-3, limit: int = 200
-) -> tuple[float, float]:
+def integrate_unit_interval(f: Callable[[float], float]) -> tuple[float, float]:
     """Adaptive integral of f over [0, 1] with endpoint-singularity splitting.
 
-    Returns (value, error estimate); callers compare the estimate against
-    their own tolerance.
+    The pieces [0, 1e-3], [1e-3, 1 - 1e-3] and [1 - 1e-3, 1] each get
+    ``quad`` with absolute tolerance 1e-11, relative tolerance 1e-12 and at
+    most 200 subintervals. Returns (value, error estimate); callers compare
+    the estimate against their own tolerance.
     """
     from scipy import integrate  # imported on use: slow to load, and most commands never integrate
     total = 0.0
     err = 0.0
-    for lo, hi in ((0.0, margin), (margin, 1.0 - margin), (1.0 - margin, 1.0)):
-        value, estimate = integrate.quad(f, lo, hi, epsabs=epsabs, epsrel=1e-12, limit=limit)
+    for lo, hi in ((0.0, 1e-3), (1e-3, 1.0 - 1e-3), (1.0 - 1e-3, 1.0)):
+        value, estimate = integrate.quad(f, lo, hi, epsabs=1e-11, epsrel=1e-12, limit=200)
         total += value
         err += estimate
     return total, err
@@ -449,7 +448,6 @@ def _worst_case_scan(
     predictor: PredictorSpec | JointFn,
     n: int,
     m: int,
-    cache: NormalizerCache | None,
 ) -> RegretReport:
     """Max over type classes of the benchmark's log numerator minus the predictor's log joint.
 
@@ -462,9 +460,9 @@ def _worst_case_scan(
     numerators = log_numerators(benchmark, counts)
     if predictor == benchmark:
         # log_joints' steps for a complete scan, on the numerators at hand
-        joints = numerators - _cached_log_normalizer(benchmark, n, m, cache, counts, numerators)
+        joints = numerators - _cached_log_normalizer(benchmark, n, m, counts, numerators)
     else:
-        joints = joint_values(predictor, counts, cache=cache, complete=True)
+        joints = joint_values(predictor, counts)
     vals = numerators - joints
     k = lex_argmax(vals)
     return RegretReport(
@@ -477,29 +475,21 @@ def _worst_case_scan(
     )
 
 
-def worst_case_regret(
-    predictor: PredictorSpec | JointFn,
-    n: int,
-    m: int,
-    *,
-    cache: NormalizerCache | None = DEFAULT_CACHE,
-) -> RegretReport:
+def worst_case_regret(predictor: PredictorSpec | JointFn, n: int, m: int) -> RegretReport:
     """Max over type classes of ln(maximized likelihood) - ln(predictor joint).
 
     Ties break to the lexicographically smallest count vector. A predictor
     that assigns zero probability to an achievable type class yields +inf.
     """
-    return _worst_case_scan("worst_case", NML(), predictor, n, m, cache)
+    return _worst_case_scan("worst_case", NML(), predictor, n, m)
 
 
-def sibson_mi_infinity(n: int, m: int, *, cache: NormalizerCache | None = DEFAULT_CACHE) -> float:
+def sibson_mi_infinity(n: int, m: int) -> float:
     """ln of the Shtarkov sum: the minimax worst-case regret (NML's regret)."""
-    return log_normalizer(NML(), n, m, cache=cache)
+    return log_normalizer(NML(), n, m)
 
 
-def sibson_mi_alpha(
-    n: int, m: int, alpha: float, a: DirichletParams, *, cache: NormalizerCache | None = DEFAULT_CACHE
-) -> float:
+def sibson_mi_alpha(n: int, m: int, alpha: float, a: DirichletParams) -> float:
     """Information radius of order alpha between the prior and the source.
 
     For alpha > 1: (alpha/(alpha-1)) * ln sum over counts of multiplicity *
@@ -509,15 +499,14 @@ def sibson_mi_alpha(
     """
     if a.m != m:
         raise ValueError(f"prior has m={a.m}, got m={m}")
-    if alpha < 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    _check_order(alpha)
     if alpha == 1.0:
         if m != 2:
             raise UnsupportedError("the alpha = 1 limit is quadrature-based and supports m = 2 only")
-        table = TypeClassTable(n, m, Mixture(a), cache=cache)
+        table = TypeClassTable(n, m, Mixture(a))
         value, err = dirichlet_quadrature(a, lambda pdf, theta: pdf * float(table.kl_values(theta)[0]))
         return accept_quadrature(value, err, 1e-8, "I_1")
-    return alpha / (alpha - 1.0) * log_normalizer(AlphaNML(alpha, a), n, m, cache=cache)
+    return alpha / (alpha - 1.0) * log_normalizer(AlphaNML(alpha, a), n, m)
 
 
 def w_alpha_direct(n: int, m: int, alpha: float, a: DirichletParams) -> WAlphaResult:
@@ -543,8 +532,7 @@ def w_alpha_closed(n: int, m: int, alpha: float, a: DirichletParams | None = Non
     """
     if a is not None and tuple(a.a) != (0.5,) * m:
         raise UnsupportedError("the closed form holds for the Jeffreys prior only")
-    if alpha < 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    _check_order(alpha)
     return (
         (log_gamma(alpha * n + m / 2.0) - log_gamma(alpha * n + 0.5)) / alpha
         + LOG_PI / (2.0 * alpha)
@@ -552,42 +540,26 @@ def w_alpha_closed(n: int, m: int, alpha: float, a: DirichletParams | None = Non
     )
 
 
-def infinity_split_check(
-    predictor: PredictorSpec | JointFn,
-    n: int,
-    m: int,
-    *,
-    cache: NormalizerCache | None = DEFAULT_CACHE,
-) -> tuple[float, float]:
+def infinity_split_check(predictor: PredictorSpec | JointFn, n: int, m: int) -> tuple[float, float]:
     """Both sides of: worst-case regret = ln Shtarkov sum + D_inf(NML || predictor).
 
     Returns (lhs, rhs); a zero-probability type class makes both sides +inf.
     """
-    lhs = worst_case_regret(predictor, n, m, cache=cache).value_nats
+    lhs = worst_case_regret(predictor, n, m).value_nats
     counts = count_vectors(n, m)
-    gap = np.max(
-        log_joints(NML(), counts, cache=cache, complete=True)
-        - joint_values(predictor, counts, cache=cache, complete=True)
-    )
-    rhs = sibson_mi_infinity(n, m, cache=cache) + float(gap)
+    gap = np.max(log_joints(NML(), counts, complete=True) - joint_values(predictor, counts))
+    rhs = sibson_mi_infinity(n, m) + float(gap)
     return lhs, rhs
 
 
-def alpha_split_check(
-    alpha: float,
-    n: int,
-    m: int,
-    a: DirichletParams,
-    *,
-    cache: NormalizerCache | None = DEFAULT_CACHE,
-) -> tuple[float, float]:
+def alpha_split_check(alpha: float, n: int, m: int, a: DirichletParams) -> tuple[float, float]:
     """Both sides of the alpha-family worst-case decomposition.
 
     lhs: worst-case regret of the alpha predictor. rhs: ((alpha-1)/alpha) *
     I_alpha + the direct remainder maximum.
     """
-    lhs = worst_case_regret(AlphaNML(alpha, a), n, m, cache=cache).value_nats
-    rhs = (alpha - 1.0) / alpha * sibson_mi_alpha(n, m, alpha, a, cache=cache) + w_alpha_direct(n, m, alpha, a).value
+    lhs = worst_case_regret(AlphaNML(alpha, a), n, m).value_nats
+    rhs = (alpha - 1.0) / alpha * sibson_mi_alpha(n, m, alpha, a) + w_alpha_direct(n, m, alpha, a).value
     return lhs, rhs
 
 
@@ -596,50 +568,33 @@ def renyi_divergence_vs_predictor(
     predictor: PredictorSpec | JointFn,
     n: int,
     alpha: float,
-    *,
-    cache: NormalizerCache | None = DEFAULT_CACHE,
 ) -> float:
     """D_alpha(p_theta^n || predictor) on sequence space; alpha = 1 is KL."""
     if isinstance(theta, SimplexPoint):
         point = theta.as_array()
     else:
         point = SimplexPoint(tuple(float(t) for t in theta)).as_array()
-    if alpha < 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
-    table = TypeClassTable(n, point.size, predictor, cache=cache)
+    _check_order(alpha)
+    table = TypeClassTable(n, point.size, predictor)
     return float(table.renyi_values(point[None, :], alpha)[0])
 
 
-def average_regret(
-    predictor: PredictorSpec | JointFn,
-    n: int,
-    m: int,
-    *,
-    cache: NormalizerCache | None = DEFAULT_CACHE,
-) -> RegretReport:
+def average_regret(predictor: PredictorSpec | JointFn, n: int, m: int) -> RegretReport:
     """sup over theta of KL(p_theta || predictor): the alpha -> 1 regret."""
-    return alpha_regret(predictor, n, m, 1.0, cache=cache)
+    return alpha_regret(predictor, n, m, 1.0)
 
 
-def alpha_regret(
-    predictor: PredictorSpec | JointFn,
-    n: int,
-    m: int,
-    alpha: float,
-    *,
-    cache: NormalizerCache | None = DEFAULT_CACHE,
-) -> RegretReport:
+def alpha_regret(predictor: PredictorSpec | JointFn, n: int, m: int, alpha: float) -> RegretReport:
     """sup over theta of D_alpha(p_theta || predictor) on sequence space.
 
     alpha = 1 gives the average regret (KL objective). The order relates to
     an exponential tilt of the loss by tilt = alpha - 1. Supported for
     m in {2, 3}; the maximizing theta is reported.
     """
-    if alpha < 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    _check_order(alpha)
     if m not in (2, 3):
         raise UnsupportedError(f"alpha_regret supports m in {{2, 3}}, got m={m}")
-    table = TypeClassTable(n, m, predictor, cache=cache)
+    table = TypeClassTable(n, m, predictor)
 
     def objective(thetas: np.ndarray) -> np.ndarray:
         return table.renyi_values(thetas, alpha)
@@ -662,15 +617,13 @@ def predictor_kl(
     q: PredictorSpec | JointFn,
     n: int,
     m: int,
-    *,
-    cache: NormalizerCache | None = DEFAULT_CACHE,
 ) -> float:
     """KL(p || q) between two exchangeable predictors on sequence space."""
     counts = count_vectors(n, m)
     log_mult = log_multiplicities(counts)
-    lp = joint_values(p, counts, cache=cache, complete=True, log_mult=log_mult)
+    lp = joint_values(p, counts, log_mult)
     support = lp != -math.inf
-    lq = joint_values(q, counts, cache=cache, complete=True, log_mult=log_mult)[support]
+    lq = joint_values(q, counts, log_mult)[support]
     lp = lp[support]
     return math.fsum(np.exp(log_mult[support] + lp) * (lp - lq))
 
@@ -681,27 +634,19 @@ def asymptotic_rmax(n: int, m: int, alpha: float) -> float:
     (m-1)/2 ln(n/2) + ln(pi)/2 - ln Gamma(m/2) + (m-1)/(2 alpha) ln 2; the
     last term vanishes as alpha -> infinity, recovering the NML asymptote.
     """
-    if alpha < 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    _check_order(alpha, finite=False)
     base = (m - 1) / 2.0 * math.log(n / 2.0) + LOG_PI / 2.0 - log_gamma(m / 2.0)
     return base + (m - 1) / (2.0 * alpha) * LOG_TWO
 
 
 def asymptotic_min_alpha_regret(n: int, m: int, alpha: float) -> float:
     """Large-n minimax alpha-regret (the I_alpha asymptote), alpha > 1."""
-    if alpha <= 1.0:
-        raise ValueError(f"alpha must be > 1, got {alpha}")
+    _check_order(alpha, above_one=True)
     base = (m - 1) / 2.0 * math.log(n / 2.0) + LOG_PI / 2.0 - log_gamma(m / 2.0)
     return base - (m - 1) / (2.0 * (alpha - 1.0)) * math.log(alpha)
 
 
-def figure1_table(
-    n_list: Sequence[int],
-    alpha_list: Sequence[float],
-    m: int = 2,
-    *,
-    cache: NormalizerCache | None = DEFAULT_CACHE,
-) -> list[dict]:
+def figure1_table(n_list: Sequence[int], alpha_list: Sequence[float], m: int = 2) -> list[dict]:
     """Percent worst-case-regret increase of the alpha family over NML.
 
     One row per (n, alpha): 100 * (Rmax(alpha predictor) - Rmax(NML)) /
@@ -710,10 +655,10 @@ def figure1_table(
     rows: list[dict] = []
     a = DirichletParams.jeffreys(m)
     for n in n_list:
-        nml_regret = sibson_mi_infinity(n, m, cache=cache)
+        nml_regret = sibson_mi_infinity(n, m)
         for alpha in alpha_list:
             spec = Mixture(a) if alpha == 1.0 else AlphaNML(float(alpha), a)
-            value = worst_case_regret(spec, n, m, cache=cache).value_nats
+            value = worst_case_regret(spec, n, m).value_nats
             rows.append(
                 {
                     "n": int(n),

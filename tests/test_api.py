@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import inspect
 
+import pytest
+
 import alphanml
-from alphanml import log_normalizer, maximize_on_simplex, reduce_over_type_classes
+from alphanml import log_normalizer, maximize_on_simplex, reduce_over_type_classes, regret
 
 
 def _parameters(obj) -> set[str]:
@@ -30,6 +32,24 @@ def _public_callables():
 def test_threads_is_accepted_only_by_log_normalizer():
     with_threads = [name for name, obj in _public_callables() if "threads" in _parameters(obj)]
     assert with_threads == ["log_normalizer"]
+
+
+def test_cache_is_accepted_only_by_log_normalizer():
+    with_cache = [name for name, obj in _public_callables() if "cache" in _parameters(obj)]
+    assert with_cache == ["log_normalizer"]
+
+
+@pytest.mark.parametrize(
+    "function, dropped",
+    [
+        (regret.joint_values, {"cache", "complete"}),
+        (regret.integrate_unit_interval, {"epsabs", "margin", "limit"}),
+        (alphanml.average_luckiness_regret, {"cache", "tol"}),
+        (alphanml.luckiness_alpha_regret, {"cache", "tol"}),
+    ],
+)
+def test_constant_keywords_are_gone(function, dropped):
+    assert not _parameters(function) & dropped
 
 
 def test_reduce_over_type_classes_signature():

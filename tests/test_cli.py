@@ -225,6 +225,16 @@ class TestExitCodes:
         )
         assert code == 5
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    @pytest.mark.parametrize("predictor", ["kt", "nml"])
+    def test_non_finite_regret_order_is_a_usage_error(self, capsys, alpha, predictor):
+        code, out, err = run(
+            capsys, ["regret", "--kind", "alpha", "--alpha", alpha, "--n", "5", "--m", "2", "--predictor", predictor]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: alpha must be")
+
     def test_argparse_usage(self):
         with pytest.raises(SystemExit) as info:
             cli.main(["regret", "--kind", "bogus", "--n", "3", "--m", "2"])

@@ -17,7 +17,6 @@ from alphanml import (
     LuckinessNML,
     Mixture,
     NML,
-    TiltedPrior,
     alpha_regret,
     average_luckiness_regret,
     kt,
@@ -49,12 +48,12 @@ class TestContainers:
         assert lf.b.a == (4.0, 1.0)
 
     def test_tilted_prior_matches_map(self):
-        tp = TiltedPrior(2.0, B32)
-        assert tp.params.a == tilted_params(2.0, B32).a
+        """alpha * (b_i - 1) + 1 for each i."""
+        assert tilted_params(2.0, B32).a == (5.0, 3.0)
 
     def test_infeasible_tilt_raises(self):
         with pytest.raises(InfeasibleModelError):
-            TiltedPrior(3.0, DirichletParams((0.5, 2.0)))
+            tilted_params(3.0, DirichletParams((0.5, 2.0)))
 
 
 class TestWorstCase:

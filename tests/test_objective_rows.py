@@ -26,7 +26,6 @@ from alphanml import (
     LuckinessNML,
     Mixture,
     NML,
-    NormalizerCache,
     NumericError,
     TypeClassTable,
     alpha_regret,
@@ -45,6 +44,7 @@ from alphanml import (
 )
 from alphanml import predictors, regret
 from alphanml.numerics import accept_quadrature
+from alphanml.predictors import DEFAULT_CACHE
 from alphanml.regret import DirichletDensity, dirichlet_quadrature, integrate_unit_interval
 
 
@@ -101,7 +101,7 @@ def reference_dirichlet_quadrature(params, weighted):
 def reference_luckiness_alpha_regret(predictor, b, n, alpha, tol=1e-7):
     """``luckiness_alpha_regret`` with the tilted integrand on the batch route."""
     tilt = tilted_params(alpha, b)
-    table = TypeClassTable(n, 2, predictor, cache=None)
+    table = TypeClassTable(n, 2, predictor)
 
     def weighted(pdf: float, theta: np.ndarray) -> float:
         lp = reference_log_ptheta(table, theta)[0]
@@ -117,7 +117,7 @@ def reference_luckiness_alpha_regret(predictor, b, n, alpha, tol=1e-7):
 
 def reference_kl_quadrature(predictor, params, n, tol):
     """``average_luckiness_regret`` and the order-one radius with the batch-route KL integrand."""
-    table = TypeClassTable(n, 2, predictor, cache=None)
+    table = TypeClassTable(n, 2, predictor)
     value, err = reference_dirichlet_quadrature(params, lambda pdf, theta: pdf * float(reference_kl_values(table, theta)[0]))
     return accept_quadrature(value, err, tol, "the average luckiness regret")
 
@@ -172,7 +172,7 @@ def _predictor(draw, m: int):
         """A CountVector callable; optionally zero probability on the class with c_0 = ruled_out."""
         if cv.counts[0] == ruled_out:
             return -math.inf
-        return log_joint(spec, cv, cache=None)
+        return log_joint(spec, cv)
 
     return joint
 
@@ -181,7 +181,7 @@ def _predictor(draw, m: int):
 def _tables(draw):
     m = draw(st.sampled_from((2, 3)))
     n = draw(st.integers(min_value=0, max_value=14))
-    return m, TypeClassTable(n, m, _predictor(draw, m), cache=None)
+    return m, TypeClassTable(n, m, _predictor(draw, m))
 
 
 _ALPHAS = st.sampled_from((1.0, 1.5, 2.0, 3.7, 12.0))
@@ -248,16 +248,16 @@ class TestProbes:
     def test_alpha_regret_equals_maximizing_the_reference_objective(self, m, n, alpha, a0, a1):
         prior = DirichletParams((a0, a1) if m == 2 else (a0, a1, 0.5))
         predictor = AlphaNML(1.8, prior)
-        rep = alpha_regret(predictor, n, m, alpha, cache=None)
-        table = TypeClassTable(n, m, predictor, cache=None)
+        rep = alpha_regret(predictor, n, m, alpha)
+        table = TypeClassTable(n, m, predictor)
         point, value = maximize_on_simplex(m, lambda thetas: reference_renyi_values(table, thetas, alpha))
         assert (rep.value_nats, rep.maximizer) == (value, point)
 
     def test_supform_equals_maximizing_the_reference_objective(self):
         predictor = AlphaNML(2.2, DirichletParams((0.8, 1.5, 0.5)))
         b = DirichletParams((1.5, 2.0, 1.2))
-        rep = luckiness_alpha_regret_supform(predictor, b, 12, 3, 1.9, cache=None)
-        table = TypeClassTable(12, 3, predictor, cache=None)
+        rep = luckiness_alpha_regret_supform(predictor, b, 12, 3, 1.9)
+        table = TypeClassTable(12, 3, predictor)
         density = DirichletDensity(b)
         point, value = maximize_on_simplex(
             3, lambda thetas: density.log_pdf(thetas) + reference_renyi_values(table, thetas, 1.9)
@@ -294,10 +294,10 @@ class TestQuadratureNodes:
     @settings(max_examples=15, deadline=None)
     def test_kl_quadratures(self, n, params, data):
         predictor = _predictor(data.draw, 2)
-        assert _outcome(lambda: average_luckiness_regret(predictor, params, n, cache=None, tol=1e-8)) == _outcome(
+        assert _outcome(lambda: average_luckiness_regret(predictor, params, n)) == _outcome(
             lambda: reference_kl_quadrature(predictor, params, n, 1e-8)
         )
-        assert _outcome(lambda: sibson_mi_alpha(n, 2, 1.0, params, cache=None)) == _outcome(
+        assert _outcome(lambda: sibson_mi_alpha(n, 2, 1.0, params)) == _outcome(
             lambda: reference_kl_quadrature(Mixture(params), params, n, 1e-8)
         )
 
@@ -306,7 +306,7 @@ class TestQuadratureNodes:
     def test_tilted_alpha_regret(self, n, alpha, data):
         b = DirichletParams((data.draw(st.floats(0.95, 3.0)), data.draw(st.floats(0.95, 3.0))))
         predictor = _predictor(data.draw, 2)
-        assert _outcome(lambda: luckiness_alpha_regret(predictor, b, n, alpha, cache=None)) == _outcome(
+        assert _outcome(lambda: luckiness_alpha_regret(predictor, b, n, alpha)) == _outcome(
             lambda: reference_luckiness_alpha_regret(predictor, b, n, alpha)
         )
 
@@ -326,32 +326,32 @@ class TestWorstCaseNumerators:
         monkeypatch.setattr(regret, "log_numerators", counting)
         return calls
 
-    @pytest.mark.parametrize("cache_state", ["none", "cold", "warm"])
+    @pytest.mark.parametrize("cache_state", ["cold", "warm"])
     def test_nml_scan(self, numerator_calls, cache_state):
-        cache = None if cache_state == "none" else NormalizerCache()
+        DEFAULT_CACHE.clear()
         if cache_state == "warm":
-            worst_case_regret(NML(), 40, 3, cache=cache)
+            worst_case_regret(NML(), 40, 3)
             numerator_calls.clear()
-        rep = worst_case_regret(NML(), 40, 3, cache=cache)
+        rep = worst_case_regret(NML(), 40, 3)
         assert numerator_calls == [NML()]
         counts = predictors.count_vectors(40, 3)
-        vals = log_numerators(NML(), counts) - log_joints(NML(), counts, cache=None, complete=True)
+        vals = log_numerators(NML(), counts) - log_joints(NML(), counts, complete=True)
         assert rep.value_nats == float(vals.max())
 
-    @pytest.mark.parametrize("cache_state", ["none", "cold", "warm"])
+    @pytest.mark.parametrize("cache_state", ["cold", "warm"])
     def test_luckiness_scan(self, numerator_calls, cache_state):
         b = DirichletParams((1.3, 1.7, 2.1))
-        cache = None if cache_state == "none" else NormalizerCache()
+        DEFAULT_CACHE.clear()
         if cache_state == "warm":
-            worst_case_luckiness_regret(LuckinessNML(b), b, 30, 3, cache=cache)
+            worst_case_luckiness_regret(LuckinessNML(b), b, 30, 3)
             numerator_calls.clear()
-        rep = worst_case_luckiness_regret(LuckinessNML(b), b, 30, 3, cache=cache)
+        rep = worst_case_luckiness_regret(LuckinessNML(b), b, 30, 3)
         assert numerator_calls == [LuckinessNML(b)]
         counts = predictors.count_vectors(30, 3)
-        vals = log_numerators(LuckinessNML(b), counts) - log_joints(LuckinessNML(b), counts, cache=None, complete=True)
+        vals = log_numerators(LuckinessNML(b), counts) - log_joints(LuckinessNML(b), counts, complete=True)
         k = int(np.argmax(vals >= vals.max() - 1e-12 * max(1.0, abs(vals.max()))))
         assert (rep.value_nats, rep.maximizer.counts) == (float(vals[k]), tuple(counts[k].tolist()))
 
     def test_other_predictors_still_evaluate_their_own(self, numerator_calls):
-        worst_case_regret(Mixture(DirichletParams.jeffreys(3)), 20, 3, cache=None)
+        worst_case_regret(Mixture(DirichletParams.jeffreys(3)), 20, 3)
         assert numerator_calls == [NML(), Mixture(DirichletParams.jeffreys(3))]

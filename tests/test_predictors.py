@@ -22,6 +22,7 @@ from alphanml import (
     PredictorSpec,
     conditional_distribution,
     cumulative_log_loss,
+    count_vectors,
     enumerate_count_vectors,
     kt,
     laplace,
@@ -158,6 +159,23 @@ class TestJoints:
         a = cumulative_log_loss(spec, (1, 1, 2, 2, 1))
         b = cumulative_log_loss(spec, (2, 1, 1, 1, 2))
         np.testing.assert_allclose(a, b, rtol=1e-12)
+
+
+class TestNumeratorWidth:
+    """log_numerators checks the width of its counts against the alphabet the spec pins."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            AlphaNML(2.3, DirichletParams((0.7, 1.3))),
+            Mixture(J2),
+            LuckinessNML(DirichletParams((1.5, 2.0))),
+            LuckinessAlphaNML(1.5, DirichletParams((1.5, 2.0))),
+        ],
+    )
+    def test_wrong_width_gets_the_library_message(self, spec):
+        with pytest.raises(ValueError, match=r"^spec is over an alphabet of size 2, got m=3$"):
+            log_numerators(spec, count_vectors(60, 3))
 
 
 class TestNormalizerCache:

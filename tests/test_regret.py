@@ -36,6 +36,7 @@ from alphanml import (
     luckiness_alpha_regret_supform,
     maximize_on_simplex,
     predictor_kl,
+    renyi_divergence_vs_predictor,
     sibson_mi_alpha,
     sibson_mi_infinity,
     w_alpha_closed,
@@ -167,25 +168,25 @@ class TestInformationRadius:
         assert values == sorted(values)
 
 
-class TestCachePassThrough:
-    """cache= reaches the information radius too: cache=None leaves DEFAULT_CACHE untouched."""
+class TestDefaultCache:
+    """The information radius and the checks built on it memoize in DEFAULT_CACHE; a warm call repeats a cold one."""
 
     @pytest.mark.parametrize(
         "call",
         [
-            lambda cache: infinity_split_check(kt(2), 12, 2, cache=cache),
-            lambda cache: alpha_split_check(2.0, 12, 2, J2, cache=cache),
-            lambda cache: figure1_table([6, 12], [1.0, 2.0, 3.0], cache=cache),
-            lambda cache: sibson_mi_infinity(12, 3, cache=cache),
-            lambda cache: sibson_mi_alpha(12, 3, 2.5, J3, cache=cache),
+            lambda: infinity_split_check(kt(2), 12, 2),
+            lambda: alpha_split_check(2.0, 12, 2, J2),
+            lambda: figure1_table([6, 12], [1.0, 2.0, 3.0]),
+            lambda: sibson_mi_infinity(12, 3),
+            lambda: sibson_mi_alpha(12, 3, 2.5, J3),
         ],
         ids=["infinity_split", "alpha_split", "figure1", "sibson_infinity", "sibson_alpha"],
     )
-    def test_cache_none_leaves_default_cache_empty(self, call):
+    def test_fills_default_cache(self, call):
         DEFAULT_CACHE.clear()
-        uncached = call(None)
-        assert len(DEFAULT_CACHE) == 0
-        assert uncached == call(DEFAULT_CACHE)
+        cold = call()
+        assert len(DEFAULT_CACHE) > 0
+        assert call() == cold
 
 
 class TestAlphaRegret:
@@ -218,6 +219,44 @@ class TestAlphaRegret:
     def test_three_symbols_runs(self):
         rep = alpha_regret(AlphaNML(2.0, J3), 3, 3, 2.0)
         assert rep.value_nats >= sibson_mi_alpha(3, 3, 2.0, J3) - 1e-9
+
+
+# every function that takes a regret order, called at that order
+ORDER_CALLS = {
+    "rmax": lambda alpha: asymptotic_rmax(10, 2, alpha),
+    "min_alpha": lambda alpha: asymptotic_min_alpha_regret(10, 2, alpha),
+    "w_closed": lambda alpha: w_alpha_closed(10, 2, alpha),
+    "sibson": lambda alpha: sibson_mi_alpha(5, 2, alpha, J2),
+    "renyi": lambda alpha: renyi_divergence_vs_predictor((0.3, 0.7), kt(2), 5, alpha),
+    "alpha_regret": lambda alpha: alpha_regret(kt(2), 5, 2, alpha),
+    "luckiness": lambda alpha: luckiness_alpha_regret(kt(2), J2, 5, alpha),
+    "supform": lambda alpha: luckiness_alpha_regret_supform(kt(2), J2, 5, 2, alpha),
+}
+
+
+class TestNonFiniteOrders:
+    """nan is never an order; inf is one only where a formula takes its limit (``asymptotic_rmax``, see TestAsymptotes)."""
+
+    @pytest.mark.parametrize("name", list(ORDER_CALLS))
+    def test_nan_order_raises(self, name):
+        with pytest.raises(ValueError, match=r"^alpha must be >=? 1, got nan$"):
+            ORDER_CALLS[name](math.nan)
+
+    @pytest.mark.parametrize("name", [name for name in ORDER_CALLS if name != "rmax"])
+    def test_infinite_order_raises_where_the_order_must_be_finite(self, name):
+        with pytest.raises(ValueError, match=r"^alpha must be finite, got inf$"):
+            ORDER_CALLS[name](math.inf)
+
+    def test_orders_below_one_keep_their_messages(self):
+        with pytest.raises(ValueError, match=r"^alpha must be >= 1, got -inf$"):
+            alpha_regret(kt(2), 5, 2, -math.inf)
+        with pytest.raises(ValueError, match=r"^alpha must be > 1, got 1.0$"):
+            asymptotic_min_alpha_regret(10, 2, 1.0)
+
+    @pytest.mark.parametrize("theta", [(math.nan, 1.0), (0.5, math.nan, 0.5), (math.inf, 0.0), (-math.inf, 1.0)])
+    def test_simplex_point_rejects_non_finite_coordinates(self, theta):
+        with pytest.raises(ValueError, match="outside"):
+            SimplexPoint(theta)
 
 
 class TestSimplexMaximization:

@@ -29,7 +29,6 @@ from alphanml import (
     LuckinessNML,
     Mixture,
     NML,
-    NormalizerCache,
     cli,
     count_vectors,
     cumulative_log_loss,
@@ -43,6 +42,7 @@ from alphanml import (
     worst_case_regret,
 )
 from alphanml import predictors
+from alphanml.predictors import DEFAULT_CACHE
 from alphanml.numerics import log_multivariate_beta
 
 
@@ -228,10 +228,10 @@ class TestPrefixMarginals:
 class TestLogJointsHorizonCheck:
     def test_several_horizons_message(self):
         with pytest.raises(ValueError, match=r"^count vectors of several horizons \[2, 3, 5\] in one call$"):
-            log_joints(NML(), [[1, 2], [2, 0], [0, 5], [1, 2]], cache=None)
+            log_joints(NML(), [[1, 2], [2, 0], [0, 5], [1, 2]])
 
     def test_single_horizon_accepted(self):
-        out = log_joints(NML(), [[1, 2], [3, 0]], cache=None)
+        out = log_joints(NML(), [[1, 2], [3, 0]])
         assert out.tolist() == [log_joint(NML(), CountVector((1, 2))), log_joint(NML(), CountVector((3, 0)))]
 
 
@@ -251,38 +251,34 @@ class TestWorstCaseScanReuse:
     @pytest.mark.parametrize("n,m", [(25, 2), (12, 3), (6, 4)])
     def test_same_value_and_maximizer_for_every_cache_state(self, n, m):
         for spec in _worst_case_specs(m):
-            uncached = _report(worst_case_regret(spec, n, m, cache=None))
-            cache = NormalizerCache()
-            cold = _report(worst_case_regret(spec, n, m, cache=cache))
-            warm = _report(worst_case_regret(spec, n, m, cache=cache))
-            prewarmed = NormalizerCache()
-            log_normalizer(spec, n, m, cache=prewarmed)
-            from_normalizer = _report(worst_case_regret(spec, n, m, cache=prewarmed))
-            callable_joint = _report(
-                worst_case_regret(lambda cv, s=spec: log_joint(s, cv, cache=None), n, m, cache=None)
-            )
-            assert uncached == cold == warm == from_normalizer == callable_joint
+            DEFAULT_CACHE.clear()
+            cold = _report(worst_case_regret(spec, n, m))
+            warm = _report(worst_case_regret(spec, n, m))
+            DEFAULT_CACHE.clear()
+            log_normalizer(spec, n, m)
+            from_normalizer = _report(worst_case_regret(spec, n, m))
+            DEFAULT_CACHE.clear()
+            callable_joint = _report(worst_case_regret(lambda cv, s=spec: log_joint(s, cv), n, m))
+            assert cold == warm == from_normalizer == callable_joint
 
     @pytest.mark.parametrize("n,m", [(25, 2), (12, 3)])
     def test_luckiness_same_value_and_maximizer_for_every_cache_state(self, n, m):
         b = DirichletParams(tuple(1.3 + 0.4 * i for i in range(m)))
         for spec in _worst_case_specs(m):
-            uncached = _report(worst_case_luckiness_regret(spec, b, n, m, cache=None))
-            cache = NormalizerCache()
-            cold = _report(worst_case_luckiness_regret(spec, b, n, m, cache=cache))
-            warm = _report(worst_case_luckiness_regret(spec, b, n, m, cache=cache))
-            callable_joint = _report(
-                worst_case_luckiness_regret(lambda cv, s=spec: log_joint(s, cv, cache=None), b, n, m, cache=None)
-            )
-            assert uncached == cold == warm == callable_joint
+            DEFAULT_CACHE.clear()
+            cold = _report(worst_case_luckiness_regret(spec, b, n, m))
+            warm = _report(worst_case_luckiness_regret(spec, b, n, m))
+            DEFAULT_CACHE.clear()
+            callable_joint = _report(worst_case_luckiness_regret(lambda cv, s=spec: log_joint(s, cv), b, n, m))
+            assert cold == warm == callable_joint
 
     def test_cache_miss_does_not_enumerate_again(self, monkeypatch):
         calls = []
         enumerate_classes = predictors.count_vectors
         monkeypatch.setattr(predictors, "count_vectors", lambda *args: calls.append(args) or enumerate_classes(*args))
-        cache = NormalizerCache()
-        worst_case_regret(AlphaNML(3.0, DirichletParams.jeffreys(3)), 20, 3, cache=cache)
-        assert len(cache) == 1
+        DEFAULT_CACHE.clear()
+        worst_case_regret(AlphaNML(3.0, DirichletParams.jeffreys(3)), 20, 3)
+        assert len(DEFAULT_CACHE) == 1
         assert calls == []
 
 
