@@ -55,10 +55,9 @@ from .regret import (
     w_alpha_direct,
     worst_case_regret,
 )
-from .luckiness import LuckinessFunction, luckiness_alpha_regret
+from .luckiness import luckiness_alpha_regret
 from .typeclass import CountVector
 
-FIGURE1_HEADER = "n,alpha,regret_nats,nml_regret_nats,percent_increase"
 FIGURE1_NOTE = "# alpha=1 corresponds to the KT estimator"
 
 _ORACLE_TOLERANCES = {
@@ -78,7 +77,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(rows: list[dict], fmt: str, out: TextIO) -> None:
+def _emit(rows: list[dict], fmt: str, out: TextIO, note: str | None = None) -> None:
+    """Write rows as JSON, or as CSV under a header of the row keys and the comment line ``note``, if any."""
     if fmt == "json":
         payload = [
             {k: (float(format(v, ".12g")) if isinstance(v, float) else v) for k, v in row.items()}
@@ -89,6 +89,8 @@ def _emit(rows: list[dict], fmt: str, out: TextIO) -> None:
         return
     if rows:
         out.write(",".join(rows[0].keys()) + "\n")
+        if note is not None:
+            out.write(note + "\n")
         for row in rows:
             out.write(",".join(_fmt(v) for v in row.values()) + "\n")
 
@@ -187,9 +189,12 @@ def cmd_regret(args) -> int:
     alpha_val = getattr(spec, "alpha", report.alpha)
     if alpha_val is None:  # the worst case of kt or laplace (order 1) or nml (order infinity)
         alpha_val = math.inf if name == "nml" else 1.0
-    # the asymptote is that of the alpha family under the Jeffreys prior; kt is alpha = 1, nml alpha = infinity
+    # the asymptote is that of the alpha family under the Jeffreys prior; kt is alpha = 1, nml alpha = infinity;
+    # it needs n >= 1, so an n = 0 row leaves its columns empty, as a row outside the family does
     jeffreys_family = name in ("kt", "nml") or (name == "anml" and spec.a == DirichletParams.jeffreys(m))
-    asymptote = asymptotic_rmax(args.n, m, alpha_val) if args.kind == "worst" and jeffreys_family else None
+    asymptote = None
+    if args.kind == "worst" and jeffreys_family and args.n > 0:
+        asymptote = asymptotic_rmax(args.n, m, alpha_val)
     scale = 1.0 if args.base == "nats" else 1.0 / LOG_TWO
     row = {
         "n": args.n,
@@ -224,25 +229,10 @@ def cmd_figure1(args) -> int:
     rows = figure1_table(n_list, alphas, m=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            _write_figure1(rows, args.format, fh)
+            _emit(rows, args.format, fh, note=FIGURE1_NOTE)
     else:
-        _write_figure1(rows, args.format, sys.stdout)
+        _emit(rows, args.format, sys.stdout, note=FIGURE1_NOTE)
     return 0
-
-
-def _write_figure1(rows: list[dict], fmt: str, out: TextIO) -> None:
-    if fmt == "json":
-        _emit(rows, fmt, out)
-        return
-    out.write(FIGURE1_HEADER + "\n")
-    out.write(FIGURE1_NOTE + "\n")
-    for row in rows:
-        out.write(
-            ",".join(
-                _fmt(row[k]) for k in ("n", "alpha", "regret_nats", "nml_regret_nats", "percent_increase")
-            )
-            + "\n"
-        )
 
 
 def cmd_asymptotics(args) -> int:
@@ -309,7 +299,7 @@ def _oracle_pair(args) -> tuple[float, float, float]:
             raise ValueError("theorem5 check requires --alpha > 1")
         b = _parse_prior(args.prior, m) if args.prior else DirichletParams((2.0,) * m)
         spec = LuckinessAlphaNML(alpha, b)
-        lhs = luckiness_alpha_regret(spec, LuckinessFunction(b), n, alpha, m)
+        lhs = luckiness_alpha_regret(spec, b, n, alpha, m)
         rhs = sibson_mi_alpha(n, m, alpha, tilted_params(alpha, b))
         return lhs, rhs, tol
     raise ValueError(f"unknown check {check!r}")

@@ -2,24 +2,23 @@
 
 A luckiness function reweights the maximized likelihood by a Dirichlet(b)
 density before normalization, which turns NML into luckiness NML and the
-alpha family into its tilted counterpart. Conditioning on past observations
-is the special case b = past counts + 1 (the likelihood of the past acts as
-the tilt), so conditional predictors reduce exactly to explicit ones.
+alpha family into its tilted counterpart; every measure here takes b.
+Conditional NML given past counts is luckiness NML with b = past counts + 1
+(``tests/test_luckiness.py::TestConditionalIdentity``).
 
-Regret measures mirror the plain ones: a worst-case scan where the
-benchmark is the tilted supremum, an average regret integrated against the
-luckiness density, an alpha-regret integrated against the tilted prior
-(parameters alpha*(b-1)+1), and a supremum form sup_theta [ln pi(theta) +
-D_alpha(p_theta || predictor)] that recovers the worst case as alpha grows.
-The b = (1, ..., 1) luckiness is the constant density on the simplex, under
-which every measure collapses to its plain counterpart (for m = 2, where
-the constant is 1).
+Regret measures are the plain ones on the plain drivers: a worst-case scan
+where the benchmark is the tilted supremum, the order-one radius's
+quadrature against the luckiness density, an alpha-regret integrated
+against the tilted prior (parameters alpha*(b-1)+1), and the alpha-regret's
+supremum with ln pi(theta) added, which recovers the worst case as alpha
+grows. The b = (1, ..., 1) luckiness is the constant density on the
+simplex, under which every measure collapses to its plain counterpart (for
+m = 2, where the constant is 1).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,47 +30,17 @@ from .regret import (
     DirichletDensity,
     RegretReport,
     TypeClassTable,
+    _average_kl,
     _check_order,
+    _theta_sup,
     _worst_case_scan,
     dirichlet_quadrature,
-    maximize_on_simplex,
 )
-from .typeclass import CountVector
-
-
-@dataclass(frozen=True)
-class LuckinessFunction:
-    """A Dirichlet(b) tilt of the likelihood, with its origin recorded.
-
-    ``origin`` is "explicit" for a user-chosen b and "conditional" when b
-    was derived from past observations as past counts + 1.
-    """
-
-    b: DirichletParams
-    origin: str = "explicit"
-    past: CountVector | None = None
-
-    @classmethod
-    def explicit(cls, b: DirichletParams) -> "LuckinessFunction":
-        return cls(b=b)
-
-    @classmethod
-    def from_past(cls, past_counts: CountVector) -> "LuckinessFunction":
-        b = DirichletParams(tuple(c + 1.0 for c in past_counts.counts))
-        return cls(b=b, origin="conditional", past=past_counts)
-
-
-def _as_luckiness(pi: LuckinessFunction | DirichletParams) -> LuckinessFunction:
-    if isinstance(pi, LuckinessFunction):
-        return pi
-    if isinstance(pi, DirichletParams):
-        return LuckinessFunction(b=pi)
-    raise TypeError(f"pi must be a LuckinessFunction or DirichletParams, got {pi!r}")
 
 
 def worst_case_luckiness_regret(
     predictor: PredictorSpec | JointFn,
-    pi: LuckinessFunction | DirichletParams,
+    b: DirichletParams,
     n: int,
     m: int,
 ) -> RegretReport:
@@ -80,15 +49,14 @@ def worst_case_luckiness_regret(
     For the luckiness NML predictor itself this equals the log of the tilted
     Shtarkov sum, by the same cancellation as in the plain case.
     """
-    lf = _as_luckiness(pi)
-    if lf.b.m != m:
-        raise ValueError(f"luckiness has m={lf.b.m}, got m={m}")
-    return _worst_case_scan("luckiness_worst_case", LuckinessNML(lf.b), predictor, n, m)
+    if b.m != m:
+        raise ValueError(f"luckiness has m={b.m}, got m={m}")
+    return _worst_case_scan("luckiness_worst_case", LuckinessNML(b), predictor, n, m)
 
 
 def average_luckiness_regret(
     predictor: PredictorSpec | JointFn,
-    pi: LuckinessFunction | DirichletParams,
+    b: DirichletParams,
     n: int,
     m: int = 2,
 ) -> float:
@@ -96,19 +64,17 @@ def average_luckiness_regret(
 
     The Dirichlet(b) mixture minimizes this among all predictors, with the
     excess of any other predictor equal to KL(mixture || predictor) on
-    sequence space. Supported for m = 2.
+    sequence space; for that mixture it is the order-one information
+    radius ``sibson_mi_alpha(n, 2, 1.0, b)``. Supported for m = 2.
     """
-    lf = _as_luckiness(pi)
-    if m != 2 or lf.b.m != 2:
+    if m != 2 or b.m != 2:
         raise UnsupportedError("average luckiness regret is quadrature-based and supports m = 2 only")
-    table = TypeClassTable(n, m, predictor)
-    value, err = dirichlet_quadrature(lf.b, lambda pdf, theta: pdf * float(table.kl_values(theta)[0]))
-    return accept_quadrature(value, err, 1e-8, "the average luckiness regret")
+    return _average_kl(predictor, b, n, "the average luckiness regret")
 
 
 def luckiness_alpha_regret(
     predictor: PredictorSpec | JointFn,
-    pi: LuckinessFunction | DirichletParams,
+    b: DirichletParams,
     n: int,
     alpha: float,
     m: int = 2,
@@ -121,10 +87,9 @@ def luckiness_alpha_regret(
     Supported for m = 2 and alpha > 1.
     """
     _check_order(alpha, above_one=True)
-    lf = _as_luckiness(pi)
-    if m != 2 or lf.b.m != 2:
+    if m != 2 or b.m != 2:
         raise UnsupportedError("luckiness alpha-regret is quadrature-based and supports m = 2 only")
-    tilt = tilted_params(alpha, lf.b)
+    tilt = tilted_params(alpha, b)
     table = TypeClassTable(n, m, predictor)
 
     def weighted(pdf: float, theta: np.ndarray) -> float:
@@ -140,34 +105,18 @@ def luckiness_alpha_regret(
 
 def luckiness_alpha_regret_supform(
     predictor: PredictorSpec | JointFn,
-    pi: LuckinessFunction | DirichletParams,
+    b: DirichletParams,
     n: int,
     m: int,
     alpha: float,
 ) -> RegretReport:
-    """sup over theta of [ln pi(theta) + D_alpha(p_theta || predictor)].
+    """sup over theta of [ln pi(theta) + D_alpha(p_theta || predictor)], pi the Dirichlet(b) density.
 
     The alpha -> 1 path maximizes ln pi(theta) + KL; as alpha grows the
     value approaches the worst-case luckiness regret. Under the constant
     m = 2 luckiness b = (1, 1) this is exactly the plain alpha-regret.
+    Supported for m in {2, 3}, checked before any class table is built.
     """
-    _check_order(alpha)
-    lf = _as_luckiness(pi)
-    if lf.b.m != m:
-        raise ValueError(f"luckiness has m={lf.b.m}, got m={m}")
-    table = TypeClassTable(n, m, predictor)
-    density = DirichletDensity(lf.b)
-
-    def objective(thetas: np.ndarray) -> np.ndarray:
-        return density.log_pdf(thetas) + table.renyi_values(thetas, alpha)
-
-    point, value = maximize_on_simplex(m, objective)
-    return RegretReport(
-        kind="luckiness_alpha_sup",
-        value_nats=value,
-        n=n,
-        m=m,
-        predictor=predictor,
-        alpha=alpha,
-        maximizer=point,
-    )
+    if b.m != m:
+        raise ValueError(f"luckiness has m={b.m}, got m={m}")
+    return _theta_sup("luckiness_alpha_sup", predictor, n, m, alpha, DirichletDensity(b).log_pdf)

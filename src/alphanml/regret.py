@@ -10,6 +10,10 @@ Three regret notions share one engine:
   which recovers the average regret as alpha -> 1 and the worst case as
   alpha -> infinity.
 
+Every supremum over theta (average, alpha and the luckiness supremum form)
+runs on one driver, which checks the alphabet before it builds a class
+table, and every Dirichlet average of KL on one quadrature.
+
 The information radius I_alpha (a Sibson mutual information between the
 source parameter and the sequence) is the matching lower bound and shows up
 in the identity checks: the worst-case regret of any predictor equals
@@ -131,7 +135,6 @@ class RegretReport:
     predictor: object
     alpha: float | None = None
     maximizer: object | None = None
-    asymptotic_nats: float | None = None
 
     @property
     def value_bits(self) -> float:
@@ -442,6 +445,12 @@ def maximize_on_simplex(m: int, objective: Callable[[np.ndarray], np.ndarray]) -
     raise UnsupportedError(f"simplex maximization supports m in {{2, 3}}, got m={m}")
 
 
+def _class_max(counts: np.ndarray, vals: np.ndarray) -> tuple[float, CountVector]:
+    """The largest of a scan's per-class values and its class; ties break to the lexicographically smallest."""
+    k = lex_argmax(vals)
+    return float(vals[k]), CountVector(tuple(counts[k].tolist()))
+
+
 def _worst_case_scan(
     kind: str,
     benchmark: PredictorSpec,
@@ -463,15 +472,14 @@ def _worst_case_scan(
         joints = numerators - _cached_log_normalizer(benchmark, n, m, counts, numerators)
     else:
         joints = joint_values(predictor, counts)
-    vals = numerators - joints
-    k = lex_argmax(vals)
+    value, maximizer = _class_max(counts, numerators - joints)
     return RegretReport(
         kind=kind,
-        value_nats=float(vals[k]),
+        value_nats=value,
         n=n,
         m=m,
         predictor=predictor,
-        maximizer=CountVector(tuple(counts[k].tolist())),
+        maximizer=maximizer,
     )
 
 
@@ -489,6 +497,17 @@ def sibson_mi_infinity(n: int, m: int) -> float:
     return log_normalizer(NML(), n, m)
 
 
+def _average_kl(predictor: PredictorSpec | JointFn, params: DirichletParams, n: int, what: str) -> float:
+    """E over theta ~ Dirichlet(params) of KL(p_theta || predictor) at m = 2, by quadrature accepted at 1e-8.
+
+    The one quadrature behind the order-one radius and the average luckiness
+    regret; ``what`` names the quantity in a rejection.
+    """
+    table = TypeClassTable(n, 2, predictor)
+    value, err = dirichlet_quadrature(params, lambda pdf, theta: pdf * float(table.kl_values(theta)[0]))
+    return accept_quadrature(value, err, 1e-8, what)
+
+
 def sibson_mi_alpha(n: int, m: int, alpha: float, a: DirichletParams) -> float:
     """Information radius of order alpha between the prior and the source.
 
@@ -503,9 +522,7 @@ def sibson_mi_alpha(n: int, m: int, alpha: float, a: DirichletParams) -> float:
     if alpha == 1.0:
         if m != 2:
             raise UnsupportedError("the alpha = 1 limit is quadrature-based and supports m = 2 only")
-        table = TypeClassTable(n, m, Mixture(a))
-        value, err = dirichlet_quadrature(a, lambda pdf, theta: pdf * float(table.kl_values(theta)[0]))
-        return accept_quadrature(value, err, 1e-8, "I_1")
+        return _average_kl(Mixture(a), a, n, "I_1")
     return alpha / (alpha - 1.0) * log_normalizer(AlphaNML(alpha, a), n, m)
 
 
@@ -519,8 +536,7 @@ def w_alpha_direct(n: int, m: int, alpha: float, a: DirichletParams) -> WAlphaRe
         raise ValueError(f"prior has m={a.m}, got m={m}")
     counts = count_vectors(n, m)
     vals = log_numerators(NML(), counts) - log_numerators(AlphaNML(alpha, a), counts)
-    k = lex_argmax(vals)
-    return WAlphaResult(float(vals[k]), CountVector(tuple(counts[k].tolist())))
+    return WAlphaResult(*_class_max(counts, vals))
 
 
 def w_alpha_closed(n: int, m: int, alpha: float, a: DirichletParams | None = None) -> float:
@@ -579,6 +595,43 @@ def renyi_divergence_vs_predictor(
     return float(table.renyi_values(point[None, :], alpha)[0])
 
 
+def _theta_sup(
+    kind: str,
+    predictor: PredictorSpec | JointFn,
+    n: int,
+    m: int,
+    alpha: float,
+    log_weight: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> RegretReport:
+    """sup over theta of [log_weight(theta) +] D_alpha(p_theta || predictor), reported as ``kind``.
+
+    The one driver behind every supremum over theta. The order and m are
+    checked before the class table is built, so an unsupported alphabet
+    allocates nothing.
+    """
+    _check_order(alpha)
+    if m not in (2, 3):
+        caller = "alpha_regret" if log_weight is None else "luckiness_alpha_regret_supform"
+        raise UnsupportedError(f"{caller} supports m in {{2, 3}}, got m={m}")
+    table = TypeClassTable(n, m, predictor)
+
+    def objective(thetas: np.ndarray) -> np.ndarray:
+        if log_weight is None:
+            return table.renyi_values(thetas, alpha)
+        return log_weight(thetas) + table.renyi_values(thetas, alpha)
+
+    point, value = maximize_on_simplex(m, objective)
+    return RegretReport(
+        kind=kind,
+        value_nats=value,
+        n=n,
+        m=m,
+        predictor=predictor,
+        alpha=alpha,
+        maximizer=point,
+    )
+
+
 def average_regret(predictor: PredictorSpec | JointFn, n: int, m: int) -> RegretReport:
     """sup over theta of KL(p_theta || predictor): the alpha -> 1 regret."""
     return alpha_regret(predictor, n, m, 1.0)
@@ -591,25 +644,7 @@ def alpha_regret(predictor: PredictorSpec | JointFn, n: int, m: int, alpha: floa
     an exponential tilt of the loss by tilt = alpha - 1. Supported for
     m in {2, 3}; the maximizing theta is reported.
     """
-    _check_order(alpha)
-    if m not in (2, 3):
-        raise UnsupportedError(f"alpha_regret supports m in {{2, 3}}, got m={m}")
-    table = TypeClassTable(n, m, predictor)
-
-    def objective(thetas: np.ndarray) -> np.ndarray:
-        return table.renyi_values(thetas, alpha)
-
-    point, value = maximize_on_simplex(m, objective)
-    kind = "average" if alpha == 1.0 else "alpha"
-    return RegretReport(
-        kind=kind,
-        value_nats=value,
-        n=n,
-        m=m,
-        predictor=predictor,
-        alpha=alpha,
-        maximizer=point,
-    )
+    return _theta_sup("average" if alpha == 1.0 else "alpha", predictor, n, m, alpha)
 
 
 def predictor_kl(
@@ -628,6 +663,13 @@ def predictor_kl(
     return math.fsum(np.exp(log_mult[support] + lp) * (lp - lq))
 
 
+def _asymptote_base(n: int, m: int) -> float:
+    """(m-1)/2 ln(n/2) + ln(pi)/2 - ln Gamma(m/2), the order-free part of both large-n formulas; n >= 1."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return (m - 1) / 2.0 * math.log(n / 2.0) + LOG_PI / 2.0 - log_gamma(m / 2.0)
+
+
 def asymptotic_rmax(n: int, m: int, alpha: float) -> float:
     """Large-n worst-case regret of the alpha family under the Jeffreys prior.
 
@@ -635,15 +677,13 @@ def asymptotic_rmax(n: int, m: int, alpha: float) -> float:
     last term vanishes as alpha -> infinity, recovering the NML asymptote.
     """
     _check_order(alpha, finite=False)
-    base = (m - 1) / 2.0 * math.log(n / 2.0) + LOG_PI / 2.0 - log_gamma(m / 2.0)
-    return base + (m - 1) / (2.0 * alpha) * LOG_TWO
+    return _asymptote_base(n, m) + (m - 1) / (2.0 * alpha) * LOG_TWO
 
 
 def asymptotic_min_alpha_regret(n: int, m: int, alpha: float) -> float:
     """Large-n minimax alpha-regret (the I_alpha asymptote), alpha > 1."""
     _check_order(alpha, above_one=True)
-    base = (m - 1) / 2.0 * math.log(n / 2.0) + LOG_PI / 2.0 - log_gamma(m / 2.0)
-    return base - (m - 1) / (2.0 * (alpha - 1.0)) * math.log(alpha)
+    return _asymptote_base(n, m) - (m - 1) / (2.0 * (alpha - 1.0)) * math.log(alpha)
 
 
 def figure1_table(n_list: Sequence[int], alpha_list: Sequence[float], m: int = 2) -> list[dict]:

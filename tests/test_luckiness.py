@@ -7,19 +7,24 @@ import math
 import numpy as np
 import pytest
 
+from alphanml import luckiness, regret
 from alphanml import (
     AlphaNML,
     CountVector,
     DirichletParams,
     InfeasibleModelError,
     LuckinessAlphaNML,
-    LuckinessFunction,
     LuckinessNML,
     Mixture,
     NML,
+    UnsupportedError,
     alpha_regret,
     average_luckiness_regret,
+    conditional_distribution,
+    count_vectors,
     kt,
+    log_joints,
+    log_multiplicities,
     log_normalizer,
     luckiness_alpha_regret,
     luckiness_alpha_regret_supform,
@@ -35,17 +40,7 @@ B32 = DirichletParams((3.0, 2.0))
 
 
 class TestContainers:
-    """Luckiness functions and their tilted priors."""
-
-    def test_explicit_origin(self):
-        lf = LuckinessFunction.explicit(B22)
-        assert lf.origin == "explicit"
-        assert lf.b.a == (2.0, 2.0)
-
-    def test_conditional_origin_adds_one_to_counts(self):
-        lf = LuckinessFunction.from_past(CountVector((3, 0)))
-        assert lf.origin == "conditional"
-        assert lf.b.a == (4.0, 1.0)
+    """Tilted priors of luckiness parameters."""
 
     def test_tilted_prior_matches_map(self):
         """alpha * (b_i - 1) + 1 for each i."""
@@ -54,6 +49,41 @@ class TestContainers:
     def test_infeasible_tilt_raises(self):
         with pytest.raises(InfeasibleModelError):
             tilted_params(3.0, DirichletParams((0.5, 2.0)))
+
+
+class TestConditionalIdentity:
+    """Conditional NML given past counts is luckiness NML with b = past counts + 1."""
+
+    PASTS = [(3, 0), (2, 5), (0, 1, 0), (4, 1, 2), (1, 0, 3, 2)]
+
+    @staticmethod
+    def _luckiness(past) -> LuckinessNML:
+        return LuckinessNML(DirichletParams(tuple(c + 1.0 for c in past)))
+
+    @pytest.mark.parametrize("past", PASTS)
+    def test_next_symbol_is_one_step_luckiness_joint(self, past):
+        """At horizon n0 + 1 the conditional is the luckiness NML joint of each one-symbol sequence."""
+        m = len(past)
+        cnml = conditional_distribution(NML(), CountVector(past))
+        lnml = np.exp(log_joints(self._luckiness(past), np.eye(m, dtype=np.int64)))
+        np.testing.assert_allclose(cnml, lnml, rtol=1e-12)
+
+    @pytest.mark.parametrize("past", PASTS)
+    @pytest.mark.parametrize("h", [2, 4])
+    def test_longer_horizon_is_first_symbol_marginal(self, past, h):
+        """At horizon n0 + h the conditional is the first-symbol marginal of luckiness NML at length h."""
+        m = len(past)
+        cnml = conditional_distribution(NML(), CountVector(past), horizon=sum(past) + h)
+        counts = count_vectors(h, m)
+        joints = log_joints(self._luckiness(past), counts)
+        marginal = []
+        for x in range(m):
+            # a class with c_x >= 1 holds multinomial(c - e_x) sequences that start with x
+            rows = counts[:, x] > 0
+            rest = counts[rows].copy()
+            rest[:, x] -= 1
+            marginal.append(math.fsum(np.exp(joints[rows] + log_multiplicities(rest))))
+        np.testing.assert_allclose(cnml, marginal, rtol=1e-12)
 
 
 class TestWorstCase:
@@ -122,6 +152,12 @@ class TestAverage:
                 split = base + predictor_kl(mix, q, 4, 2)
                 np.testing.assert_allclose(total, split, atol=1e-7)
 
+    @pytest.mark.parametrize("params", [DirichletParams.uniform(2), B22, B32, J2])
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_matching_mixture_is_order_one_radius(self, params, n):
+        """For the matching mixture the average is I_1 under the same prior, by the same quadrature."""
+        assert average_luckiness_regret(Mixture(params), params, n) == sibson_mi_alpha(n, 2, 1.0, params)
+
     def test_matching_mixture_minimizes(self, make_exchangeable):
         base = average_luckiness_regret(Mixture(B22), B22, 4, 2)
         for _ in range(3):
@@ -170,6 +206,18 @@ class TestSupForm:
         plain = alpha_regret(spec, 4, 2, 2.0)
         np.testing.assert_allclose(sup.value_nats, plain.value_nats, atol=1e-10)
         assert sup.kind == "luckiness_alpha_sup"
+
+    def test_unsupported_alphabet_fails_before_any_table(self, monkeypatch):
+        """m = 4 raises UnsupportedError without building the 585,276-class table of n = 150."""
+
+        def no_table(*args):
+            raise AssertionError("a TypeClassTable was built")
+
+        for module in (regret, luckiness):
+            monkeypatch.setattr(module, "TypeClassTable", no_table)
+        b4 = DirichletParams((1.0, 1.0, 1.0, 1.0))
+        with pytest.raises(UnsupportedError, match="supports m in"):
+            luckiness_alpha_regret_supform(kt(4), b4, 150, 4, 2.0)
 
     def test_weighting_shifts_the_maximizer(self):
         """An asymmetric weight pulls the maximizing theta off the corner."""

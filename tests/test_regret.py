@@ -395,6 +395,11 @@ class TestAsymptotes:
             asymptotic_min_alpha_regret(100, 2, 2.0), 2.1818028553588005, rtol=1e-14
         )
 
+    @pytest.mark.parametrize("formula", [asymptotic_rmax, asymptotic_min_alpha_regret])
+    def test_empty_horizon_is_a_value_error(self, formula):
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            formula(0, 2, 2.0)
+
     def test_rmax_tracks_finite_value(self):
         """The formula approaches the exact worst case as n grows."""
         gaps = [
