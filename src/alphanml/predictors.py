@@ -38,10 +38,13 @@ for no memo), because the benchmark's scaling probe times it with
 ``cache=None``. A scan that already holds every class
 (``log_joints(..., complete=True)``) hands its classes and numerators to the
 normalizer on a cache miss instead of enumerating again.
-``cumulative_log_loss`` codes a whole sequence in one backward pass over the
-lattice of prefix counts: every level is a slice of the horizon's class and
-mask arrays, and each prefix is read at its lex rank
-(``typeclass.count_vector_ranks``). ``conditional_distribution`` answers a
+``cumulative_log_loss`` codes a whole sequence with one gather from a flat
+table of prefix marginals: one backward pass over the lattice of prefix
+counts of (spec, horizon, m), stored level by level in the order of
+``count_vectors(horizon, m + 1)``, so each prefix is read at its lex rank
+(``typeclass.count_vector_ranks``). The table depends only on (spec,
+horizon, m), and a private LRU bounded in stored floats keeps it across
+calls. ``conditional_distribution`` answers a
 next-symbol query of a Beta-ratio kind one step ahead in closed form, and
 any other query by enumerating the suffix classes after each symbol.
 """
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -430,7 +434,9 @@ def log_joints(
     form = _checked_form(spec, m)
     numerators = log_numerators(spec, counts)
     if form.f is gammaln and form.alpha == 1.0 and form.beta is not None:
-        # exact identity: a Dirichlet mixture B(c + a) / B(a), i.e. the mixture or alpha = 1, is normalized
+        # exact identity: a Dirichlet mixture B(c + a) / B(a), i.e. the mixture or alpha = 1, is normalized;
+        # at the empty sequence it is 1, where ln B(a) - ln B(a) of the cells would round a few ulps off 0
+        numerators[np.einsum("ij->i", counts) == 0] = 0.0  # row totals; einsum is 3x faster than sum(axis=1) here
         return numerators
     totals = counts.sum(axis=1)
     if not totals.size or totals.min() != totals.max():
@@ -497,36 +503,78 @@ def conditional_distribution(spec: PredictorSpec, past_counts: CountVector, hori
     return probs / probs.sum()
 
 
-def _prefix_log_marginals(spec: PredictorSpec, path: np.ndarray, horizon: int) -> np.ndarray:
-    """ln of the horizon joint summed over all suffixes, at each row of a (T+1, m) prefix-count path.
+_LATTICE_FLOATS = 1 << 22  # the most floats (32 MiB) the lattice-table LRU holds
 
-    One backward pass M_L(c) = logaddexp_k M_{L+1}(c + e_k) from the numerators
-    at level ``horizon``; the common normalizer is omitted. In ascending lex
-    order the level-(L+1) rows with c_k >= 1 are the level-L rows plus e_k, in
-    the same order. Every level is a slice of the horizon's arrays: level L is
-    ``count_vectors(horizon, m)[start:]`` with c_0 lowered by horizon - L, so
-    its rows with c_0 >= 1 are the tail after the first C(L+m-2, m-2), and its
-    c_k >= 1 masks for k >= 1 are slices of one mask built at the horizon.
-    Each prefix is read at its lex rank (``count_vector_ranks``).
+
+def _lattice_table(spec: PredictorSpec, horizon: int, m: int) -> np.ndarray:
+    """ln of the horizon joint summed over all suffixes, at every prefix count of (horizon, m), as one flat array.
+
+    One backward pass M_L(c) = logaddexp_k M_{L+1}(c + e_k) from the
+    numerators at level ``horizon``; the common normalizer is omitted. The
+    levels are stored as the pass makes them, level ``horizon`` first, so the
+    table is in ``count_vectors(horizon, m + 1)`` order with the prepended
+    coordinate horizon - L, and has C(horizon + m, m) entries. In ascending
+    lex order the level-(L+1) rows with c_k >= 1 are the level-L rows plus
+    e_k, in the same order. Every level is a slice of the horizon's arrays:
+    level L is ``count_vectors(horizon, m)[start:]`` with c_0 lowered by
+    horizon - L, so its rows with c_0 >= 1 are the tail after the first
+    C(L+m-2, m-2), and its c_k >= 1 masks for k >= 1 are slices of one mask
+    built at the horizon. Each level's ``logaddexp`` calls write into its
+    slice of the table.
     """
-    m = path.shape[1]
     counts = count_vectors(horizon, m)
     has = np.ascontiguousarray(counts.T[1:] >= 1)  # c_k >= 1 for k >= 1; these columns never change
-    marginals = log_numerators(spec, counts)
-    ranks = count_vector_ranks(path)
-    out = np.empty(path.shape[0])
-    start = 0
-    for level in range(horizon, -1, -1):
-        if level < path.shape[0]:
-            out[level] = marginals[ranks[level]]
-        if level:
-            first = math.comb(level + m - 2, m - 2)  # level-L rows with c_0 = 0
-            lower = marginals[first:]
-            for k in range(m - 1):
-                lower = np.logaddexp(lower, marginals[has[k, start:]])
-            start += first
-            marginals = lower
-    return out
+    table = np.empty(math.comb(horizon + m, m))
+    marginals = table[: counts.shape[0]]
+    marginals[:] = log_numerators(spec, counts)
+    start, end = 0, counts.shape[0]
+    for level in range(horizon, 0, -1):
+        first = math.comb(level + m - 2, m - 2)  # level-L rows with c_0 = 0
+        out = table[end : end + marginals.size - first]
+        lower = marginals[first:]
+        for k in range(m - 1):
+            lower = np.logaddexp(lower, marginals[has[k, start:]], out=out)
+        start += first
+        end += out.size
+        marginals = out
+    return table
+
+
+class _LatticeTables:
+    """Least recently used lattice tables keyed by (spec, horizon, m), holding at most ``_LATTICE_FLOATS`` floats.
+
+    A table larger than the bound is built and returned but not stored.
+    """
+
+    def __init__(self):
+        self._tables: OrderedDict[tuple[PredictorSpec, int, int], np.ndarray] = OrderedDict()
+        self.floats = 0
+
+    def get(self, spec: PredictorSpec, horizon: int, m: int) -> np.ndarray:
+        key = (spec, horizon, m)
+        table = self._tables.pop(key, None)
+        if table is None:
+            table = _lattice_table(spec, horizon, m)
+            if table.size > _LATTICE_FLOATS:
+                return table
+            self.floats += table.size
+            while self.floats > _LATTICE_FLOATS:
+                self.floats -= self._tables.popitem(last=False)[1].size
+        self._tables[key] = table
+        return table
+
+
+_LATTICE_TABLES = _LatticeTables()
+
+
+def _prefix_log_marginals(spec: PredictorSpec, path: np.ndarray, horizon: int) -> np.ndarray:
+    """The lattice table of (spec, horizon, m) at each row of a (T+1, m) prefix-count path.
+
+    Row t of the path has total t, so it sits at the rank of
+    (horizon - t, c_t) in ``count_vectors(horizon, m + 1)`` (``count_vector_ranks``).
+    """
+    table = _LATTICE_TABLES.get(spec, horizon, path.shape[1])
+    return table[count_vector_ranks(np.column_stack([horizon - np.arange(path.shape[0]), path]))]
 
 
 def cumulative_log_loss(
@@ -539,8 +587,8 @@ def cumulative_log_loss(
     """Sum over the sequence of -ln p(next symbol | past), in nats.
 
     Horizon-dependent predictors are evaluated at ``horizon`` (default: the
-    sequence length). One backward pass gives M(c_t), the log horizon joint
-    summed over all suffixes of each prefix, and step t costs
+    sequence length). The lattice table of (spec, horizon, m) gives M(c_t),
+    the log horizon joint summed over all suffixes of each prefix, and step t costs
     M(c_{t-1}) - M(c_t); at the full length the chain telescopes back to
     -log_joint.
     """

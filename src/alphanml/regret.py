@@ -315,9 +315,15 @@ class DirichletDensity:
         self.exponents = params.as_array() - 1.0
 
     def log_pdf(self, thetas: np.ndarray) -> np.ndarray:
-        """ln of the density at each row of a (P, m) batch of thetas."""
+        """ln of the density at each row of a (P, m) batch of thetas.
+
+        A zero theta_i under a negative exponent a_i - 1 makes the density
+        +inf, whatever another zero coordinate's exponent is.
+        """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
         terms = xlogy(self.exponents, thetas)
+        if not thetas.all():
+            terms[np.isposinf(terms).any(axis=1)] = np.inf  # no +inf plus -inf, which would be nan
         out = self.neg_log_norm + terms[:, 0]
         for i in range(1, self.exponents.size):
             out += terms[:, i]

@@ -89,15 +89,15 @@ class TestRegret:
         gap = float(fields["gap_nats"])
         assert 0 < gap < 0.02
 
-    @pytest.mark.parametrize("predictor", ["kt", "nml"])
+    @pytest.mark.parametrize("predictor", ["kt", "laplace", "nml"])
     def test_empty_horizon_leaves_asymptote_columns_empty(self, capsys, predictor):
-        """n = 0 has a regret but no large-n formula: its asymptote and gap columns are empty."""
+        """n = 0 has regret 0 but no large-n formula: its asymptote and gap columns are empty."""
         code, out, err = run(capsys, ["regret", "--kind", "worst", "--n", "0", "--m", "2", "--predictor", predictor])
         assert (code, err) == (0, "")
         header, row = out.strip().splitlines()
         fields = dict(zip(header.split(","), row.split(",")))
         assert fields["maximizer"] == "0;0"
-        assert abs(float(fields["value_nats"])) < 1e-12
+        assert fields["value_nats"] == fields["value_bits"] == "0"
         assert fields["asymptotic_nats"] == fields["gap_nats"] == ""
 
     def test_bits_base_scales_derived_columns(self, capsys):

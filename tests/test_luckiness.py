@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 from alphanml import luckiness, regret
 from alphanml import (
@@ -218,6 +220,24 @@ class TestSupForm:
         b4 = DirichletParams((1.0, 1.0, 1.0, 1.0))
         with pytest.raises(UnsupportedError, match="supports m in"):
             luckiness_alpha_regret_supform(kt(4), b4, 150, 4, 2.0)
+
+    @pytest.mark.parametrize("b", [(0.8, 1.2), (0.8, 1.2, 1.0)])
+    def test_weight_with_a_negative_exponent_has_an_infinite_supremum(self, b):
+        """At a vertex with theta_1 = 0 the Dirichlet(b) weight is +inf, though theta_2 = 0 has b_2 > 1."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = luckiness_alpha_regret_supform(kt(len(b)), DirichletParams(b), 5, len(b), 2.0)
+        assert rep.value_nats == math.inf
+
+    def test_density_is_inf_only_at_a_zero_under_a_negative_exponent(self):
+        density = regret.DirichletDensity(DirichletParams((0.8, 1.2, 1.0)))
+        thetas = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.2, 0.3, 0.5], [0.5, 0.5, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = density.log_pdf(thetas)
+        terms = xlogy(density.exponents, thetas[3:])
+        finite = density.neg_log_norm + terms[:, 0] + terms[:, 1] + terms[:, 2]
+        assert out.tolist() == [math.inf, math.inf, -math.inf, *finite.tolist()]
 
     def test_weighting_shifts_the_maximizer(self):
         """An asymmetric weight pulls the maximizing theta off the corner."""

@@ -30,6 +30,7 @@ from alphanml import (
     infinity_split_check,
     alpha_split_check,
     log_joint,
+    log_joints,
     log_sum_exp,
     log_sum_exp_array,
     luckiness_alpha_regret,
@@ -85,6 +86,14 @@ class TestWorstCase:
         values = [worst_case_regret(AlphaNML(a, J2), 12, 2).value_nats for a in (1.0, 2.0, 4.0, 8.0)]
         assert values == sorted(values, reverse=True)
         assert all(v > 0 for v in values)
+
+    @pytest.mark.parametrize("spec", [kt(2), kt(3), Mixture(DirichletParams((0.3, 2.2))), AlphaNML(1.0, J2)])
+    def test_dirichlet_mixture_gives_the_empty_sequence_probability_one(self, spec):
+        """ln B(a) - ln B(a) would round a few ulps off 0; rows with counts keep their values."""
+        m = spec.a.m
+        rows = [[0] * m, [3] + [1] * (m - 1)]
+        assert log_joints(spec, rows).tolist() == [0.0, float(log_joints(spec, rows[1:])[0])]
+        assert worst_case_regret(spec, 0, m).value_nats == 0.0
 
     def test_accepts_callable_joint(self, make_exchangeable):
         q = make_exchangeable(4, 2)
