@@ -30,9 +30,10 @@ form. A scan evaluates f once per symbol on k = 0..max count and gathers
 every class's cells from those tables. ``log_joints``
 subtracts the horizon's log normalizer. ``log_normalizer`` reduces
 multiplicities plus numerators over the array of all type classes. There is
-one normalizer cache, ``DEFAULT_CACHE``, a thread-safe memo keyed by
-(spec, n, m): every joint, regret and information radius memoizes its
-normalizers there, and ``DEFAULT_CACHE.clear()`` empties it. Only
+one cache, ``DEFAULT_CACHE``, a thread-safe least-recently-used memo keyed by
+(builder, spec, n, m) and bounded in charged floats: every joint, regret and
+information radius memoizes its normalizers there, ``cumulative_log_loss``
+its lattice tables, and ``DEFAULT_CACHE.clear()`` empties it. Only
 ``log_normalizer`` takes ``cache=`` (another ``NormalizerCache``, or None
 for no memo), because the benchmark's scaling probe times it with
 ``cache=None``. A scan that already holds every class
@@ -43,8 +44,8 @@ table of prefix marginals: one backward pass over the lattice of prefix
 counts of (spec, horizon, m), stored level by level in the order of
 ``count_vectors(horizon, m + 1)``, so each prefix is read at its lex rank
 (``typeclass.count_vector_ranks``). The table depends only on (spec,
-horizon, m), and a private LRU bounded in stored floats keeps it across
-calls. ``conditional_distribution`` answers a
+horizon, m), so ``DEFAULT_CACHE`` keeps it across calls.
+``conditional_distribution`` answers a
 next-symbol query of a Beta-ratio kind one step ahead in closed form, and
 any other query by enumerating the suffix classes after each symbol.
 """
@@ -74,7 +75,6 @@ from .typeclass import (
     count_vector_ranks,
     count_vectors,
     log_multiplicities,
-    reduce_over_type_classes,
 )
 
 _INTEGER_PRODUCT_CAP = 4096  # largest alpha unrolled as an explicit product
@@ -319,40 +319,53 @@ def log_numerators(spec: PredictorSpec, counts) -> np.ndarray:
     return _separable_rows(form, cs) / form.alpha
 
 
-class NormalizerCache:
-    """Thread-safe memo for log normalizers, keyed by (spec, n, m).
+_CACHE_FLOATS = 1 << 22  # the most floats (32 MiB) the cache charges for its entries
+_ENTRY_FLOATS = 64  # the fixed charge of one entry, about the 490 bytes of its key, slot and value object
 
-    Values are deterministic functions of the key, so concurrent writers are
-    idempotent (last write wins with an identical value).
+
+def _charge(value) -> int:
+    return np.size(value) + _ENTRY_FLOATS
+
+
+class NormalizerCache:
+    """Thread-safe least-recently-used memo for normalizers and lattice tables.
+
+    A key is (builder, spec, n, m), so the values of two builders never
+    collide. Each entry is charged its value's size in floats plus
+    ``_ENTRY_FLOATS``, and the charges stay within ``_CACHE_FLOATS``: a store
+    drops the least recently used entries first, and a value charged more
+    than the bound is returned but not stored. Values are computed outside
+    the lock and are deterministic functions of the key, so when two threads
+    miss one key, the second store replaces the first.
     """
 
     def __init__(self):
-        self._values: dict[tuple[PredictorSpec, int, int], float] = {}
+        self._values: OrderedDict[tuple, float | np.ndarray] = OrderedDict()
         self._lock = threading.Lock()
+        self.floats = 0
 
-    def get_or_compute(self, spec: PredictorSpec, n: int, m: int, compute: Callable[[], float]) -> float:
-        key = (spec, n, m)
+    def get_or_compute(self, key: tuple, compute: Callable[[], float | np.ndarray]) -> float | np.ndarray:
         with self._lock:
             if key in self._values:
+                self._values.move_to_end(key)
                 return self._values[key]
         value = compute()
+        charge = _charge(value)
+        if charge > _CACHE_FLOATS:
+            return value
         with self._lock:
+            if key in self._values:
+                self.floats -= _charge(self._values.pop(key))
             self._values[key] = value
+            self.floats += charge
+            while self.floats > _CACHE_FLOATS:
+                self.floats -= _charge(self._values.popitem(last=False)[1])
         return value
-
-    def verify(self, spec: PredictorSpec, n: int, m: int, rel_tol: float = 1e-12) -> bool:
-        """Recompute an entry class by class with the reference reduction and compare."""
-        key = (spec, n, m)
-        with self._lock:
-            if key not in self._values:
-                raise KeyError(f"no cached normalizer for {key}")
-            cached = self._values[key]
-        fresh = reduce_over_type_classes(n, m, lambda cv: float(log_numerators(spec, [cv.counts])[0]))
-        return math.isclose(cached, fresh, rel_tol=rel_tol, abs_tol=1e-12)
 
     def clear(self) -> None:
         with self._lock:
             self._values.clear()
+            self.floats = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -387,7 +400,8 @@ def _compute_log_normalizer(
 
 def _cached_log_normalizer(spec: PredictorSpec, n: int, m: int, *arrays: np.ndarray | None) -> float:
     """The (spec, n, m) normalizer from ``DEFAULT_CACHE``; a miss reduces ``arrays`` as ``_compute_log_normalizer`` does."""
-    return DEFAULT_CACHE.get_or_compute(spec, n, m, lambda: _compute_log_normalizer(spec, n, m, *arrays))
+    key = (_compute_log_normalizer, spec, n, m)
+    return DEFAULT_CACHE.get_or_compute(key, lambda: _compute_log_normalizer(spec, n, m, *arrays))
 
 
 def log_normalizer(
@@ -411,7 +425,8 @@ def log_normalizer(
     """
     _checked_form(spec, m)
     compute = lambda: _compute_log_normalizer(spec, n, m)  # noqa: E731
-    return compute() if cache is None else cache.get_or_compute(spec, n, m, compute)
+    key = (_compute_log_normalizer, spec, n, m)
+    return compute() if cache is None else cache.get_or_compute(key, compute)
 
 
 def log_joints(
@@ -433,12 +448,12 @@ def log_joints(
     m = counts.shape[1]
     form = _checked_form(spec, m)
     numerators = log_numerators(spec, counts)
+    totals = np.einsum("ij->i", counts)  # row totals; einsum is 3x faster than sum(axis=1) here
     if form.f is gammaln and form.alpha == 1.0 and form.beta is not None:
         # exact identity: a Dirichlet mixture B(c + a) / B(a), i.e. the mixture or alpha = 1, is normalized;
         # at the empty sequence it is 1, where ln B(a) - ln B(a) of the cells would round a few ulps off 0
-        numerators[np.einsum("ij->i", counts) == 0] = 0.0  # row totals; einsum is 3x faster than sum(axis=1) here
+        numerators[totals == 0] = 0.0
         return numerators
-    totals = counts.sum(axis=1)
     if not totals.size or totals.min() != totals.max():
         raise ValueError(f"count vectors of several horizons {np.unique(totals).tolist()} in one call")
     scan = (counts, numerators, log_mult) if complete else ()
@@ -503,9 +518,6 @@ def conditional_distribution(spec: PredictorSpec, past_counts: CountVector, hori
     return probs / probs.sum()
 
 
-_LATTICE_FLOATS = 1 << 22  # the most floats (32 MiB) the lattice-table LRU holds
-
-
 def _lattice_table(spec: PredictorSpec, horizon: int, m: int) -> np.ndarray:
     """ln of the horizon joint summed over all suffixes, at every prefix count of (horizon, m), as one flat array.
 
@@ -540,40 +552,15 @@ def _lattice_table(spec: PredictorSpec, horizon: int, m: int) -> np.ndarray:
     return table
 
 
-class _LatticeTables:
-    """Least recently used lattice tables keyed by (spec, horizon, m), holding at most ``_LATTICE_FLOATS`` floats.
-
-    A table larger than the bound is built and returned but not stored.
-    """
-
-    def __init__(self):
-        self._tables: OrderedDict[tuple[PredictorSpec, int, int], np.ndarray] = OrderedDict()
-        self.floats = 0
-
-    def get(self, spec: PredictorSpec, horizon: int, m: int) -> np.ndarray:
-        key = (spec, horizon, m)
-        table = self._tables.pop(key, None)
-        if table is None:
-            table = _lattice_table(spec, horizon, m)
-            if table.size > _LATTICE_FLOATS:
-                return table
-            self.floats += table.size
-            while self.floats > _LATTICE_FLOATS:
-                self.floats -= self._tables.popitem(last=False)[1].size
-        self._tables[key] = table
-        return table
-
-
-_LATTICE_TABLES = _LatticeTables()
-
-
 def _prefix_log_marginals(spec: PredictorSpec, path: np.ndarray, horizon: int) -> np.ndarray:
     """The lattice table of (spec, horizon, m) at each row of a (T+1, m) prefix-count path.
 
     Row t of the path has total t, so it sits at the rank of
     (horizon - t, c_t) in ``count_vectors(horizon, m + 1)`` (``count_vector_ranks``).
     """
-    table = _LATTICE_TABLES.get(spec, horizon, path.shape[1])
+    m = path.shape[1]
+    key = (_lattice_table, spec, horizon, m)
+    table = DEFAULT_CACHE.get_or_compute(key, lambda: _lattice_table(spec, horizon, m))
     return table[count_vector_ranks(np.column_stack([horizon - np.arange(path.shape[0]), path]))]
 
 

@@ -36,6 +36,7 @@ only when it is better by more than that window.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -291,15 +292,18 @@ def integrate_unit_interval(f: Callable[[float], float]) -> tuple[float, float]:
     The pieces [0, 1e-3], [1e-3, 1 - 1e-3] and [1 - 1e-3, 1] each get
     ``quad`` with absolute tolerance 1e-11, relative tolerance 1e-12 and at
     most 200 subintervals. Returns (value, error estimate); callers compare
-    the estimate against their own tolerance.
+    the estimate against their own tolerance (``accept_quadrature``), so
+    scipy's IntegrationWarning is suppressed rather than passed on.
     """
     from scipy import integrate  # imported on use: slow to load, and most commands never integrate
     total = 0.0
     err = 0.0
-    for lo, hi in ((0.0, 1e-3), (1e-3, 1.0 - 1e-3), (1.0 - 1e-3, 1.0)):
-        value, estimate = integrate.quad(f, lo, hi, epsabs=1e-11, epsrel=1e-12, limit=200)
-        total += value
-        err += estimate
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        for lo, hi in ((0.0, 1e-3), (1e-3, 1.0 - 1e-3), (1.0 - 1e-3, 1.0)):
+            value, estimate = integrate.quad(f, lo, hi, epsabs=1e-11, epsrel=1e-12, limit=200)
+            total += value
+            err += estimate
     return total, err
 
 

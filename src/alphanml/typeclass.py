@@ -20,6 +20,7 @@ log-sum-exp. The array scans are checked against it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -37,8 +38,13 @@ class CountVector:
     def __post_init__(self):
         if len(self.counts) < 2:
             raise ValueError("count vectors need an alphabet of size >= 2")
-        if any((not isinstance(c, int)) or c < 0 for c in self.counts):
+        try:
+            counts = tuple(map(operator.index, self.counts))  # numpy integers become ints, so == and hash match
+        except TypeError:
+            counts = None
+        if counts is None or min(counts) < 0:
             raise ValueError(f"counts must be non-negative integers, got {self.counts}")
+        object.__setattr__(self, "counts", counts)
 
     @property
     def n(self) -> int:

@@ -1,11 +1,22 @@
-"""Shared fixtures: seeded RNG and random exchangeable joints."""
+"""Shared fixtures: seeded RNG and random exchangeable joints; the hypothesis profiles."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from alphanml import CountVector, iter_with_log_multiplicity
+
+# Tier-1 draws the same hypothesis examples on every run. CI reruns the suite with
+# --hypothesis-profile=random and a printed --hypothesis-seed, so a failing draw can be replayed.
+settings.register_profile("derandomized", derandomize=True)
+settings.register_profile("random", derandomize=False)
+
+
+def pytest_configure(config):
+    if not config.getoption("--hypothesis-profile"):
+        settings.load_profile("derandomized")
 
 
 @pytest.fixture

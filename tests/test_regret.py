@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
+from scipy.integrate import IntegrationWarning
 
 from alphanml import (
     AlphaNML,
@@ -517,6 +519,59 @@ class TestQuadratureAcceptance:
         with pytest.raises(NumericError) as info:
             accept_quadrature(value, err, bound, "x")
         assert repr(info.value.partial) == repr(value)
+
+
+def _integration_warnings(call) -> list:
+    """The IntegrationWarnings a call emits, whether it returns or raises NumericError."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            call()
+        except NumericError:
+            pass
+    return [w for w in caught if issubclass(w.category, IntegrationWarning)]
+
+
+class TestQuadratureWarnings:
+    """An accepted quadrature is silent; a rejected one raises NumericError with its numbers, not a warning."""
+
+    # each of these printed scipy's IntegrationWarning before the quadrature suppressed it
+    @pytest.mark.parametrize(
+        "call, value",
+        [
+            (lambda: sibson_mi_alpha(11, 2, 1.0, DirichletParams((1.0, 0.44))), 0.9414689668213473),
+            (lambda: sibson_mi_alpha(9, 2, 1.0, DirichletParams((2.09, 0.23))), 0.5391069219293843),
+            (lambda: average_luckiness_regret(NML(), DirichletParams((2.09, 0.23)), 9), 1.1878510461490357),
+        ],
+        ids=["radius-n11", "radius-n9", "average-luckiness-n9"],
+    )
+    def test_accepted_quadrature_emits_no_warning(self, call, value):
+        assert _integration_warnings(call) == []
+        assert math.isclose(call(), value, rel_tol=1e-9)
+
+    def test_rejected_quadrature_raises_without_a_warning(self):
+        call = lambda: luckiness_alpha_regret(_kt_without_class_2_3, DirichletParams((1.5, 2.0)), 5, 2.0)  # noqa: E731
+        assert _integration_warnings(call) == []
+        with pytest.raises(NumericError, match=r"value=nan, err=.*, bound=") as info:
+            call()
+        assert math.isnan(info.value.partial)
+
+    @given(st.integers(0, 14), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_quadrature_cases_emit_no_warning(self, n, data):
+        # the draws of tests/test_objective_rows.py::TestQuadratureNodes
+        floats = st.one_of(st.just(1.0), st.floats(0.2, 3.0))
+        params = DirichletParams((data.draw(floats), data.draw(floats)))
+        prior = DirichletParams((data.draw(st.floats(0.2, 3.0)), data.draw(st.floats(0.2, 3.0))))
+        spec = data.draw(st.sampled_from((Mixture(prior), AlphaNML(2.5, prior), NML())))
+        alpha = data.draw(st.sampled_from((1.5, 2.0, 3.7, 12.0)))
+        b = DirichletParams((data.draw(st.floats(0.95, 3.0)), data.draw(st.floats(0.95, 3.0))))
+        for call in (
+            lambda: average_luckiness_regret(spec, params, n),
+            lambda: sibson_mi_alpha(n, 2, 1.0, params),
+            lambda: luckiness_alpha_regret(spec, b, n, alpha),
+        ):
+            assert _integration_warnings(call) == []
 
 
 class TestObjectiveGoldens:

@@ -59,6 +59,20 @@ class TestCountVector:
         with pytest.raises(AttributeError):
             cv.counts = (0, 0)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    def test_numpy_integers_build_the_int_vector(self, dtype):
+        row = tuple(count_vectors(4, 2)[1].astype(dtype))
+        cv, ints = CountVector(row), CountVector(tuple(int(c) for c in row))
+        assert cv == ints and hash(cv) == hash(ints) and repr(cv) == repr(ints)
+        assert all(type(c) is int for c in cv.counts)
+
+    @pytest.mark.parametrize(
+        "counts", [(1.0, 2), (np.float64(1.0), 2), (1, np.float64(2.0)), (-1, 2), (np.int64(-1), 2), (3, np.int8(-2))]
+    )
+    def test_non_integers_and_negatives_raise(self, counts):
+        with pytest.raises(ValueError, match="counts must be non-negative integers"):
+            CountVector(counts)
+
 
 class TestEnumeration:
     """Streaming ascending-lexicographic enumeration of type classes."""
