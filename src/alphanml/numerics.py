@@ -127,9 +127,9 @@ def log_multivariate_beta(params: Sequence[float]) -> float:
     ps = np.asarray(params, dtype=np.float64)
     if ps.ndim != 1 or ps.size < 1:
         raise ValueError("params must be a non-empty 1-d sequence")
-    if not np.all(ps > 0.0):
+    if not (ps > 0.0).all():
         raise ValueError(f"multivariate Beta requires positive parameters, got {ps}")
-    return math.fsum(log_gamma(p) for p in ps) - log_gamma(float(ps.sum()))
+    return math.fsum(map(log_gamma, ps.tolist())) - log_gamma(float(ps.sum()))
 
 
 def accept_quadrature(value: float, err: float, bound: float, what: str) -> float:

@@ -42,9 +42,9 @@ normalizer on a cache miss instead of enumerating again.
 ``cumulative_log_loss`` codes a whole sequence with one gather from a flat
 table of prefix marginals: one backward pass over the lattice of prefix
 counts of (spec, horizon, m), stored level by level in the order of
-``count_vectors(horizon, m + 1)``, so each prefix is read at its lex rank
-(``typeclass.count_vector_ranks``). The table depends only on (spec,
-horizon, m), so ``DEFAULT_CACHE`` keeps it across calls.
+``count_vectors(horizon, m + 1)``, so each prefix is read at its lex rank.
+Its ``DEFAULT_CACHE`` entry holds the table and the composition tables the
+ranks are counted with, so a sequence whose table is cached costs one lookup.
 ``conditional_distribution`` answers a
 next-symbol query of a Beta-ratio kind one step ahead in closed form, and
 any other query by enumerating the suffix classes after each symbol.
@@ -71,8 +71,9 @@ from .numerics import (
 )
 from .typeclass import (
     CountVector,
+    _composition_tables,
+    _lex_ranks,
     _whole_symbols,
-    count_vector_ranks,
     count_vectors,
     log_multiplicities,
 )
@@ -287,9 +288,9 @@ def _separable_rows(form: _Separable, counts: np.ndarray) -> np.ndarray:
         values = table[at]
         terms = f(table)[at]
     else:
-        values = np.broadcast_to(cell(counts.astype(np.float64)), (rows, m))
+        values = cell(counts.astype(np.float64))
         terms = f(values)
-    out = np.sum(terms, axis=1) - f(np.sum(values, axis=1))
+    out = terms.sum(axis=1) - f(values.sum(axis=1))
     if form.beta is not None:
         out -= log_multivariate_beta(form.beta.a)
     return out
@@ -324,31 +325,37 @@ _ENTRY_FLOATS = 64  # the fixed charge of one entry, about the 490 bytes of its 
 
 
 def _charge(value) -> int:
-    return np.size(value) + _ENTRY_FLOATS
+    """Floats charged for a normalizer, or for a lattice entry's table, plus ``_ENTRY_FLOATS``.
+
+    A lattice entry's rank tables go uncharged: for m <= 10 they hold at most 30% of the entry's charge.
+    """
+    return np.size(value[0] if isinstance(value, tuple) else value) + _ENTRY_FLOATS
 
 
 class NormalizerCache:
     """Thread-safe least-recently-used memo for normalizers and lattice tables.
 
     A key is (builder, spec, n, m), so the values of two builders never
-    collide. Each entry is charged its value's size in floats plus
-    ``_ENTRY_FLOATS``, and the charges stay within ``_CACHE_FLOATS``: a store
-    drops the least recently used entries first, and a value charged more
-    than the bound is returned but not stored. Values are computed outside
-    the lock and are deterministic functions of the key, so when two threads
-    miss one key, the second store replaces the first.
+    collide. A value is a normalizer or a lattice table with its rank tables.
+    Each is charged ``_charge(value)``, and the charges stay within
+    ``_CACHE_FLOATS``: a store drops the least recently used entries first,
+    and a value charged more than the bound is returned but not stored.
+    Values are computed outside the lock and are deterministic functions of
+    the key, so when two threads miss one key, the second store replaces
+    the first.
     """
 
     def __init__(self):
-        self._values: OrderedDict[tuple, float | np.ndarray] = OrderedDict()
+        self._values: OrderedDict[tuple, float | tuple[np.ndarray, np.ndarray]] = OrderedDict()
         self._lock = threading.Lock()
         self.floats = 0
 
-    def get_or_compute(self, key: tuple, compute: Callable[[], float | np.ndarray]) -> float | np.ndarray:
+    def get_or_compute(self, key: tuple, compute: Callable[[], float | tuple]) -> float | tuple:
         with self._lock:
-            if key in self._values:
+            value = self._values.get(key)  # no value is None
+            if value is not None:
                 self._values.move_to_end(key)
-                return self._values[key]
+                return value
         value = compute()
         charge = _charge(value)
         if charge > _CACHE_FLOATS:
@@ -373,6 +380,7 @@ class NormalizerCache:
 
 
 DEFAULT_CACHE = NormalizerCache()
+_DEFAULT = object()  # log_normalizer's default: DEFAULT_CACHE, looked up when it is called
 
 
 def _compute_log_normalizer(
@@ -409,7 +417,7 @@ def log_normalizer(
     n: int,
     m: int,
     *,
-    cache: NormalizerCache | None = DEFAULT_CACHE,
+    cache: NormalizerCache | None = _DEFAULT,
     threads: int = 1,
 ) -> float:
     """ln sum over type classes of multiplicity * exp(log numerator).
@@ -417,13 +425,15 @@ def log_normalizer(
     For a mixture (or alpha = 1) this is ~0 by normalization; for NML it is
     the log Shtarkov sum, the minimax worst-case regret.
 
-    ``cache`` (default ``DEFAULT_CACHE``; None computes without a memo) and
-    ``threads`` (accepted and ignored) are the last such keywords, because
-    the benchmark's scaling probe (``perfbench/workloads.py``) passes
-    ``cache=None, threads=t``. Both go once a benchmark-only change removes
-    that probe; every other function memoizes in ``DEFAULT_CACHE``.
+    ``cache`` (default ``DEFAULT_CACHE`` as bound at the call; None computes
+    without a memo) and ``threads`` (accepted and ignored) are the last such
+    keywords, because the benchmark's scaling probe (``perfbench/workloads.py``)
+    passes ``cache=None, threads=t``. Both go once a benchmark-only change
+    removes that probe; every other function memoizes in ``DEFAULT_CACHE``.
     """
     _checked_form(spec, m)
+    if cache is _DEFAULT:
+        cache = DEFAULT_CACHE
     compute = lambda: _compute_log_normalizer(spec, n, m)  # noqa: E731
     key = (_compute_log_normalizer, spec, n, m)
     return compute() if cache is None else cache.get_or_compute(key, compute)
@@ -442,12 +452,13 @@ def log_joints(
     ``complete=True`` says the rows are every class of (n, m), each once, as
     ``count_vectors`` returns them; a normalizer-cache miss then reduces
     their numerators, and ``log_mult`` (their log multiplicities) when
-    given, instead of enumerating the classes again.
+    given, instead of enumerating the classes again. The counts and the
+    alphabet are checked once, by ``log_numerators``.
     """
-    counts = _as_counts(counts)
-    m = counts.shape[1]
-    form = _checked_form(spec, m)
     numerators = log_numerators(spec, counts)
+    counts = np.asarray(counts, dtype=np.int64)
+    m = counts.shape[1]
+    form = _separable(spec)
     totals = np.einsum("ij->i", counts)  # row totals; einsum is 3x faster than sum(axis=1) here
     if form.f is gammaln and form.alpha == 1.0 and form.beta is not None:
         # exact identity: a Dirichlet mixture B(c + a) / B(a), i.e. the mixture or alpha = 1, is normalized;
@@ -525,11 +536,12 @@ def _lattice_table(spec: PredictorSpec, horizon: int, m: int) -> np.ndarray:
     numerators at level ``horizon``; the common normalizer is omitted. The
     levels are stored as the pass makes them, level ``horizon`` first, so the
     table is in ``count_vectors(horizon, m + 1)`` order with the prepended
-    coordinate horizon - L, and has C(horizon + m, m) entries. In ascending
-    lex order the level-(L+1) rows with c_k >= 1 are the level-L rows plus
-    e_k, in the same order. Every level is a slice of the horizon's arrays:
-    level L is ``count_vectors(horizon, m)[start:]`` with c_0 lowered by
-    horizon - L, so its rows with c_0 >= 1 are the tail after the first
+    coordinate horizon - L, and has C(horizon + m, m) entries: the prefix c
+    at level L sits at the rank of (horizon - L, c) (``_prefix_ranks``). In
+    ascending lex order the level-(L+1) rows with c_k >= 1 are the level-L
+    rows plus e_k, in the same order. Every level is a slice of the horizon's
+    arrays: level L is ``count_vectors(horizon, m)[start:]`` with c_0 lowered
+    by horizon - L, so its rows with c_0 >= 1 are the tail after the first
     C(L+m-2, m-2), and its c_k >= 1 masks for k >= 1 are slices of one mask
     built at the horizon. Each level's ``logaddexp`` calls write into its
     slice of the table.
@@ -555,13 +567,22 @@ def _lattice_table(spec: PredictorSpec, horizon: int, m: int) -> np.ndarray:
 def _prefix_log_marginals(spec: PredictorSpec, path: np.ndarray, horizon: int) -> np.ndarray:
     """The lattice table of (spec, horizon, m) at each row of a (T+1, m) prefix-count path.
 
-    Row t of the path has total t, so it sits at the rank of
-    (horizon - t, c_t) in ``count_vectors(horizon, m + 1)`` (``count_vector_ranks``).
+    A ``DEFAULT_CACHE`` hit is one lookup: the entry holds the table and the
+    composition tables N_1..N_{m+1} on r = 0..horizon its ranks are read with.
     """
     m = path.shape[1]
     key = (_lattice_table, spec, horizon, m)
-    table = DEFAULT_CACHE.get_or_compute(key, lambda: _lattice_table(spec, horizon, m))
-    return table[count_vector_ranks(np.column_stack([horizon - np.arange(path.shape[0]), path]))]
+    build = lambda: (_lattice_table(spec, horizon, m), _composition_tables(horizon, m + 1))  # noqa: E731
+    table, compositions = DEFAULT_CACHE.get_or_compute(key, build)
+    return table[_prefix_ranks(compositions, path, horizon)]
+
+
+def _prefix_ranks(compositions: np.ndarray, path: np.ndarray, horizon: int) -> np.ndarray:
+    """The rank of (horizon - t, c_t) in ``count_vectors(horizon, m + 1)`` for each row c_t (of total t) of the path."""
+    left = np.empty((path.shape[0], path.shape[1] + 1), dtype=np.int64)  # R_0 = horizon, then c_t's suffix sums
+    left[:, 0] = horizon
+    path[:, ::-1].cumsum(axis=1, out=left[:, :0:-1])
+    return _lex_ranks(compositions, left)
 
 
 def cumulative_log_loss(
@@ -589,7 +610,8 @@ def cumulative_log_loss(
         horizon = len(seq)
     if horizon < len(seq):
         raise ValueError(f"horizon {horizon} shorter than the sequence length {len(seq)}")
-    steps = np.eye(m, dtype=np.int64)[seq - 1]
-    path = np.vstack([np.zeros((1, m), dtype=np.int64), np.cumsum(steps, axis=0)])
+    path = np.zeros((len(seq) + 1, m), dtype=np.int64)  # the per-symbol counts of each prefix
+    path[np.arange(1, len(seq) + 1), seq - 1] = 1  # row t + 1 adds symbol seq[t]
+    path.cumsum(axis=0, out=path)
     marginals = _prefix_log_marginals(spec, path, horizon)
-    return math.fsum(marginals[:-1] - marginals[1:])
+    return math.fsum((marginals[:-1] - marginals[1:]).tolist())

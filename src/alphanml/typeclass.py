@@ -10,7 +10,8 @@ suffix sum r, built with one vectorized log of (r - j) / (j + 1) and one
 cumulative sum per block of rows. Scans evaluate predictors on these arrays
 and reduce them in one step; ``log_multinomial`` is the exact scalar
 fallback. ``count_vector_ranks`` inverts ``count_vectors``: it gives each
-count vector's row in the array of its horizon.
+count vector's row in the array of its horizon, by ``_lex_ranks``, the
+rank formula that sequence coding also reads its cached prefix ranks with.
 
 ``reduce_over_type_classes`` is the per-class reference: it calls a Python
 term on one ``CountVector`` at a time and reduces every class in one
@@ -118,27 +119,39 @@ def count_vectors(n: int, m: int) -> np.ndarray:
 
 
 def count_vector_ranks(counts) -> np.ndarray:
-    """Row index of each count vector in ``count_vectors(its total, m)``.
+    """Row index of each count vector in ``count_vectors(its total, m)``: the inverse of ``count_vectors``.
 
-    The inverse of ``count_vectors``. The classes before c in ascending lex
-    order are, for each i < m-1, those that agree with c before coordinate i
-    and have a smaller c_i. With R_i = c_i + ... + c_{m-1} the count left at
-    coordinate i and N_p(r) = C(r+p-1, p-1) the compositions of r into p
-    parts, they number N_{m-i}(R_i) - N_{m-i}(R_i - c_i); N_p is built on
-    r = 0..max total as m - 1 cumulative sums of N_1 = 1.
+    The oracle for sequence coding's prefix ranks, which ``_lex_ranks`` also
+    counts. Counts must be a (K, m) array of non-negative integers.
     """
     counts = np.asarray(counts, dtype=np.int64)
+    if counts.ndim != 2 or not counts.shape[1]:
+        raise ValueError(f"count_vector_ranks takes a (K, m) array of count vectors, got shape {counts.shape}")
     if counts.size and counts.min() < 0:
         raise ValueError(f"counts must be non-negative, got {counts.min()}")
-    m = counts.shape[1]
     left = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1]  # R_0, ..., R_{m-1}
-    compositions = [np.ones(int(left[:, 0].max(initial=0)) + 1, dtype=np.int64)]  # N_1, N_2, ...
-    for _ in range(m - 1):
-        compositions.append(np.cumsum(compositions[-1]))
-    ranks = np.zeros(counts.shape[0], dtype=np.int64)
+    return _lex_ranks(_composition_tables(int(left[:, 0].max(initial=0)), counts.shape[1]), left)
+
+
+def _composition_tables(top: int, m: int) -> np.ndarray:
+    """Rows N_1..N_m on r = 0..top: N_p(r) = C(r+p-1, p-1) compositions of r into p parts."""
+    tables = np.ones((m, top + 1), dtype=np.int64)
+    for p in range(1, m):
+        np.cumsum(tables[p - 1], out=tables[p])
+    return tables
+
+
+def _lex_ranks(compositions: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """Each row's lex rank among the count vectors of its total, from the counts left R_i = c_i + ... + c_{m-1}.
+
+    The classes before c are, for each i < m-1, those that agree with c before coordinate i and have a smaller
+    c_i: N_{m-i}(R_i) - N_{m-i}(R_{i+1}) of them, read from ``_composition_tables`` up to the largest R_0.
+    """
+    m = left.shape[1]
+    ranks = np.zeros(left.shape[0], dtype=np.int64)
     for i in range(m - 1):
         table = compositions[m - 1 - i]  # N_{m-i}
-        ranks += table[left[:, i]] - table[left[:, i] - counts[:, i]]
+        ranks += table[left[:, i]] - table[left[:, i + 1]]
     return ranks
 
 

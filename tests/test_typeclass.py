@@ -136,6 +136,11 @@ class TestRanks:
         with pytest.raises(ValueError):
             count_vector_ranks([[2, -1, 3]])
 
+    @pytest.mark.parametrize("bad", [[1, 2, 3], 4, [[[1, 2]]], np.zeros((2, 0), dtype=np.int64)])
+    def test_array_of_other_shape_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"takes a \(K, m\) array of count vectors"):
+            count_vector_ranks(bad)
+
 
 class TestReduction:
     """One log-sum-exp over every type class, one term call per class."""
