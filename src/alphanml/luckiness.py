@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .exceptions import UnsupportedError
+from .exceptions import NumericError, UnsupportedError
 from .numerics import accept_quadrature
 from .predictors import DirichletParams, LuckinessNML, PredictorSpec, tilted_params
 from .regret import (
@@ -95,7 +95,13 @@ def luckiness_alpha_regret(
     def weighted(pdf: float, theta: np.ndarray) -> float:
         hi, total = table.renyi_sum(theta, alpha)
         # q = 0 on a class (hi = +inf) or a nan cell gives a nan total: a nan node, which accept_quadrature rejects
-        return pdf * math.exp(hi) * total
+        try:
+            return pdf * math.exp(hi) * total
+        except OverflowError:  # a finite hi above the float range: e^hi is no float
+            raise NumericError(
+                f"the tilted alpha-regret's integrand exceeds the float range: its log is {hi:.6g} "
+                f"at theta_1 = {float(theta[0, 0]):.6g}"
+            ) from None
 
     value, err = dirichlet_quadrature(tilt, weighted)
     # a relative tolerance of 1e-7; the log below needs a positive value, and a nan bound fails the acceptance test

@@ -32,8 +32,11 @@ subtracts the horizon's log normalizer. ``log_normalizer`` reduces
 multiplicities plus numerators over the array of all type classes. There is
 one cache, ``DEFAULT_CACHE``, a thread-safe least-recently-used memo keyed by
 (builder, spec, n, m) and bounded in charged floats: every joint, regret and
-information radius memoizes its normalizers there, ``cumulative_log_loss``
-its lattice tables, and ``DEFAULT_CACHE.clear()`` empties it. Only
+information radius memoizes its normalizers there, every type-class scan
+reads the classes of (n, m) and their log multiplicities from one read-only
+class table there (``_class_table``, keyed by (n, m) alone),
+``cumulative_log_loss`` memoizes its lattice tables, and
+``DEFAULT_CACHE.clear()`` empties it. Only
 ``log_normalizer`` takes ``cache=`` (another ``NormalizerCache``, or None
 for no memo), because the benchmark's scaling probe times it with
 ``cache=None``. A scan that already holds every class
@@ -73,6 +76,7 @@ from .typeclass import (
     CountVector,
     _composition_tables,
     _lex_ranks,
+    _validate_nm,
     _whole_symbols,
     count_vectors,
     log_multiplicities,
@@ -324,25 +328,37 @@ _CACHE_FLOATS = 1 << 22  # the most floats (32 MiB) the cache charges for its en
 _ENTRY_FLOATS = 64  # the fixed charge of one entry, about the 490 bytes of its key, slot and value object
 
 
-def _charge(value) -> int:
-    """Floats charged for a normalizer, or for a lattice entry's table, plus ``_ENTRY_FLOATS``.
+class _ClassTable(NamedTuple):
+    """Every class of (n, m) and its log multiplicities, both read-only: a ``DEFAULT_CACHE`` entry."""
 
-    A lattice entry's rank tables go uncharged: for m <= 10 they hold at most 30% of the entry's charge.
+    counts: np.ndarray  # count_vectors(n, m)
+    log_mult: np.ndarray  # log_multiplicities(counts)
+
+
+def _charge(value) -> int:
+    """Floats charged for an entry: its arrays' entries plus ``_ENTRY_FLOATS``.
+
+    A normalizer is charged 1, a class table its counts and log
+    multiplicities, and a lattice entry its table; the lattice entry's rank
+    tables go uncharged, for m <= 10 they hold at most 30% of its charge.
     """
+    if isinstance(value, _ClassTable):
+        return value.counts.size + value.log_mult.size + _ENTRY_FLOATS
     return np.size(value[0] if isinstance(value, tuple) else value) + _ENTRY_FLOATS
 
 
 class NormalizerCache:
-    """Thread-safe least-recently-used memo for normalizers and lattice tables.
+    """Thread-safe least-recently-used memo for normalizers, class tables and lattice tables.
 
-    A key is (builder, spec, n, m), so the values of two builders never
-    collide. A value is a normalizer or a lattice table with its rank tables.
-    Each is charged ``_charge(value)``, and the charges stay within
-    ``_CACHE_FLOATS``: a store drops the least recently used entries first,
-    and a value charged more than the bound is returned but not stored.
-    Values are computed outside the lock and are deterministic functions of
-    the key, so when two threads miss one key, the second store replaces
-    the first.
+    A key is (builder, spec, n, m) for a normalizer or a lattice table and
+    (``_class_table``, n, m) for a class table, so the values of two builders
+    never collide. A value is a normalizer, a ``_ClassTable``, or a lattice
+    table with its rank tables. Each is charged ``_charge(value)``, and the
+    charges stay within ``_CACHE_FLOATS``: a store drops the least recently
+    used entries first, and a value charged more than the bound is returned
+    but not stored. Values are computed outside the lock and are
+    deterministic functions of the key, so when two threads miss one key,
+    the second store replaces the first.
     """
 
     def __init__(self):
@@ -383,6 +399,24 @@ DEFAULT_CACHE = NormalizerCache()
 _DEFAULT = object()  # log_normalizer's default: DEFAULT_CACHE, looked up when it is called
 
 
+def _class_table(n: int, m: int) -> _ClassTable:
+    """``count_vectors(n, m)`` and their log multiplicities, from ``DEFAULT_CACHE``.
+
+    They depend only on (n, m), not on a predictor, so every scan of a
+    horizon reads one pair. (n, m) are checked before the lookup, so 5.0
+    and 5 share an entry.
+    """
+    n, m = _validate_nm(n, m)
+
+    def build() -> _ClassTable:
+        counts = count_vectors(n, m)
+        log_mult = log_multiplicities(counts)
+        counts.flags.writeable = log_mult.flags.writeable = False  # every scan shares them
+        return _ClassTable(counts, log_mult)
+
+    return DEFAULT_CACHE.get_or_compute((_class_table, n, m), build)
+
+
 def _compute_log_normalizer(
     spec: PredictorSpec,
     n: int,
@@ -395,10 +429,11 @@ def _compute_log_normalizer(
 
     A scan that already holds every class (``count_vectors(n, m)``, in any
     order) passes it, with its numerators and multiplicities where it has
-    them; the log-sum-exp does not depend on the order of its terms.
+    them; the log-sum-exp does not depend on the order of its terms. With
+    no counts, the classes come from ``_class_table``.
     """
     if counts is None:
-        counts = count_vectors(n, m)
+        counts, log_mult = _class_table(n, m)
     if numerators is None:
         numerators = log_numerators(spec, counts)
     if log_mult is None:
@@ -425,18 +460,21 @@ def log_normalizer(
     For a mixture (or alpha = 1) this is ~0 by normalization; for NML it is
     the log Shtarkov sum, the minimax worst-case regret.
 
-    ``cache`` (default ``DEFAULT_CACHE`` as bound at the call; None computes
-    without a memo) and ``threads`` (accepted and ignored) are the last such
-    keywords, because the benchmark's scaling probe (``perfbench/workloads.py``)
+    ``cache`` (default ``DEFAULT_CACHE`` as bound at the call; None
+    enumerates the classes and neither reads nor writes any cache entry)
+    and ``threads`` (accepted and ignored) are the last such keywords,
+    because the benchmark's scaling probe (``perfbench/workloads.py``)
     passes ``cache=None, threads=t``. Both go once a benchmark-only change
-    removes that probe; every other function memoizes in ``DEFAULT_CACHE``.
+    removes that probe; every other function memoizes in ``DEFAULT_CACHE``,
+    which also holds the class table a cached normalizer is reduced over.
     """
     _checked_form(spec, m)
+    if cache is None:
+        return _compute_log_normalizer(spec, n, m, count_vectors(n, m))
     if cache is _DEFAULT:
         cache = DEFAULT_CACHE
-    compute = lambda: _compute_log_normalizer(spec, n, m)  # noqa: E731
     key = (_compute_log_normalizer, spec, n, m)
-    return compute() if cache is None else cache.get_or_compute(key, compute)
+    return cache.get_or_compute(key, lambda: _compute_log_normalizer(spec, n, m))
 
 
 def log_joints(
@@ -496,8 +534,7 @@ def _log_marginal_numerators(spec: PredictorSpec, past: CountVector, horizon: in
 
     The common normalizer is omitted; ratios at a fixed horizon are exact.
     """
-    tails = count_vectors(horizon - past.n - 1, past.m)
-    log_mult = log_multiplicities(tails)
+    tails, log_mult = _class_table(horizon - past.n - 1, past.m)
     heads = np.asarray(past.counts, dtype=np.int64) + np.eye(past.m, dtype=np.int64)
     return np.array([log_sum_exp(log_mult + log_numerators(spec, tails + head)) for head in heads])
 

@@ -59,11 +59,12 @@ from .predictors import (
     NML,
     PredictorSpec,
     _cached_log_normalizer,
+    _class_table,
     log_joints,
     log_normalizer,
     log_numerators,
 )
-from .typeclass import CountVector, count_vectors, log_multiplicities
+from .typeclass import CountVector
 
 JointFn = Callable[[CountVector], float]
 
@@ -180,13 +181,12 @@ class TypeClassTable:
     """
 
     def __init__(self, n: int, m: int, predictor: PredictorSpec | JointFn):
-        counts = count_vectors(n, m)
+        counts, self.log_mult = _class_table(n, m)  # read-only, shared through DEFAULT_CACHE
         self.n = n
         self.m = m
         self.counts = counts.astype(np.float64)
         self.columns = [np.ascontiguousarray(self.counts[:, i]) for i in range(m)]
         self.positive = counts > 0
-        self.log_mult = log_multiplicities(counts)
         self.log_joint = joint_values(predictor, counts, self.log_mult)
         self._tilt: tuple[float | None, np.ndarray | None] = (None, None)  # (alpha, (1 - alpha) * log_joint)
 
@@ -426,7 +426,7 @@ def maximize_on_simplex(m: int, objective: Callable[[np.ndarray], np.ndarray]) -
         return SimplexPoint((best_t, 1.0 - best_t)), best_v
     if m == 3:
         from scipy import optimize  # imported on use: slow to load, and only m = 3 needs it
-        thetas = count_vectors(LATTICE_STEP, 3) / LATTICE_STEP
+        thetas = _class_table(LATTICE_STEP, 3).counts / LATTICE_STEP
         vals = _chunked_values(objective, thetas)
         k = lex_argmax(vals)
         best_v = float(vals[k])
@@ -475,13 +475,13 @@ def _worst_case_scan(
     benchmark itself, its joints are the same numerators less the
     normalizer, so the numerators are evaluated once.
     """
-    counts = count_vectors(n, m)
+    counts, log_mult = _class_table(n, m)
     numerators = log_numerators(benchmark, counts)
     if predictor == benchmark:
         # log_joints' steps for a complete scan, on the numerators at hand
-        joints = numerators - _cached_log_normalizer(benchmark, n, m, counts, numerators)
+        joints = numerators - _cached_log_normalizer(benchmark, n, m, counts, numerators, log_mult)
     else:
-        joints = joint_values(predictor, counts)
+        joints = joint_values(predictor, counts, log_mult)
     value, maximizer = _class_max(counts, numerators - joints)
     return RegretReport(
         kind=kind,
@@ -544,7 +544,7 @@ def w_alpha_direct(n: int, m: int, alpha: float, a: DirichletParams) -> WAlphaRe
     """
     if a.m != m:
         raise ValueError(f"prior has m={a.m}, got m={m}")
-    counts = count_vectors(n, m)
+    counts = _class_table(n, m).counts
     vals = log_numerators(NML(), counts) - log_numerators(AlphaNML(alpha, a), counts)
     return WAlphaResult(*_class_max(counts, vals))
 
@@ -572,8 +572,9 @@ def infinity_split_check(predictor: PredictorSpec | JointFn, n: int, m: int) -> 
     Returns (lhs, rhs); a zero-probability type class makes both sides +inf.
     """
     lhs = worst_case_regret(predictor, n, m).value_nats
-    counts = count_vectors(n, m)
-    gap = np.max(log_joints(NML(), counts, complete=True) - joint_values(predictor, counts))
+    counts, log_mult = _class_table(n, m)
+    nml = log_joints(NML(), counts, complete=True, log_mult=log_mult)
+    gap = np.max(nml - joint_values(predictor, counts, log_mult))
     rhs = sibson_mi_infinity(n, m) + float(gap)
     return lhs, rhs
 
@@ -664,8 +665,7 @@ def predictor_kl(
     m: int,
 ) -> float:
     """KL(p || q) between two exchangeable predictors on sequence space."""
-    counts = count_vectors(n, m)
-    log_mult = log_multiplicities(counts)
+    counts, log_mult = _class_table(n, m)
     lp = joint_values(p, counts, log_mult)
     support = lp != -math.inf
     lq = joint_values(q, counts, log_mult)[support]

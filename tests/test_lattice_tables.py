@@ -132,26 +132,35 @@ class TestBound:
         log_normalizer(spec, 30, 2)
         log_normalizer(spec, 31, 2)
         log_normalizer(spec, 32, 2)  # evicts n = 30
-        assert len(cache) == 2 and cache.floats == _stored_charges(cache)
-        assert (predictors._compute_log_normalizer, spec, 30, 2) not in cache._values
+        assert len(cache) == 2 and cache.floats == _stored_charges(cache) == 2 * predictors._charge(cold)
+        # each scan's class table, charged 3 * (n + 1) + _ENTRY_FLOATS, is over this bound: computed, not stored
+        assert list(cache._values) == [(predictors._compute_log_normalizer, spec, n, 2) for n in (31, 32)]
         assert log_normalizer(spec, 30, 2) == cold
         assert np.array_equal(log_joints(spec, count_vectors(30, 2)), joints)
 
 
 class TestOneCache:
     def test_normalizers_and_tables_share_the_cache(self, cache):
-        # a normalizer and a lattice table of the same (spec, n, m) are two entries under two keys
+        # a normalizer, the class table it is reduced over and a lattice table of the same (spec, n, m)
+        # are three entries under three keys
         spec, horizon, m = AlphaNML(2.0, DirichletParams.jeffreys(3)), 8, 3
         seq = [1, 3, 2, 2, 1, 1, 3, 2]
         cold_loss = cumulative_log_loss(spec, seq, m, horizon=horizon)
         cache.clear()
         cold_normalizer = log_normalizer(spec, horizon, m)
+        keys = {
+            (predictors._compute_log_normalizer, spec, horizon, m),
+            (predictors._class_table, horizon, m),
+            (predictors._lattice_table, spec, horizon, m),
+        }
         for _ in range(2):
             assert log_normalizer(spec, horizon, m) == cold_normalizer == log_normalizer(spec, horizon, m, cache=None)
             assert cumulative_log_loss(spec, seq, m, horizon=horizon) == cold_loss
-            assert len(cache) == 2 and _tables(cache) == [(spec, horizon, m)]
-        # each entry is charged its floats and the entry charge
-        assert cache.floats == 1 + math.comb(horizon + m, m) + 2 * predictors._ENTRY_FLOATS
+            assert len(cache) == 3 and _tables(cache) == [(spec, horizon, m)] and set(cache._values) == keys
+        # each entry is charged its floats and the entry charge; the class table holds K rows of m counts
+        # and K log multiplicities, K = C(horizon + m - 1, m - 1)
+        classes = math.comb(horizon + m - 1, m - 1)
+        assert cache.floats == 1 + (m + 1) * classes + math.comb(horizon + m, m) + 3 * predictors._ENTRY_FLOATS
         # at the full length the chain telescopes back to -log_joint
         assert math.isclose(cold_loss, -log_joint(spec, CountVector.from_sequence(seq, m)), rel_tol=1e-12)
 

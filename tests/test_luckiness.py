@@ -19,6 +19,7 @@ from alphanml import (
     LuckinessNML,
     Mixture,
     NML,
+    NumericError,
     UnsupportedError,
     alpha_regret,
     average_luckiness_regret,
@@ -195,6 +196,12 @@ class TestTiltedAlphaRegret:
     def test_requires_alpha_above_one(self):
         with pytest.raises(ValueError):
             luckiness_alpha_regret(kt(2), B22, 3, 1.0, 2)
+
+    def test_integrand_beyond_the_float_range_is_a_numeric_error(self):
+        # e^(hi) of a node overflows a float near alpha = 1e6; it is a failed quadrature, not an OverflowError
+        spec = LuckinessAlphaNML(1e6, B22)
+        with pytest.raises(NumericError, match="integrand exceeds the float range"):
+            luckiness_alpha_regret(spec, B22, 5, 1e6, 2)
 
 
 class TestSupForm:

@@ -273,13 +273,17 @@ class TestWorstCaseScanReuse:
             assert cold == warm == callable_joint
 
     def test_cache_miss_does_not_enumerate_again(self, monkeypatch):
+        # the scan enumerates its class table exactly once, and the normalizer's miss reduces that table
         calls = []
         enumerate_classes = predictors.count_vectors
         monkeypatch.setattr(predictors, "count_vectors", lambda *args: calls.append(args) or enumerate_classes(*args))
         DEFAULT_CACHE.clear()
-        worst_case_regret(AlphaNML(3.0, DirichletParams.jeffreys(3)), 20, 3)
-        assert len(DEFAULT_CACHE) == 1
-        assert calls == []
+        spec = AlphaNML(3.0, DirichletParams.jeffreys(3))
+        worst_case_regret(spec, 20, 3)
+        assert len(DEFAULT_CACHE) == 2
+        keys = {(predictors._class_table, 20, 3), (predictors._compute_log_normalizer, spec, 20, 3)}
+        assert set(DEFAULT_CACHE._values) == keys
+        assert calls == [(20, 3)]
 
 
 # stdout and exit codes of the CLI before the scans read per-symbol tables

@@ -188,8 +188,16 @@ class TestDefaultCacheAtCallTime:
         log_normalizer(NML(), 5, 2)
         log_joint(NML(), CountVector((2, 4)))
         cumulative_log_loss(NML(), [1, 2], 2)
-        assert len(fresh) == 3 and len(cache) == 0
-        assert (predictors._compute_log_normalizer, NML(), 5, 2) in fresh._values
-        assert (predictors._compute_log_normalizer, NML(), 6, 2) in fresh._values
+        assert len(fresh) == 5 and len(cache) == 0
+        keys = {
+            (predictors._compute_log_normalizer, NML(), 5, 2),
+            (predictors._compute_log_normalizer, NML(), 6, 2),
+            (predictors._class_table, 5, 2),
+            (predictors._class_table, 6, 2),
+            (predictors._lattice_table, NML(), 2, 2),
+        }
+        assert set(fresh._values) == keys
+        # two normalizers, class tables of 6 and 7 rows (two counts and a log multiplicity each), C(4, 2) lattice cells
+        assert fresh.floats == 2 + 3 * 6 + 3 * 7 + 6 + 5 * predictors._ENTRY_FLOATS
         assert log_normalizer(NML(), 5, 2, cache=None) == log_normalizer(NML(), 5, 2)
-        assert len(fresh) == 3
+        assert len(fresh) == 5 and set(fresh._values) == keys
