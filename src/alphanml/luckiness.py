@@ -93,7 +93,7 @@ def luckiness_alpha_regret(
     table = TypeClassTable(n, m, predictor)
 
     def weighted(pdf: float, theta: np.ndarray) -> float:
-        hi, total = table.renyi_sum(theta, alpha)
+        hi, total = table._renyi_sum(table._row(theta.tolist()[0])[0], alpha)
         # q = 0 on a class (hi = +inf) or a nan cell gives a nan total: a nan node, which accept_quadrature rejects
         try:
             return pdf * math.exp(hi) * total

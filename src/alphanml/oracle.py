@@ -20,7 +20,7 @@ import numpy as np
 from .exceptions import UnsupportedError
 from .numerics import LogProb, accept_quadrature, log_sum_exp
 
-_ENUMERATION_GUARD = 10_000_000
+_ENUMERATION_GUARD = 1 << 18  # sequences; at some 30 us each, an admitted sum ends within seconds
 _STREAM_CHUNK = 1 << 15
 
 
@@ -32,11 +32,12 @@ class OracleConfig:
 
 
 def _check_enumeration(n: int, m: int) -> None:
+    """Raise ValueError for a malformed (n, m), and UnsupportedError when m^n exceeds the guard."""
     if int(n) != n or n < 0 or int(m) != m or m < 2:
         raise ValueError(f"need integer n >= 0 and m >= 2, got n={n}, m={m}")
     if m**n > _ENUMERATION_GUARD:
-        raise ValueError(
-            f"m^n = {m}^{n} exceeds the enumeration guard of {_ENUMERATION_GUARD}"
+        raise UnsupportedError(
+            f"m^n = {m}^{n} sequences exceed the brute-force enumeration guard of {_ENUMERATION_GUARD}"
         )
 
 
@@ -48,7 +49,8 @@ def brute_sequence_sum(
     """ln sum over all m^n sequences of exp(per_sequence_term(sequence)).
 
     Sequences are tuples of symbols in 1..m, streamed in lexicographic order
-    and reduced in fixed-size chunks to bound memory.
+    and reduced in fixed-size chunks to bound memory. More than 2^18
+    sequences raise UnsupportedError before any is visited.
     """
     _check_enumeration(n, m)
     partials: list[float] = []

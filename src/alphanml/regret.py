@@ -23,14 +23,18 @@ with a Gamma-ratio expression under the Jeffreys prior.
 
 Maximization over theta uses a dense grid plus golden-section refinement on
 the 1-simplex, and a triangular lattice plus Nelder-Mead refinement on the
-2-simplex; the grid and the lattice are evaluated GRID_CHUNK points per
-objective call. The refinement probes and the quadrature nodes are single
-interior points, which ``TypeClassTable`` evaluates on (K,) rows with the
-batch route's operations, so they cost a few numpy calls each and give the
-batch route's values bit for bit. Argmax ties break to the
-lexicographically smallest point: ``lex_argmax`` takes the first candidate
-within a relative ``TIE_REL`` of the maximum, and a refinement replaces it
-only when it is better by more than that window.
+2-simplex. ``maximize_on_simplex`` hands a caller's objective the grid and
+the lattice GRID_CHUNK points per call and each refinement probe as a
+(1, m) batch. The suprema of this module call no objective: their
+``TypeClassTable`` evaluates the grid GRID_CHUNK points at a time into two
+scratch arrays reused from chunk to chunk, gathers the lattice's rows from
+per-coordinate product tables, and evaluates each refinement probe and
+quadrature node, boundary points included, on (K,) rows. Every route gives
+the batch route's values bit for bit, and the generic route stays their
+test oracle. Argmax ties break to the lexicographically smallest point:
+``lex_argmax`` takes the first candidate within a relative ``TIE_REL`` of
+the maximum, and a refinement replaces it only when it is better by more
+than that window.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from .numerics import (
     accept_quadrature,
     log_gamma,
     log_multivariate_beta,
-    log_sum_exp_array,
+    _log_sum_exp,
     xlogy,
 )
 from .predictors import (
@@ -169,15 +173,19 @@ class TypeClassTable:
 
     Holds counts, log multiplicities and predictor log joints, and evaluates
     divergence objectives vectorized over batches of source parameters.
-    The batch route takes ``xlogy(1, theta)`` once per coordinate and scales
-    it by each class's counts; the 0 * ln 0 = 0 rule for a zero coordinate
-    lives there, in the ``positive`` table (counts > 0) that marks where it
-    gives -inf. A batch of one theta whose coordinates are all positive and
-    finite (a quadrature node, a golden-section or Nelder-Mead probe) takes
-    the row kernel instead: the same operations in the same order on (K,)
-    rows, so every value equals the batch route's bit for bit at a fraction
-    of its per-call cost. ``(1 - alpha) * log_joint`` is computed once per
-    alpha.
+    The batch route takes ``xlogy(1, theta)`` once per coordinate, scales
+    it by each class's counts and sums the products symbol by symbol; the
+    0 * ln 0 = 0 rule for a zero coordinate lives there, in the ``positive``
+    table (counts > 0) that marks where it gives -inf. One theta with
+    finite coordinates >= 0 (a quadrature node, a golden-section or
+    Nelder-Mead probe) takes the row route instead: the same operations in
+    the same order on (K,) rows. A supremum over theta evaluates its grid
+    or lattice through ``_grid_values``, GRID_CHUNK rows at a time into two
+    scratch arrays made for that call; the m = 3 lattice gathers each
+    coordinate's products from a (LATTICE_STEP + 1, K) table. Every route
+    gives the batch route's values bit for bit. The public methods return
+    fresh arrays and a table keeps no scratch between calls, so threads may
+    share one. ``(1 - alpha) * log_joint`` is computed once per alpha.
     """
 
     def __init__(self, n: int, m: int, predictor: PredictorSpec | JointFn):
@@ -198,13 +206,10 @@ class TypeClassTable:
         """D_alpha(p_theta || predictor) on sequence space, per theta row."""
         if alpha == 1.0:
             return self.kl_values(thetas)
-        if len(thetas) == 1:
-            hi, total = self.renyi_sum(thetas, alpha)
-            if math.isfinite(hi):
-                # log_sum_exp_array's steps for a row with a finite maximum
-                return (np.log([total]) + hi) / (alpha - 1.0)
-        inner = self._renyi_inner(self._log_ptheta(thetas)[0], alpha)
-        return log_sum_exp_array(np.atleast_2d(inner), axis=1) / (alpha - 1.0)
+        lp = self._log_ptheta(thetas)[0]
+        if lp.ndim == 2 and len(lp) != 1:
+            return self._renyi_rows(lp, alpha)
+        return np.array([self._renyi_point(lp.reshape(-1), alpha)])
 
     def renyi_sum(self, theta, alpha: float) -> tuple[float, float]:
         """(hi, s) for one theta: the largest term over the classes, and s = sum of exp(term - hi).
@@ -212,67 +217,159 @@ class TypeClassTable:
         A class's term is alpha ln p_theta + ln multiplicity + (1 - alpha) ln q;
         s is nan unless hi is finite.
         """
-        inner = self._renyi_inner(self._log_ptheta(theta)[0].reshape(-1), alpha)  # one row, from either route
-        hi = float(inner.max())
-        if not math.isfinite(hi):
-            return hi, math.nan
-        inner -= hi
-        return hi, float(np.add.reduce(np.exp(inner, out=inner)))
+        return self._renyi_sum(self._log_ptheta(theta)[0].reshape(-1), alpha)  # one row, from either route
 
     def kl_values(self, thetas: np.ndarray) -> np.ndarray:
         """KL(p_theta || predictor) on sequence space, per theta row."""
-        lp, finite = self._log_ptheta(thetas)
-        # 0 * ln(0 / q) = 0 where p_theta is 0; the mask is the identity when every cell is finite
-        gap = lp - self.log_joint if finite else np.where(np.isfinite(lp), lp - self.log_joint, 0.0)
-        lp += self.log_mult
-        gap *= np.exp(lp, out=lp)
-        return np.add.reduce(gap, axis=-1, keepdims=gap.ndim == 1)  # (1,) for a row, (P,) for a batch
+        return np.atleast_1d(self._kl(*self._log_ptheta(thetas)))  # (1,) for a row, (P,) for a batch
 
     def _log_ptheta(self, thetas) -> tuple[np.ndarray, bool]:
-        """ln p_theta, and whether every cell of it is finite.
+        """ln p_theta in a fresh array, and whether every cell of it is finite.
 
-        One theta whose coordinates are all in (0, inf) takes the row kernel
-        and gives a (K,) row; any other batch takes the batch route and gives
-        (P, K).
+        One theta whose coordinates are all in [0, inf) takes the row route
+        and gives a (K,) row; any other batch takes the batch route and
+        gives (P, K).
         """
         thetas = np.asarray(thetas, dtype=np.float64)
         if thetas.ndim != 2:
             thetas = np.atleast_2d(thetas)
         if thetas.shape[0] == 1:
             (coordinates,) = thetas.tolist()
-            if all(0.0 < t < math.inf for t in coordinates):
-                return self._row(coordinates), True
-        return self._log_ptheta_batch(thetas)
+            if all(0.0 <= t < math.inf for t in coordinates):
+                return self._row(coordinates)
+        out = np.empty((thetas.shape[0], self.log_mult.size))
+        return out, self._log_ptheta_batch(thetas, out, np.empty_like(out))
 
-    def _log_ptheta_batch(self, thetas: np.ndarray) -> tuple[np.ndarray, bool]:
-        """The batch route: (P, K) ln p_theta, and whether every cell of it is finite."""
+    def _log_ptheta_batch(self, thetas: np.ndarray, out: np.ndarray, products: np.ndarray) -> bool:
+        """The batch route: ln p_theta of (P, m) thetas into ``out`` (P, K), with ``products`` (P, K) as scratch.
+
+        Returns whether every cell is finite.
+        """
         logs = xlogy(1.0, thetas)
         zero = thetas == 0.0
         has_zero = zero.any()
         if has_zero:
             logs[zero] = 0.0
-        # c * xlogy(1, theta) == xlogy(c, theta) bit for bit, and summing from
-        # zero one symbol at a time keeps the rounding of the per-cell formula
-        out = np.zeros((thetas.shape[0], self.counts.shape[0]))
-        for i in range(self.m):
-            out += logs[:, i, None] * self.columns[i]
+        # c * xlogy(1, theta) == xlogy(c, theta) bit for bit, and summing one
+        # symbol at a time keeps the rounding of the per-cell formula
+        np.multiply(logs[:, :1], self.columns[0], out=out)
+        for i in range(1, self.m):
+            out += np.multiply(logs[:, i, None], self.columns[i], out=products)
+        if self.n == 0:
+            out += 0.0  # the +0.0 a sum from zero gives the one class, whose products are all +-0
         if has_zero:
             for i in range(self.m):
                 out[np.ix_(zero[:, i], self.positive[:, i])] = -np.inf
-        return out, not has_zero and bool(np.isfinite(logs).all())
+        return not has_zero and bool(np.isfinite(logs).all())
 
-    def _row(self, coordinates: list[float]) -> np.ndarray:
-        """The row kernel: ln p_theta as a (K,) row for one theta with coordinates in (0, inf).
+    def _row(self, coordinates: Sequence[float]) -> tuple[np.ndarray, bool]:
+        """The row route: ln p_theta as a fresh (K,) row for one theta with finite coordinates >= 0.
 
-        ``math.log`` is the C library's log, as ``xlogy`` is (``np.log`` is
-        not, and differs in the last bit for some inputs), and the sum runs
-        from zero one symbol at a time as in the batch route, so the row
-        equals the batch route's bit for bit, signs of zero included.
+        Returns the row and whether every cell of it is finite. ``math.log``
+        is the C library's log, as ``xlogy`` is (``np.log`` is not, and
+        differs in the last bit for some inputs), and the products are summed
+        in the batch route's order, so the row equals the batch route's bit
+        for bit, signs of zero included. A zero coordinate adds no product
+        (the batch route adds +0.0, which changes no sum at n >= 1) and puts
+        -inf where its count is positive.
         """
-        out = np.zeros(self.log_mult.size)
-        for t, column in zip(coordinates, self.columns):
-            out += math.log(t) * column
+        out = None
+        zeros = []
+        for i, t in enumerate(coordinates):
+            if t == 0.0:
+                zeros.append(i)
+            elif out is None:
+                out = math.log(t) * self.columns[i]
+            else:
+                out += math.log(t) * self.columns[i]
+        if out is None:
+            out = np.zeros(self.log_mult.size)
+        elif self.n == 0:
+            out += 0.0
+        for i in zeros:
+            out[self.positive[:, i]] = -math.inf
+        return out, not zeros
+
+    def _point(self, coordinates: Sequence[float], alpha: float) -> float:
+        """D_alpha(p_theta || predictor), KL at alpha = 1, at one theta with finite coordinates >= 0.
+
+        The route of every refinement probe and quadrature node.
+        """
+        lp, finite = self._row(coordinates)
+        return float(self._kl(lp, finite) if alpha == 1.0 else self._renyi_point(lp, alpha))
+
+    def _grid_values(self, thetas: np.ndarray, alpha: float) -> np.ndarray:
+        """D_alpha(p_theta || predictor), KL at alpha = 1, at every row of a simplex grid.
+
+        ``thetas`` is the m = 2 grid, or at m = 3 the lattice of step
+        1/LATTICE_STEP in the row order of its class table, whose rows are
+        gathered from per-coordinate product tables instead of multiplied.
+        GRID_CHUNK rows at a time go through two scratch arrays made for
+        this call.
+        """
+        size = len(thetas)
+        lp_buffer, scratch_buffer = np.empty((2, min(size, GRID_CHUNK), self.log_mult.size))
+        if self.m == 3:
+            lattice = _class_table(LATTICE_STEP, 3).counts.T  # row i holds coordinate i's numerators
+            tables = self._lattice_products()
+        out = np.empty(size)
+        for start in range(0, size, GRID_CHUNK):
+            stop = min(start + GRID_CHUNK, size)
+            lp, scratch = lp_buffer[: stop - start], scratch_buffer[: stop - start]
+            if self.m == 3:
+                numerators = lattice[:, start:stop]
+                np.take(tables[0], numerators[0], axis=0, out=lp, mode="clip")
+                for i in (1, 2):
+                    lp += np.take(tables[i], numerators[i], axis=0, out=scratch, mode="clip")
+                finite = bool(numerators.all())
+            else:
+                finite = self._log_ptheta_batch(thetas[start:stop], lp, scratch)
+            out[start:stop] = self._kl(lp, finite, scratch) if alpha == 1.0 else self._renyi_rows(lp, alpha)
         return out
+
+    def _lattice_products(self) -> np.ndarray:
+        """(m, LATTICE_STEP + 1, K) table of the batch route's products at theta_i = v / LATTICE_STEP.
+
+        Row v = 0 holds -inf where the count is positive (the zero-coordinate
+        rule) and 0 elsewhere; table 0 adds the leading 0.0 the batch route's
+        sum starts from, so three gathered rows add up to the batch route's
+        values bit for bit.
+        """
+        logs = xlogy(1.0, np.arange(LATTICE_STEP + 1) / LATTICE_STEP)
+        logs[0] = 0.0
+        tables = logs[:, None] * self.counts.T[:, None, :]
+        tables[:, 0][self.positive.T] = -np.inf
+        tables[0] += 0.0
+        return tables
+
+    def _kl(self, lp: np.ndarray, finite: bool, gap: np.ndarray | None = None) -> np.ndarray:
+        """KL per row of lp, a (K,) row or (P, K), which it overwrites; ``gap`` (lp's shape) is scratch."""
+        gap = np.subtract(lp, self.log_joint, out=gap)
+        if not finite:
+            gap[~np.isfinite(lp)] = 0.0  # 0 * ln(0 / q) = 0 where p_theta is 0
+        lp += self.log_mult
+        gap *= np.exp(lp, out=lp)
+        return np.add.reduce(gap, axis=-1)
+
+    def _renyi_rows(self, lp: np.ndarray, alpha: float) -> np.ndarray:
+        """D_alpha per row of a (P, K) lp, which it overwrites."""
+        return _log_sum_exp(self._renyi_inner(lp, alpha), 1, out=lp) / (alpha - 1.0)
+
+    def _renyi_point(self, lp: np.ndarray, alpha: float) -> float:
+        """D_alpha at one theta from its (K,) row, which it overwrites: log_sum_exp_array's steps on a row."""
+        hi, total = self._renyi_sum(lp, alpha)
+        if math.isfinite(hi):
+            return float((np.log(total) + hi) / (alpha - 1.0))
+        return float(_log_sum_exp(lp[None, :], 1)[0]) / (alpha - 1.0)  # lp holds the unshifted terms
+
+    def _renyi_sum(self, lp: np.ndarray, alpha: float) -> tuple[float, float]:
+        """``renyi_sum`` of a (K,) row, which it overwrites with the terms, shifted by hi when hi is finite."""
+        inner = self._renyi_inner(lp, alpha)
+        hi = float(inner.max())
+        if not math.isfinite(hi):
+            return hi, math.nan
+        inner -= hi
+        return hi, float(np.add.reduce(np.exp(inner, out=inner)))
 
     def _renyi_inner(self, lp: np.ndarray, alpha: float) -> np.ndarray:
         """alpha ln p_theta + ln multiplicity + (1 - alpha) ln q, per cell, in place on lp."""
@@ -334,6 +431,13 @@ class DirichletDensity:
         return out
 
 
+def _xlog(e: float, t: float) -> float:
+    """xlogy(e, t) for floats e and t >= 0: e ln t with the C library's log, 0 when e = 0."""
+    if e == 0.0:
+        return 0.0
+    return e * math.log(t) if t > 0.0 else e * -math.inf
+
+
 def dirichlet_quadrature(
     params: DirichletParams, weighted: Callable[[float, np.ndarray], float]
 ) -> tuple[float, float]:
@@ -341,8 +445,9 @@ def dirichlet_quadrature(
 
     ``density`` is the Dirichlet(params) density at theta; the integrand
     multiplies it into its own term. The density is evaluated on scalars,
-    in the order of ``DirichletDensity.log_pdf``. Returns (value, error
-    estimate) of ``integrate_unit_interval``.
+    in the order of ``DirichletDensity.log_pdf``, with ``_xlog`` in place
+    of ``xlogy``. Returns (value, error estimate) of
+    ``integrate_unit_interval``.
     """
     density = DirichletDensity(params)
     neg_log_norm = density.neg_log_norm
@@ -350,7 +455,7 @@ def dirichlet_quadrature(
 
     def integrand(t: float) -> float:
         s = 1.0 - t
-        return weighted(math.exp(neg_log_norm + xlogy(e0, t) + xlogy(e1, s)), np.array([[t, s]]))
+        return weighted(math.exp(neg_log_norm + _xlog(e0, t) + _xlog(e1, s)), np.array([[t, s]]))
 
     return integrate_unit_interval(integrand)
 
@@ -404,30 +509,40 @@ def maximize_on_simplex(m: int, objective: Callable[[np.ndarray], np.ndarray]) -
     m = 2: uniform grid of GRID_POINTS points on [0, 1] including both
     endpoints, then golden-section refinement to width GOLDEN_TOL. m = 3:
     triangular lattice of step 1/LATTICE_STEP then Nelder-Mead refinement
-    capped at REFINE_ITERS iterations. The first grid or lattice point
-    within TIE_REL of the maximum wins ties, and a refined point replaces it
-    only when better by more than that window; larger alphabets are
-    unsupported.
+    capped at REFINE_ITERS iterations. The grid and the lattice go through
+    the objective GRID_CHUNK rows per call, and each refinement probe as a
+    (1, m) batch. The first grid or lattice point within TIE_REL of the
+    maximum wins ties, and a refined point replaces it only when better by
+    more than that window; larger alphabets are unsupported.
     """
+    return _maximize(
+        m,
+        lambda thetas: _chunked_values(objective, thetas),
+        lambda theta: float(objective(np.array([theta]))[0]),
+    )
+
+
+def _maximize(
+    m: int,
+    grid_values: Callable[[np.ndarray], np.ndarray],
+    point_value: Callable[[tuple[float, ...]], float],
+) -> tuple[SimplexPoint, float]:
+    """``maximize_on_simplex`` given the objective at every grid or lattice row and at one point."""
     if m == 2:
         ts = np.linspace(0.0, 1.0, GRID_POINTS)
-        vals = _chunked_values(objective, _embed2(ts))
+        vals = grid_values(_embed2(ts))
         j = lex_argmax(vals)
         best_t, best_v = float(ts[j]), float(vals[j])
-
-        def f(t: float) -> float:
-            return float(objective(np.array([[t, 1.0 - t]]))[0])
-
         lo = float(ts[max(j - 1, 0)])
         hi = float(ts[min(j + 1, GRID_POINTS - 1)])
-        t_ref, v_ref = _golden_section_max(f, lo, hi, GOLDEN_TOL)
+        t_ref, v_ref = _golden_section_max(lambda t: point_value((t, 1.0 - t)), lo, hi, GOLDEN_TOL)
         if _beats(v_ref, best_v):
             best_t, best_v = t_ref, v_ref
         return SimplexPoint((best_t, 1.0 - best_t)), best_v
     if m == 3:
         from scipy import optimize  # imported on use: slow to load, and only m = 3 needs it
         thetas = _class_table(LATTICE_STEP, 3).counts / LATTICE_STEP
-        vals = _chunked_values(objective, thetas)
+        vals = grid_values(thetas)
         k = lex_argmax(vals)
         best_v = float(vals[k])
         best_theta = thetas[k]
@@ -437,7 +552,7 @@ def maximize_on_simplex(m: int, objective: Callable[[np.ndarray], np.ndarray]) -
             t3 = 1.0 - t1 - t2
             if t1 < 0.0 or t2 < 0.0 or t3 < 0.0:
                 return math.inf
-            return -float(objective(np.array([[t1, t2, t3]]))[0])
+            return -point_value((t1, t2, t3))
 
         res = optimize.minimize(
             neg,
@@ -514,7 +629,7 @@ def _average_kl(predictor: PredictorSpec | JointFn, params: DirichletParams, n: 
     regret; ``what`` names the quantity in a rejection.
     """
     table = TypeClassTable(n, 2, predictor)
-    value, err = dirichlet_quadrature(params, lambda pdf, theta: pdf * float(table.kl_values(theta)[0]))
+    value, err = dirichlet_quadrature(params, lambda pdf, theta: pdf * table._point(theta.tolist()[0], 1.0))
     return accept_quadrature(value, err, 1e-8, what)
 
 
@@ -626,12 +741,15 @@ def _theta_sup(
         raise UnsupportedError(f"{caller} supports m in {{2, 3}}, got m={m}")
     table = TypeClassTable(n, m, predictor)
 
-    def objective(thetas: np.ndarray) -> np.ndarray:
-        if log_weight is None:
-            return table.renyi_values(thetas, alpha)
-        return log_weight(thetas) + table.renyi_values(thetas, alpha)
+    def grid_values(thetas: np.ndarray) -> np.ndarray:
+        values = table._grid_values(thetas, alpha)
+        return values if log_weight is None else log_weight(thetas) + values  # log_weight works row by row
 
-    point, value = maximize_on_simplex(m, objective)
+    def point_value(theta: tuple[float, ...]) -> float:
+        value = table._point(theta, alpha)
+        return value if log_weight is None else float(log_weight(np.array([theta]))[0]) + value
+
+    point, value = _maximize(m, grid_values, point_value)
     return RegretReport(
         kind=kind,
         value_nats=value,

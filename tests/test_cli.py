@@ -194,6 +194,11 @@ class TestOracleChecks:
         assert code == 0
         assert out.strip().splitlines()[1].endswith(",pass")
 
+    def test_enumeration_beyond_the_guard_exits_four(self, capsys):
+        code, out, err = run(capsys, ["oracle", "--check", "normalizer", "--n", "10", "--m", "4"])
+        assert (code, out) == (4, "")
+        assert err == "error: m^n = 4^10 sequences exceed the brute-force enumeration guard of 262144\n"
+
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         monkeypatch.setitem(cli._ORACLE_TOLERANCES, "theorem1", 0.0)
         code, out, _ = run(capsys, ["oracle", "--check", "theorem1", "--n", "20", "--m", "3", "--alpha", "2"])

@@ -10,6 +10,7 @@ import pytest
 from alphanml import (
     CountVector,
     NumericError,
+    UnsupportedError,
     OracleConfig,
     brute_sequence_sum,
     brute_simplex_max,
@@ -41,8 +42,12 @@ class TestSequenceSum:
         )
 
     def test_enumeration_guard(self):
-        with pytest.raises(ValueError):
-            brute_sequence_sum(30, 2, lambda seq: 0.0)
+        def visited(seq):
+            raise AssertionError("a sequence was visited")
+
+        for n, m in ((30, 2), (19, 2), (10, 4)):  # 2^19 and 4^10 exceed the guard of 2^18
+            with pytest.raises(UnsupportedError, match="enumeration guard"):
+                brute_sequence_sum(n, m, visited)
 
     def test_mixture_joint_cross_module(self):
         """Summing the mixture joint over sequences with fixed counts matches

@@ -1,0 +1,280 @@
+"""The routes a supremum or a quadrature over theta takes, against the generic routes they bypass.
+
+``_theta_sup`` evaluates its grid or lattice through ``TypeClassTable._grid_values`` (two scratch
+arrays reused from chunk to chunk; at m = 3 the lattice rows are gathered from per-coordinate product
+tables) and its refinement probes through the single-theta row; quadrature nodes take the same row.
+The generic routes are ``maximize_on_simplex`` over the public ``renyi_values`` and the public
+``kl_values``/``renyi_sum``, and every value must equal theirs bit for bit (``float.hex``). The
+scratch arrays belong to one call, so threads may share a table and no public result changes when a
+later call runs.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from alphanml import (
+    AlphaNML,
+    DirichletParams,
+    Mixture,
+    NML,
+    NumericError,
+    TypeClassTable,
+    UnsupportedError,
+    average_luckiness_regret,
+    log_joint,
+    luckiness_alpha_regret,
+    maximize_on_simplex,
+    sibson_mi_alpha,
+)
+from alphanml import luckiness, regret
+from alphanml.regret import DirichletDensity, GRID_POINTS, LATTICE_STEP, _chunked_values, _class_table, _embed2
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in np.asarray(values, dtype=np.float64).ravel().tolist()]
+
+
+def _outcome(call) -> list[str] | tuple[str, str]:
+    """The hex of a call's values, or the NumericError it raised (a nan objective fails on every route)."""
+    try:
+        return _hex(call())
+    except NumericError as exc:
+        return ("NumericError", str(exc))
+
+
+def _grid(m: int) -> np.ndarray:
+    """The rows ``maximize_on_simplex`` evaluates before refining."""
+    if m == 2:
+        return _embed2(np.linspace(0.0, 1.0, GRID_POINTS))
+    return _class_table(LATTICE_STEP, 3).counts / LATTICE_STEP
+
+
+def _predictor(draw, m: int):
+    prior = DirichletParams(tuple(draw(st.floats(min_value=0.2, max_value=3.0)) for _ in range(m)))
+    spec = draw(st.sampled_from((Mixture(prior), AlphaNML(2.5, prior), NML())))
+    if not draw(st.booleans()):
+        return spec
+    ruled_out = draw(st.integers(0, 3))
+
+    def joint(cv):
+        """A CountVector callable with zero probability on the classes with c_0 = ruled_out."""
+        return -math.inf if cv.counts[0] == ruled_out else log_joint(spec, cv)
+
+    return joint
+
+
+_ALPHAS = st.sampled_from((1.0, 1.5, 3.7, 12.0))
+
+
+class TestGridRoute:
+    @given(st.integers(0, 14), _ALPHAS, st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_lattice_equals_the_chunked_public_route(self, n, alpha, data):
+        table = TypeClassTable(n, 3, _predictor(data.draw, 3))
+        thetas = _grid(3)
+        with np.errstate(all="ignore"):
+            fast = _outcome(lambda: table._grid_values(thetas, alpha))
+            generic = _outcome(lambda: _chunked_values(lambda rows: table.renyi_values(rows, alpha), thetas))
+        assert fast == generic
+
+    @given(st.integers(0, 40), _ALPHAS, st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_grid_equals_the_chunked_public_route(self, n, alpha, data):
+        table = TypeClassTable(n, 2, _predictor(data.draw, 2))
+        thetas = _grid(2)
+        with np.errstate(all="ignore"):
+            fast = _outcome(lambda: table._grid_values(thetas, alpha))
+            generic = _outcome(lambda: _chunked_values(lambda rows: table.renyi_values(rows, alpha), thetas))
+        assert fast == generic
+
+    def test_lattice_products_hold_the_zero_coordinate_rule(self):
+        table = TypeClassTable(5, 3, NML())
+        products = table._lattice_products()
+        assert products.shape == (3, LATTICE_STEP + 1, table.log_mult.size)
+        assert (np.isneginf(products[:, 0]) == table.positive.T).all()
+        assert not (np.signbit(products[0]) & (products[0] == 0.0)).any()  # the sum's leading +0.0
+
+
+class TestSupremumRoute:
+    """``_theta_sup`` finds what ``maximize_on_simplex`` finds over the public objective."""
+
+    @given(st.sampled_from((2, 3)), st.integers(0, 14), _ALPHAS, st.booleans(), st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_supremum_equals_maximizing_the_public_objective(self, m, n, alpha, weighted, data):
+        predictor = _predictor(data.draw, m)
+        b = DirichletParams(tuple(data.draw(st.floats(min_value=0.6, max_value=3.0)) for _ in range(m)))
+        log_weight = DirichletDensity(b).log_pdf if weighted else None
+        table = TypeClassTable(n, m, predictor)
+
+        def objective(thetas):
+            values = table.renyi_values(thetas, alpha)
+            return values if log_weight is None else log_weight(thetas) + values
+
+        with np.errstate(all="ignore"):
+            outcomes = []
+            for run in (lambda: regret._theta_sup("alpha", predictor, n, m, alpha, log_weight),
+                        lambda: maximize_on_simplex(m, objective)):
+                try:
+                    result = run()
+                except NumericError as exc:  # a nan objective fails on both routes
+                    outcomes.append((type(exc).__name__, str(exc)))
+                    continue
+                point, value = (result.maximizer, result.value_nats) if hasattr(result, "maximizer") else result
+                outcomes.append((_hex(point.theta), _hex([value])))
+        assert outcomes[0] == outcomes[1]
+
+    def test_public_maximizer_keeps_its_generic_route(self):
+        calls = []
+
+        def objective(thetas):
+            calls.append(thetas.shape)
+            return -np.sum((thetas - np.array([0.2, 0.3, 0.5])) ** 2, axis=1)
+
+        maximize_on_simplex(3, objective)
+        assert calls[0] == (regret.GRID_CHUNK, 3) and (1, 3) in calls
+        with pytest.raises(UnsupportedError):
+            maximize_on_simplex(4, objective)
+
+
+class TestQuadratureNodes:
+    """Every lean node gives what the public methods give at that theta."""
+
+    @staticmethod
+    def _nodes(call) -> list:
+        """(pdf, theta, value) at every node of the quadratures ``call`` runs; a failed quadrature keeps its nodes."""
+        recorded = []
+        real = regret.dirichlet_quadrature
+
+        def recording(params, weighted):
+            def node(pdf, theta):
+                value = weighted(pdf, theta)
+                recorded.append((pdf, theta.copy(), value))
+                return value
+
+            return real(params, node)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(regret, "dirichlet_quadrature", recording)
+            patch.setattr(luckiness, "dirichlet_quadrature", recording)
+            try:
+                call()
+            except NumericError:
+                pass
+        assert recorded
+        return recorded
+
+    @given(n=st.integers(0, 14), a=st.tuples(st.floats(0.3, 3.0), st.floats(0.3, 3.0)))
+    @settings(max_examples=6, deadline=None)
+    def test_kl_nodes(self, n, a):
+        params = DirichletParams(a)
+        predictor = AlphaNML(1.7, params)
+        table = TypeClassTable(n, 2, predictor)
+        for pdf, theta, value in self._nodes(lambda: average_luckiness_regret(predictor, params, n)):
+            batch = np.repeat(theta, 2, axis=0)  # two rows: the batch route, not the row route
+            assert value.hex() == (pdf * float(table.kl_values(theta)[0])).hex()
+            assert value.hex() == (pdf * float(table.kl_values(batch)[0])).hex()
+
+    @given(n=st.integers(0, 14), alpha=st.sampled_from((1.5, 3.7, 12.0)), b=st.tuples(st.floats(1.0, 3.0), st.floats(1.0, 3.0)))
+    @settings(max_examples=6, deadline=None)
+    def test_tilted_nodes(self, n, alpha, b):
+        params = DirichletParams(b)
+        predictor = AlphaNML(2.0, params)
+        table = TypeClassTable(n, 2, predictor)
+        for pdf, theta, value in self._nodes(lambda: luckiness_alpha_regret(predictor, params, n, alpha)):
+            hi, total = table.renyi_sum(theta, alpha)
+            inner = table.log_ptheta(np.repeat(theta, 2, axis=0))[0]  # the batch route's row
+            inner *= alpha
+            inner += table.log_mult
+            inner += (1.0 - alpha) * table.log_joint
+            top = float(inner.max())
+            inner -= top
+            assert _hex([hi, total]) == _hex([top, np.add.reduce(np.exp(inner))])
+            assert value.hex() == (pdf * math.exp(hi) * total).hex()
+
+    def test_order_one_radius_nodes(self):
+        params = DirichletParams((0.7, 1.6))
+        table = TypeClassTable(9, 2, Mixture(params))
+        for pdf, theta, value in self._nodes(lambda: sibson_mi_alpha(9, 2, 1.0, params)):
+            assert value.hex() == (pdf * float(table.kl_values(np.repeat(theta, 2, axis=0))[0])).hex()
+
+
+class TestPointRoute:
+    def test_the_log_of_the_summed_terms_is_numpy_log(self):
+        """A row's Renyi value takes np.log of its sum, as the batch route does; math.log differs at some sums."""
+        table = TypeClassTable(20, 2, AlphaNML(1.7, DirichletParams((0.6, 1.4))))
+        for t in np.random.default_rng(11).random(100_000).tolist():
+            hi, total = table.renyi_sum(np.array([[t, 1.0 - t]]), 2.5)
+            if math.log(total) + hi != np.log(total) + hi:
+                break
+        else:
+            pytest.skip("numpy's log equals the C library's at every sum drawn")
+        theta = (t, 1.0 - t)
+        assert table._point(theta, 2.5).hex() == float(table.renyi_values(np.array([theta, theta]), 2.5)[0]).hex()
+
+
+class TestScratchArrays:
+    """The scratch arrays belong to one call: no shared state between threads, no aliasing of results."""
+
+    @staticmethod
+    def _work(table: TypeClassTable, alphas) -> list[list[str]]:
+        rng = np.random.default_rng(7)
+        batch = rng.dirichlet(np.ones(table.m), size=700)
+        batch[3] = np.eye(table.m)[1]
+        out = []
+        for alpha in alphas:
+            out.append(_hex(table._grid_values(_grid(table.m), alpha)))
+            out.append(_hex(table.renyi_values(batch, alpha)))
+            out.append(_hex(table.log_ptheta(batch[:5])))
+            out.append(_hex([table._point(tuple(batch[3].tolist()), alpha)]))
+        return out
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_threads_share_one_table(self, m):
+        """More threads than cores, each with its own order of alphas, get the serial run's bits."""
+        table = TypeClassTable(9 if m == 3 else 30, m, AlphaNML(2.2, DirichletParams((0.6,) * m)))
+        orders = ((1.0, 3.7, 1.5), (1.5, 1.0, 3.7), (3.7, 1.5, 1.0), (1.5, 3.7, 1.0))
+        serial = [self._work(table, alphas) for alphas in orders]
+        results: list = [None] * len(orders)
+        barrier = threading.Barrier(len(orders))
+
+        def run(k):
+            barrier.wait()
+            results[k] = [self._work(table, orders[k]) for _ in range(2)]
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(orders))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[expected] * 2 for expected in serial]
+
+    def test_public_results_survive_later_calls(self):
+        table = TypeClassTable(12, 3, Mixture(DirichletParams((0.5, 0.5, 0.5))))
+        rng = np.random.default_rng(3)
+        first, second = rng.dirichlet(np.ones(3), size=(2, regret.GRID_CHUNK))
+        lp = table.log_ptheta(first)
+        kl = table.kl_values(first)
+        renyi = table.renyi_values(first, 2.0)
+        row = table.log_ptheta(first[:1])
+        kept = [a.copy() for a in (lp, kl, renyi, row)]
+        later = table.log_ptheta(second)
+        table._grid_values(_grid(3), 2.0)
+        table.kl_values(second)
+        table.renyi_values(second, 3.0)
+        table.log_ptheta(second[:1])
+        assert all(np.array_equal(a, b) for a, b in zip(kept, (lp, kl, renyi, row)))
+        assert not np.shares_memory(lp, later)
