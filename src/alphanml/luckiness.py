@@ -125,4 +125,4 @@ def luckiness_alpha_regret_supform(
     """
     if b.m != m:
         raise ValueError(f"luckiness has m={b.m}, got m={m}")
-    return _theta_sup("luckiness_alpha_sup", predictor, n, m, alpha, DirichletDensity(b).log_pdf)
+    return _theta_sup("luckiness_alpha_sup", predictor, n, m, alpha, DirichletDensity(b))

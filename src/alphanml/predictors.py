@@ -39,9 +39,9 @@ class table there (``_class_table``, keyed by (n, m) alone),
 ``DEFAULT_CACHE.clear()`` empties it. Only
 ``log_normalizer`` takes ``cache=`` (another ``NormalizerCache``, or None
 for no memo), because the benchmark's scaling probe times it with
-``cache=None``. A scan that already holds every class
-(``log_joints(..., complete=True)``) hands its classes and numerators to the
-normalizer on a cache miss instead of enumerating again.
+``cache=None``. A scan hands the class table it holds to ``_class_joints``,
+which gives every class's numerator and joint and, on a normalizer-cache
+miss, reduces those numerators over that table instead of enumerating again.
 ``cumulative_log_loss`` codes a whole sequence with one gather from a flat
 table of prefix marginals: one backward pass over the lattice of prefix
 counts of (spec, horizon, m), stored level by level in the order of
@@ -55,6 +55,7 @@ any other query by enumerating the suffix classes after each symbol.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from collections import OrderedDict
@@ -104,6 +105,11 @@ class DirichletParams:
     @property
     def total(self) -> float:
         return math.fsum(self.a)
+
+    @functools.cached_property
+    def log_beta(self) -> float:
+        """ln B(a), computed on first use and kept on the instance; equality and hashing still see only ``a``."""
+        return log_multivariate_beta(self.a)
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.a, dtype=np.float64)
@@ -296,7 +302,7 @@ def _separable_rows(form: _Separable, counts: np.ndarray) -> np.ndarray:
         terms = f(values)
     out = terms.sum(axis=1) - f(values.sum(axis=1))
     if form.beta is not None:
-        out -= log_multivariate_beta(form.beta.a)
+        out -= form.beta.log_beta
     return out
 
 
@@ -417,34 +423,10 @@ def _class_table(n: int, m: int) -> _ClassTable:
     return DEFAULT_CACHE.get_or_compute((_class_table, n, m), build)
 
 
-def _compute_log_normalizer(
-    spec: PredictorSpec,
-    n: int,
-    m: int,
-    counts: np.ndarray | None = None,
-    numerators: np.ndarray | None = None,
-    log_mult: np.ndarray | None = None,
-) -> float:
-    """ln sum over the classes of (n, m) of multiplicity * exp(log numerator).
-
-    A scan that already holds every class (``count_vectors(n, m)``, in any
-    order) passes it, with its numerators and multiplicities where it has
-    them; the log-sum-exp does not depend on the order of its terms. With
-    no counts, the classes come from ``_class_table``.
-    """
-    if counts is None:
-        counts, log_mult = _class_table(n, m)
-    if numerators is None:
-        numerators = log_numerators(spec, counts)
-    if log_mult is None:
-        log_mult = log_multiplicities(counts)
-    return log_sum_exp(log_mult + numerators)
-
-
-def _cached_log_normalizer(spec: PredictorSpec, n: int, m: int, *arrays: np.ndarray | None) -> float:
-    """The (spec, n, m) normalizer from ``DEFAULT_CACHE``; a miss reduces ``arrays`` as ``_compute_log_normalizer`` does."""
-    key = (_compute_log_normalizer, spec, n, m)
-    return DEFAULT_CACHE.get_or_compute(key, lambda: _compute_log_normalizer(spec, n, m, *arrays))
+def _compute_log_normalizer(spec: PredictorSpec, n: int, m: int) -> float:
+    """ln sum over the classes of (n, m), from ``_class_table``, of multiplicity * exp(log numerator)."""
+    counts, log_mult = _class_table(n, m)
+    return log_sum_exp(log_mult + log_numerators(spec, counts))
 
 
 def log_normalizer(
@@ -470,43 +452,58 @@ def log_normalizer(
     """
     _checked_form(spec, m)
     if cache is None:
-        return _compute_log_normalizer(spec, n, m, count_vectors(n, m))
+        counts = count_vectors(n, m)
+        return log_sum_exp(log_multiplicities(counts) + log_numerators(spec, counts))
     if cache is _DEFAULT:
         cache = DEFAULT_CACHE
     key = (_compute_log_normalizer, spec, n, m)
     return cache.get_or_compute(key, lambda: _compute_log_normalizer(spec, n, m))
 
 
-def log_joints(
-    spec: PredictorSpec,
-    counts,
-    *,
-    complete: bool = False,
-    log_mult: np.ndarray | None = None,
-) -> np.ndarray:
+def _is_normalized(spec: PredictorSpec) -> bool:
+    """Whether the spec is a Dirichlet mixture B(c + a) / B(a): the mixture, or alpha = 1.
+
+    Its numerators are its log joints, an exact identity, and the empty
+    sequence's joint is exactly 0, where ln B(a) - ln B(a) of the cells
+    would round a few ulps off it.
+    """
+    form = _separable(spec)
+    return form.f is gammaln and form.alpha == 1.0 and form.beta is not None
+
+
+def log_joints(spec: PredictorSpec, counts) -> np.ndarray:
     """ln of the predictor's probability of one sequence of each row's class.
 
-    Every row of the (K, m) count array must have the same total n.
-    ``complete=True`` says the rows are every class of (n, m), each once, as
-    ``count_vectors`` returns them; a normalizer-cache miss then reduces
-    their numerators, and ``log_mult`` (their log multiplicities) when
-    given, instead of enumerating the classes again. The counts and the
-    alphabet are checked once, by ``log_numerators``.
+    Every row of the (K, m) count array must have the same total n. The
+    counts and the alphabet are checked once, by ``log_numerators``.
     """
     numerators = log_numerators(spec, counts)
     counts = np.asarray(counts, dtype=np.int64)
-    m = counts.shape[1]
-    form = _separable(spec)
-    totals = np.einsum("ij->i", counts)  # row totals; einsum is 3x faster than sum(axis=1) here
-    if form.f is gammaln and form.alpha == 1.0 and form.beta is not None:
-        # exact identity: a Dirichlet mixture B(c + a) / B(a), i.e. the mixture or alpha = 1, is normalized;
-        # at the empty sequence it is 1, where ln B(a) - ln B(a) of the cells would round a few ulps off 0
+    totals = counts.sum(axis=1)
+    if _is_normalized(spec):
         numerators[totals == 0] = 0.0
         return numerators
     if not totals.size or totals.min() != totals.max():
         raise ValueError(f"count vectors of several horizons {np.unique(totals).tolist()} in one call")
-    scan = (counts, numerators, log_mult) if complete else ()
-    return numerators - _cached_log_normalizer(spec, int(totals[0]), m, *scan)
+    n, m = int(totals[0]), counts.shape[1]
+    key = (_compute_log_normalizer, spec, n, m)
+    return numerators - DEFAULT_CACHE.get_or_compute(key, lambda: _compute_log_normalizer(spec, n, m))
+
+
+def _class_joints(spec: PredictorSpec, table: _ClassTable) -> tuple[np.ndarray, np.ndarray]:
+    """The log numerators and log joints of every class of a ``_ClassTable``.
+
+    The table's first class is (0, ..., 0, n), so it gives (n, m). A
+    normalizer-cache miss reduces these numerators with ``table.log_mult``
+    instead of looking the classes up again, which would enumerate them
+    again when the table is too large to be cached.
+    """
+    numerators = log_numerators(spec, table.counts)
+    n, m = int(table.counts[0, -1]), table.counts.shape[1]
+    if _is_normalized(spec):
+        return numerators, numerators if n else np.zeros(1)
+    key = (_compute_log_normalizer, spec, n, m)
+    return numerators, numerators - DEFAULT_CACHE.get_or_compute(key, lambda: log_sum_exp(table.log_mult + numerators))
 
 
 def log_joint(spec: PredictorSpec, counts: CountVector) -> LogProb:

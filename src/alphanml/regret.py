@@ -52,7 +52,6 @@ from .numerics import (
     LOG_TWO,
     accept_quadrature,
     log_gamma,
-    log_multivariate_beta,
     _log_sum_exp,
     xlogy,
 )
@@ -62,9 +61,9 @@ from .predictors import (
     Mixture,
     NML,
     PredictorSpec,
-    _cached_log_normalizer,
+    _class_joints,
     _class_table,
-    log_joints,
+    _ClassTable,
     log_normalizer,
     log_numerators,
 )
@@ -152,19 +151,17 @@ class WAlphaResult(NamedTuple):
     maximizer: CountVector
 
 
-def joint_values(
-    predictor: PredictorSpec | JointFn, counts: np.ndarray, log_mult: np.ndarray | None = None
-) -> np.ndarray:
-    """ln joint of every class of (n, m), for a spec or any counts -> log-prob callable.
+def joint_values(predictor: PredictorSpec | JointFn, table: _ClassTable) -> np.ndarray:
+    """ln joint of every class of a class table, for a spec or any counts -> log-prob callable.
 
-    ``counts`` holds every class once (``count_vectors(n, m)``); a spec's
-    joints come from ``log_joints(..., complete=True)``, which also takes
-    ``log_mult``.
+    ``table`` is the ``_class_table(n, m)`` the caller holds. A spec's joints
+    come from ``_class_joints``, whose normalizer-cache miss reduces over
+    that table; a callable is called once per class.
     """
     if isinstance(predictor, PredictorSpec):
-        return log_joints(predictor, counts, complete=True, log_mult=log_mult)
+        return _class_joints(predictor, table)[1]
     if callable(predictor):
-        return np.array([predictor(CountVector(tuple(row))) for row in counts.tolist()], dtype=np.float64)
+        return np.array([predictor(CountVector(tuple(row))) for row in table.counts.tolist()], dtype=np.float64)
     raise TypeError(f"predictor must be a PredictorSpec or callable, got {predictor!r}")
 
 
@@ -189,13 +186,14 @@ class TypeClassTable:
     """
 
     def __init__(self, n: int, m: int, predictor: PredictorSpec | JointFn):
-        counts, self.log_mult = _class_table(n, m)  # read-only, shared through DEFAULT_CACHE
+        table = _class_table(n, m)  # read-only, shared through DEFAULT_CACHE
         self.n = n
         self.m = m
-        self.counts = counts.astype(np.float64)
+        self.log_mult = table.log_mult
+        self.counts = table.counts.astype(np.float64)
         self.columns = [np.ascontiguousarray(self.counts[:, i]) for i in range(m)]
-        self.positive = counts > 0
-        self.log_joint = joint_values(predictor, counts, self.log_mult)
+        self.positive = table.counts > 0
+        self.log_joint = joint_values(predictor, table)
         self._tilt: tuple[float | None, np.ndarray | None] = (None, None)  # (alpha, (1 - alpha) * log_joint)
 
     def log_ptheta(self, thetas: np.ndarray) -> np.ndarray:
@@ -407,13 +405,14 @@ def integrate_unit_interval(f: Callable[[float], float]) -> tuple[float, float]:
 class DirichletDensity:
     """The Dirichlet(params) density on the simplex.
 
-    The normalizer ln B(a) and the exponents a_i - 1 are computed once, at
-    construction, not on every evaluation.
+    The normalizer ln B(a) (kept on the parameters) and the exponents
+    a_i - 1 are read once, at construction, not on every evaluation.
     """
 
     def __init__(self, params: DirichletParams):
-        self.neg_log_norm = -log_multivariate_beta(params.a)
+        self.neg_log_norm = -params.log_beta
         self.exponents = params.as_array() - 1.0
+        self._exponents = self.exponents.tolist()  # as floats, for ``log_point``
 
     def log_pdf(self, thetas: np.ndarray) -> np.ndarray:
         """ln of the density at each row of a (P, m) batch of thetas.
@@ -430,6 +429,15 @@ class DirichletDensity:
             out += terms[:, i]
         return out
 
+    def log_point(self, coordinates: Sequence[float]) -> float:
+        """``log_pdf`` at one theta with coordinates >= 0, on floats: its terms and sums in its order, bit for bit."""
+        out = self.neg_log_norm
+        for term in map(_xlog, self._exponents, coordinates):
+            if term == math.inf:
+                return math.inf  # log_pdf's rule: no +inf plus -inf
+            out += term
+        return out
+
 
 def _xlog(e: float, t: float) -> float:
     """xlogy(e, t) for floats e and t >= 0: e ln t with the C library's log, 0 when e = 0."""
@@ -443,19 +451,15 @@ def dirichlet_quadrature(
 ) -> tuple[float, float]:
     """Integral over t in [0, 1] of weighted(density, theta) at theta = [[t, 1 - t]].
 
-    ``density`` is the Dirichlet(params) density at theta; the integrand
-    multiplies it into its own term. The density is evaluated on scalars,
-    in the order of ``DirichletDensity.log_pdf``, with ``_xlog`` in place
-    of ``xlogy``. Returns (value, error estimate) of
-    ``integrate_unit_interval``.
+    ``density`` is the Dirichlet(params) density at theta, from
+    ``DirichletDensity.log_point``; the integrand multiplies it into its own
+    term. Returns (value, error estimate) of ``integrate_unit_interval``.
     """
-    density = DirichletDensity(params)
-    neg_log_norm = density.neg_log_norm
-    e0, e1 = density.exponents.tolist()
+    log_point = DirichletDensity(params).log_point
 
     def integrand(t: float) -> float:
         s = 1.0 - t
-        return weighted(math.exp(neg_log_norm + _xlog(e0, t) + _xlog(e1, s)), np.array([[t, s]]))
+        return weighted(math.exp(log_point((t, s))), np.array([[t, s]]))
 
     return integrate_unit_interval(integrand)
 
@@ -590,14 +594,13 @@ def _worst_case_scan(
     benchmark itself, its joints are the same numerators less the
     normalizer, so the numerators are evaluated once.
     """
-    counts, log_mult = _class_table(n, m)
-    numerators = log_numerators(benchmark, counts)
+    table = _class_table(n, m)
     if predictor == benchmark:
-        # log_joints' steps for a complete scan, on the numerators at hand
-        joints = numerators - _cached_log_normalizer(benchmark, n, m, counts, numerators, log_mult)
+        numerators, joints = _class_joints(benchmark, table)
     else:
-        joints = joint_values(predictor, counts, log_mult)
-    value, maximizer = _class_max(counts, numerators - joints)
+        numerators = log_numerators(benchmark, table.counts)
+        joints = joint_values(predictor, table)
+    value, maximizer = _class_max(table.counts, numerators - joints)
     return RegretReport(
         kind=kind,
         value_nats=value,
@@ -687,9 +690,8 @@ def infinity_split_check(predictor: PredictorSpec | JointFn, n: int, m: int) -> 
     Returns (lhs, rhs); a zero-probability type class makes both sides +inf.
     """
     lhs = worst_case_regret(predictor, n, m).value_nats
-    counts, log_mult = _class_table(n, m)
-    nml = log_joints(NML(), counts, complete=True, log_mult=log_mult)
-    gap = np.max(nml - joint_values(predictor, counts, log_mult))
+    table = _class_table(n, m)
+    gap = np.max(joint_values(NML(), table) - joint_values(predictor, table))
     rhs = sibson_mi_infinity(n, m) + float(gap)
     return lhs, rhs
 
@@ -727,9 +729,9 @@ def _theta_sup(
     n: int,
     m: int,
     alpha: float,
-    log_weight: Callable[[np.ndarray], np.ndarray] | None = None,
+    density: DirichletDensity | None = None,
 ) -> RegretReport:
-    """sup over theta of [log_weight(theta) +] D_alpha(p_theta || predictor), reported as ``kind``.
+    """sup over theta of [ln density(theta) +] D_alpha(p_theta || predictor), reported as ``kind``.
 
     The one driver behind every supremum over theta. The order and m are
     checked before the class table is built, so an unsupported alphabet
@@ -737,17 +739,17 @@ def _theta_sup(
     """
     _check_order(alpha)
     if m not in (2, 3):
-        caller = "alpha_regret" if log_weight is None else "luckiness_alpha_regret_supform"
+        caller = "alpha_regret" if density is None else "luckiness_alpha_regret_supform"
         raise UnsupportedError(f"{caller} supports m in {{2, 3}}, got m={m}")
     table = TypeClassTable(n, m, predictor)
 
     def grid_values(thetas: np.ndarray) -> np.ndarray:
         values = table._grid_values(thetas, alpha)
-        return values if log_weight is None else log_weight(thetas) + values  # log_weight works row by row
+        return values if density is None else density.log_pdf(thetas) + values  # log_pdf works row by row
 
     def point_value(theta: tuple[float, ...]) -> float:
         value = table._point(theta, alpha)
-        return value if log_weight is None else float(log_weight(np.array([theta]))[0]) + value
+        return value if density is None else density.log_point(theta) + value
 
     point, value = _maximize(m, grid_values, point_value)
     return RegretReport(
@@ -783,12 +785,12 @@ def predictor_kl(
     m: int,
 ) -> float:
     """KL(p || q) between two exchangeable predictors on sequence space."""
-    counts, log_mult = _class_table(n, m)
-    lp = joint_values(p, counts, log_mult)
+    table = _class_table(n, m)
+    lp = joint_values(p, table)
     support = lp != -math.inf
-    lq = joint_values(q, counts, log_mult)[support]
+    lq = joint_values(q, table)[support]
     lp = lp[support]
-    return math.fsum(np.exp(log_mult[support] + lp) * (lp - lq))
+    return math.fsum(np.exp(table.log_mult[support] + lp) * (lp - lq))
 
 
 def _asymptote_base(n: int, m: int) -> float:

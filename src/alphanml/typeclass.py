@@ -8,14 +8,13 @@ order, and ``log_multiplicities`` gives their log multinomial coefficients as
 a product of binomials read from one table: a row of ln C(r, c) per distinct
 suffix sum r, built with one vectorized log of (r - j) / (j + 1) and one
 cumulative sum per block of rows. Scans evaluate predictors on these arrays
-and reduce them in one step; ``log_multinomial`` is the exact scalar
-fallback. ``count_vector_ranks`` inverts ``count_vectors``: it gives each
-count vector's row in the array of its horizon, by ``_lex_ranks``, the
-rank formula that sequence coding also reads its cached prefix ranks with.
-
-``reduce_over_type_classes`` is the per-class reference: it calls a Python
-term on one ``CountVector`` at a time and reduces every class in one
-log-sum-exp. The array scans are checked against it.
+and reduce them in one step; there is no per-class route.
+``count_vector_ranks`` inverts ``count_vectors``: it gives each count
+vector's row in the array of its horizon, by ``_lex_ranks``, the rank
+formula that sequence coding also reads its cached prefix ranks with. The
+tests check the classes and their multiplicities against a stars-and-bars
+enumeration and the scalar ``numerics.log_multinomial``, which share no
+code with these arrays.
 """
 
 from __future__ import annotations
@@ -23,11 +22,9 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from .numerics import LogProb, log_multinomial, log_sum_exp
 
 
 @dataclass(frozen=True)
@@ -215,34 +212,3 @@ def _log_binomial_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         size += block.size
         hi -= rows
     return np.concatenate(blocks), starts
-
-
-def enumerate_count_vectors(n: int, m: int) -> Iterator[CountVector]:
-    """Stream every count vector of (n, m) exactly once, lexicographically."""
-    for row in count_vectors(n, m).tolist():
-        yield CountVector(tuple(row))
-
-
-def iter_with_log_multiplicity(n: int, m: int) -> Iterator[tuple[CountVector, float]]:
-    """Stream (count vector, ln multiplicity) pairs in lexicographic order."""
-    counts = count_vectors(n, m)
-    for row, log_mult in zip(counts.tolist(), log_multiplicities(counts).tolist()):
-        yield CountVector(tuple(row)), log_mult
-
-
-def reduce_over_type_classes(n: int, m: int, term: Callable[[CountVector], LogProb]) -> float:
-    """ln sum over type classes of multiplicity * exp(term(counts)).
-
-    The per-class reference for the array scans. ``term`` must be a pure
-    function of the count vector; it is called once per class.
-    """
-    return log_sum_exp([log_mult + term(cv) for cv, log_mult in iter_with_log_multiplicity(n, m)])
-
-
-def verify_multiplicities(n: int, m: int, rel_tol: float = 1e-12) -> bool:
-    """Check the array log multiplicities against the scalar log_multinomial."""
-    for cv, log_mult in iter_with_log_multiplicity(n, m):
-        exact = log_multinomial(n, cv.counts)
-        if not math.isclose(log_mult, exact, rel_tol=rel_tol, abs_tol=1e-12):
-            return False
-    return True

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from alphanml import CountVector, iter_with_log_multiplicity
+from alphanml import CountVector, count_vectors, log_multiplicities
 
 # Tier-1 draws the same hypothesis examples on every run. CI reruns the suite with
 # --hypothesis-profile=random and a printed --hypothesis-seed, so a failing draw can be replayed.
@@ -35,9 +35,10 @@ def make_exchangeable(rng):
     """
 
     def make(n: int, m: int):
-        cells = list(iter_with_log_multiplicity(n, m))
-        weights = rng.dirichlet(np.ones(len(cells)))
-        table = {cv: float(np.log(w)) - lm for (cv, lm), w in zip(cells, weights)}
+        counts = count_vectors(n, m)
+        weights = rng.dirichlet(np.ones(counts.shape[0]))
+        cells = zip(counts.tolist(), log_multiplicities(counts).tolist(), weights)
+        table = {CountVector(tuple(row)): float(np.log(w)) - lm for row, lm, w in cells}
 
         def joint(cv: CountVector) -> float:
             return table[cv]

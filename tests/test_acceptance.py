@@ -31,7 +31,7 @@ from alphanml import (
     average_regret,
     brute_sequence_sum,
     conditional_distribution,
-    enumerate_count_vectors,
+    count_vectors,
     figure1_table,
     kt,
     infinity_split_check,
@@ -179,7 +179,8 @@ def test_criterion_06_conditionals_consistent_with_joints():
         for alpha in (1.0, 2.0, 3.0):
             spec = AlphaNML(alpha, J)
             for n_past in range(0, max_past + 1):
-                for past in enumerate_count_vectors(n_past, m):
+                for row in count_vectors(n_past, m).tolist():
+                    past = CountVector(tuple(row))
                     probs = conditional_distribution(spec, past)
                     lead = np.array(
                         [log_joint(spec, past.with_symbol(k)) for k in range(1, m + 1)]

@@ -1,4 +1,4 @@
-"""The public signatures carry no keyword that changes nothing."""
+"""The public names, and signatures that carry no keyword that changes nothing."""
 
 from __future__ import annotations
 
@@ -7,7 +7,80 @@ import inspect
 import pytest
 
 import alphanml
-from alphanml import log_normalizer, maximize_on_simplex, reduce_over_type_classes, regret
+from alphanml import log_joints, log_normalizer, maximize_on_simplex, regret
+
+# every public name; a name joins or leaves the package only with an edit here
+PUBLIC_NAMES = [
+    "AlphaNML",
+    "CountVector",
+    "DirichletParams",
+    "InfeasibleModelError",
+    "LOG_TWO",
+    "LuckinessAlphaNML",
+    "LuckinessNML",
+    "Mixture",
+    "NML",
+    "NormalizerCache",
+    "NumericError",
+    "OracleConfig",
+    "PredictorSpec",
+    "RegretReport",
+    "SimplexPoint",
+    "TypeClassTable",
+    "UnsupportedError",
+    "alpha_regret",
+    "alpha_split_check",
+    "asymptotic_min_alpha_regret",
+    "asymptotic_rmax",
+    "average_luckiness_regret",
+    "average_regret",
+    "brute_sequence_sum",
+    "brute_simplex_max",
+    "conditional_distribution",
+    "count_vector_ranks",
+    "count_vector_total",
+    "count_vectors",
+    "cumulative_log_loss",
+    "figure1_table",
+    "infinity_split_check",
+    "kt",
+    "laplace",
+    "log_dirichlet_alpha_integral",
+    "log_gamma",
+    "log_joint",
+    "log_luckiness_supremum",
+    "log_joints",
+    "log_ml",
+    "log_multinomial",
+    "log_multiplicities",
+    "log_multivariate_beta",
+    "log_normalizer",
+    "log_numerators",
+    "log_sum_exp",
+    "log_sum_exp_array",
+    "luckiness_alpha_regret",
+    "luckiness_alpha_regret_supform",
+    "maximize_on_simplex",
+    "predictor_kl",
+    "renyi_divergence_vs_predictor",
+    "sequence_counts",
+    "sequence_max_likelihood_log_prob",
+    "sequential_mixture_log_prob",
+    "sibson_mi_alpha",
+    "sibson_mi_infinity",
+    "simplex_quadrature",
+    "tilted_params",
+    "w_alpha_closed",
+    "w_alpha_direct",
+    "worst_case_luckiness_regret",
+    "worst_case_regret",
+    "xlogy",
+]
+
+
+def test_all_is_pinned():
+    assert alphanml.__all__ == PUBLIC_NAMES
+    assert all(hasattr(alphanml, name) for name in PUBLIC_NAMES)
 
 
 def _parameters(obj) -> set[str]:
@@ -46,14 +119,17 @@ def test_cache_is_accepted_only_by_log_normalizer():
         (regret.integrate_unit_interval, {"epsabs", "margin", "limit"}),
         (alphanml.average_luckiness_regret, {"cache", "tol"}),
         (alphanml.luckiness_alpha_regret, {"cache", "tol"}),
+        (log_joints, {"complete", "log_mult"}),
     ],
 )
 def test_constant_keywords_are_gone(function, dropped):
     assert not _parameters(function) & dropped
 
 
-def test_reduce_over_type_classes_signature():
-    assert list(inspect.signature(reduce_over_type_classes).parameters) == ["n", "m", "term"]
+def test_scan_signatures_take_no_arrays_of_classes():
+    """A scan passes its class table; the public joints take only a spec and counts."""
+    assert list(inspect.signature(log_joints).parameters) == ["spec", "counts"]
+    assert list(inspect.signature(regret.joint_values).parameters) == ["predictor", "table"]
 
 
 def test_maximize_on_simplex_signature():

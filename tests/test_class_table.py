@@ -26,6 +26,7 @@ from alphanml import (
     TypeClassTable,
     alpha_regret,
     count_vectors,
+    infinity_split_check,
     log_multiplicities,
     log_normalizer,
     predictor_kl,
@@ -35,6 +36,9 @@ from alphanml import (
 )
 from alphanml import predictors, typeclass
 from alphanml.predictors import DEFAULT_CACHE
+
+
+A3, B3 = DirichletParams((0.7, 1.2, 2.0)), DirichletParams((1.5, 2.0, 1.25))
 
 
 @pytest.fixture
@@ -118,6 +122,41 @@ class TestOneEnumeration:
         assert log_normalizer(spec, 10, 3, cache=None) == cached
         log_normalizer(NML(), 12, 3, cache=None)
         assert list(cache._values.items()) == before and cache.floats == floats
+
+
+class TestOverTheBound:
+    """With nothing stored, each scan enumerates its classes and evaluates its numerators as often as before
+    scans passed their class table: a helper that looked the table up again would enumerate again."""
+
+    @pytest.fixture
+    def calls(self, cache, monkeypatch):
+        monkeypatch.setattr(predictors, "_CACHE_FLOATS", 1)  # below every charge, so no value is stored
+        calls = []
+        for name in ("count_vectors", "log_numerators"):
+            original = getattr(predictors, name)
+            counting = lambda *args, name=name, original=original: calls.append(name) or original(*args)
+            for key, module in list(sys.modules.items()):
+                if key.startswith("alphanml") and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "scan, enumerations, numerators",
+        [
+            (lambda: worst_case_regret(NML(), 9, 3), 1, 1),
+            (lambda: worst_case_luckiness_regret(LuckinessNML(B3), B3, 9, 3), 1, 1),
+            (lambda: worst_case_regret(AlphaNML(2.5, A3), 9, 3), 1, 2),
+            (lambda: worst_case_regret(Mixture(A3), 9, 3), 1, 2),
+            (lambda: TypeClassTable(9, 3, AlphaNML(2.5, A3)), 1, 1),
+            (lambda: predictor_kl(AlphaNML(2.5, A3), NML(), 9, 3), 1, 2),
+            (lambda: infinity_split_check(AlphaNML(2.5, A3), 9, 3), 3, 5),
+        ],
+        ids=["worst-benchmark", "luckiness-benchmark", "worst-alpha", "worst-mixture", "table", "kl", "split"],
+    )
+    def test_scan_enumerates_once_per_lookup(self, calls, cache, scan, enumerations, numerators):
+        scan()
+        assert (calls.count("count_vectors"), calls.count("log_numerators")) == (enumerations, numerators)
+        assert len(cache) == 0
 
 
 class TestThreads:

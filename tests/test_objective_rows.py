@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import xlogy
 
@@ -270,6 +270,28 @@ _PARAMS = st.tuples(
 ).map(DirichletParams)
 
 
+def _density_point(m: int):
+    """Dirichlet parameters over m symbols with exponents of either sign, and a theta with zero coordinates."""
+    param = st.one_of(st.floats(0.2, 0.95), st.just(1.0), st.floats(1.05, 3.0))
+    coordinate = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    return st.tuples(st.tuples(*[param] * m), st.tuples(*[coordinate] * m))
+
+
+class TestLogPoint:
+    """``DirichletDensity.log_point`` is ``log_pdf`` at one theta, bit for bit."""
+
+    @given(st.sampled_from([2, 3]).flatmap(_density_point))
+    @example(((0.8, 1.2), (0.0, 0.0)))  # +inf under one zero, -inf under the other: log_pdf gives +inf
+    @example(((0.8, 1.2, 1.0), (0.0, 0.0, 1.0)))
+    @example(((1.5, 2.0, 0.5), (0.0, 0.3, 0.7)))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_log_pdf(self, case):
+        params, coordinates = case
+        density = DirichletDensity(DirichletParams(params))
+        expected = float(density.log_pdf(np.array([coordinates]))[0])
+        assert density.log_point(coordinates).hex() == expected.hex()
+
+
 class TestQuadratureNodes:
     """Scalar densities and row-kernel integrands give the old quadratures bit for bit."""
 
@@ -335,7 +357,7 @@ class TestWorstCaseNumerators:
         rep = worst_case_regret(NML(), 40, 3)
         assert numerator_calls == [NML()]
         counts = predictors.count_vectors(40, 3)
-        vals = log_numerators(NML(), counts) - log_joints(NML(), counts, complete=True)
+        vals = log_numerators(NML(), counts) - log_joints(NML(), counts)
         assert rep.value_nats == float(vals.max())
 
     @pytest.mark.parametrize("cache_state", ["cold", "warm"])
@@ -348,7 +370,7 @@ class TestWorstCaseNumerators:
         rep = worst_case_luckiness_regret(LuckinessNML(b), b, 30, 3)
         assert numerator_calls == [LuckinessNML(b)]
         counts = predictors.count_vectors(30, 3)
-        vals = log_numerators(LuckinessNML(b), counts) - log_joints(LuckinessNML(b), counts, complete=True)
+        vals = log_numerators(LuckinessNML(b), counts) - log_joints(LuckinessNML(b), counts)
         k = int(np.argmax(vals >= vals.max() - 1e-12 * max(1.0, abs(vals.max()))))
         assert (rep.value_nats, rep.maximizer.counts) == (float(vals[k]), tuple(counts[k].tolist()))
 

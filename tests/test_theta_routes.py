@@ -111,16 +111,30 @@ class TestSupremumRoute:
     def test_supremum_equals_maximizing_the_public_objective(self, m, n, alpha, weighted, data):
         predictor = _predictor(data.draw, m)
         b = DirichletParams(tuple(data.draw(st.floats(min_value=0.6, max_value=3.0)) for _ in range(m)))
-        log_weight = DirichletDensity(b).log_pdf if weighted else None
+        density = DirichletDensity(b) if weighted else None
+        fast, generic = self._outcomes(predictor, n, m, alpha, density)
+        assert fast == generic
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_weighted_supremum_equals_maximizing_the_public_objective(self, m):
+        """The Dirichlet weight's refinement probes take ``log_point``; the public objective takes ``log_pdf``."""
+        predictor = AlphaNML(2.5, DirichletParams((0.7, 1.6, 0.9)[:m]))
+        for b in ((1.5, 2.0, 1.25)[:m], (0.8, 1.2, 1.0)[:m]):  # the second is +inf at a vertex with theta_1 = 0
+            fast, generic = self._outcomes(predictor, 9, m, 1.7, DirichletDensity(DirichletParams(b)))
+            assert fast == generic
+
+    @staticmethod
+    def _outcomes(predictor, n, m, alpha, density):
+        """The (theta, value) hex of ``_theta_sup`` and of ``maximize_on_simplex`` over the public objective."""
         table = TypeClassTable(n, m, predictor)
 
         def objective(thetas):
             values = table.renyi_values(thetas, alpha)
-            return values if log_weight is None else log_weight(thetas) + values
+            return values if density is None else density.log_pdf(thetas) + values
 
         with np.errstate(all="ignore"):
             outcomes = []
-            for run in (lambda: regret._theta_sup("alpha", predictor, n, m, alpha, log_weight),
+            for run in (lambda: regret._theta_sup("alpha", predictor, n, m, alpha, density),
                         lambda: maximize_on_simplex(m, objective)):
                 try:
                     result = run()
@@ -129,7 +143,7 @@ class TestSupremumRoute:
                     continue
                 point, value = (result.maximizer, result.value_nats) if hasattr(result, "maximizer") else result
                 outcomes.append((_hex(point.theta), _hex([value])))
-        assert outcomes[0] == outcomes[1]
+        return outcomes
 
     def test_public_maximizer_keeps_its_generic_route(self):
         calls = []

@@ -1,7 +1,8 @@
-"""Count-vector enumeration and the per-class reference reduction."""
+"""Count-vector enumeration and the scan reduction, against a per-class oracle."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -16,14 +17,28 @@ from alphanml.typeclass import (
     count_vector_ranks,
     count_vector_total,
     count_vectors,
-    enumerate_count_vectors,
-    iter_with_log_multiplicity,
     log_multiplicities,
-    reduce_over_type_classes,
-    verify_multiplicities,
 )
 
 small_nm = st.tuples(st.integers(min_value=0, max_value=12), st.integers(min_value=2, max_value=4))
+
+
+def stars_and_bars(n: int, m: int) -> list[tuple[int, ...]]:
+    """Every count vector of (n, m), from the positions of m - 1 bars among n + m - 1 slots.
+
+    Shares no code with ``count_vectors``; the order is whatever the bar
+    positions give, so callers sort or compare sets.
+    """
+    classes = []
+    for bars in itertools.combinations(range(n + m - 1), m - 1):
+        edges = (-1, *bars, n + m - 1)
+        classes.append(tuple(edges[i + 1] - edges[i] - 1 for i in range(m)))
+    return classes
+
+
+def per_class_log_sum(n: int, m: int, term) -> float:
+    """ln sum over the classes of (n, m) of multiplicity * exp(term(counts)), one class at a time."""
+    return log_sum_exp([log_multinomial(n, c) + term(c) for c in stars_and_bars(n, m)])
 
 
 class TestCountVector:
@@ -75,43 +90,40 @@ class TestCountVector:
 
 
 class TestEnumeration:
-    """Streaming ascending-lexicographic enumeration of type classes."""
+    """Ascending-lexicographic arrays of type classes, against stars and bars."""
 
     @given(small_nm)
     @settings(max_examples=60, deadline=None)
     def test_complete_and_counted(self, nm):
-        """Yields every vector exactly once; the closed-form count agrees."""
+        """Every vector exactly once; the closed-form count agrees."""
         n, m = nm
-        seen = list(enumerate_count_vectors(n, m))
+        seen = [tuple(row) for row in count_vectors(n, m).tolist()]
         assert len(seen) == count_vector_total(n, m) == math.comb(n + m - 1, m - 1)
+        assert set(seen) == set(stars_and_bars(n, m))
         assert len(set(seen)) == len(seen)
-        assert all(cv.n == n and cv.m == m for cv in seen)
 
     @given(small_nm)
     @settings(max_examples=60, deadline=None)
     def test_ascending_lexicographic(self, nm):
         n, m = nm
-        seen = [cv.counts for cv in enumerate_count_vectors(n, m)]
-        assert seen == sorted(seen)
+        assert count_vectors(n, m).tolist() == [list(c) for c in sorted(stars_and_bars(n, m))]
 
     def test_incremental_multiplicity_matches_direct(self):
-        """The O(1)-updated log multiplicity equals the multinomial formula."""
-        for n, m in [(0, 2), (1, 2), (7, 2), (9, 3), (5, 4)]:
-            for cv, lm in iter_with_log_multiplicity(n, m):
-                ref = log_multinomial(n, cv.counts)
+        """The table-built log multiplicity equals the multinomial formula."""
+        for n, m in [(0, 2), (1, 2), (7, 2), (9, 3), (5, 4), (30, 2), (12, 3)]:
+            counts = count_vectors(n, m)
+            for row, lm in zip(counts.tolist(), log_multiplicities(counts).tolist()):
+                ref = log_multinomial(n, row)
                 assert abs(lm - ref) <= 1e-12 * max(1.0, abs(ref))
-
-    def test_verify_multiplicities_helper(self):
-        verify_multiplicities(30, 2)
-        verify_multiplicities(12, 3)
 
     @given(small_nm)
     @settings(max_examples=40, deadline=None)
     def test_multiplicities_sum_to_m_power_n(self, nm):
         """sum over classes of multiplicity = m^n (uniform source normalizes)."""
         n, m = nm
-        total = reduce_over_type_classes(n, m, lambda cv: 0.0)
+        total = log_sum_exp(log_multiplicities(count_vectors(n, m)))
         np.testing.assert_allclose(total, n * math.log(m), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(per_class_log_sum(n, m, lambda c: 0.0), total, rtol=1e-12, atol=1e-12)
 
 
 class TestRanks:
@@ -143,30 +155,25 @@ class TestRanks:
 
 
 class TestReduction:
-    """One log-sum-exp over every type class, one term call per class."""
+    """A scan's reduction: one log-sum-exp of log multiplicities plus per-class terms."""
 
     @staticmethod
-    def _term(cv: CountVector) -> float:
-        return -0.3 * cv.counts[0] + 0.1 * sum(c * c for c in cv.counts)
+    def _term(counts: tuple[int, ...]) -> float:
+        return -0.3 * counts[0] + 0.1 * sum(c * c for c in counts)
 
     def test_small_cases_exact(self):
         """n = 1 reduces over m singleton classes."""
-        val = reduce_over_type_classes(1, 2, lambda cv: 0.0)
+        val = log_sum_exp(log_multiplicities(count_vectors(1, 2)))
         np.testing.assert_allclose(val, math.log(2.0), rtol=1e-15)
 
-    def test_term_receiving_each_class_once(self):
-        seen = []
-        reduce_over_type_classes(6, 2, lambda cv: seen.append(cv) or 0.0)
-        assert len(seen) == count_vector_total(6, 2)
-        assert len(set(seen)) == len(seen)
-
-    def test_matches_array_reduction_bitwise(self):
-        """At K = 3321 classes the per-class route is one log-sum-exp of the array route, bit for bit."""
+    def test_matches_per_class_oracle(self):
+        """At K = 3321 classes the array reduction agrees with the stars-and-bars, log_multinomial oracle."""
         counts = count_vectors(80, 3)
         terms = -0.3 * counts[:, 0] + 0.1 * (counts * counts).sum(axis=1)
-        expected = log_sum_exp(log_multiplicities(counts) + terms)
-        assert reduce_over_type_classes(80, 3, self._term) == expected
+        value = log_sum_exp(log_multiplicities(counts) + terms)
+        assert math.isclose(value, per_class_log_sum(80, 3, self._term), rel_tol=1e-13)
 
     def test_nan_term_raises(self):
+        counts = count_vectors(3, 2)
         with pytest.raises(NumericError):
-            reduce_over_type_classes(3, 2, lambda cv: math.nan)
+            log_sum_exp(log_multiplicities(counts) + np.full(counts.shape[0], math.nan))
