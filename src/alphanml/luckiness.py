@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .exceptions import NumericError, UnsupportedError
 from .numerics import accept_quadrature
 from .predictors import DirichletParams, LuckinessNML, PredictorSpec, tilted_params
@@ -92,15 +90,15 @@ def luckiness_alpha_regret(
     tilt = tilted_params(alpha, b)
     table = TypeClassTable(n, m, predictor)
 
-    def weighted(pdf: float, theta: np.ndarray) -> float:
-        hi, total = table._renyi_sum(table._row(theta.tolist()[0])[0], alpha)
+    def weighted(pdf: float, theta: tuple[float, float]) -> float:
+        hi, total = table._renyi_sum(table._row(theta)[0], alpha)
         # q = 0 on a class (hi = +inf) or a nan cell gives a nan total: a nan node, which accept_quadrature rejects
         try:
             return pdf * math.exp(hi) * total
         except OverflowError:  # a finite hi above the float range: e^hi is no float
             raise NumericError(
                 f"the tilted alpha-regret's integrand exceeds the float range: its log is {hi:.6g} "
-                f"at theta_1 = {float(theta[0, 0]):.6g}"
+                f"at theta_1 = {theta[0]:.6g}"
             ) from None
 
     value, err = dirichlet_quadrature(tilt, weighted)

@@ -16,10 +16,13 @@ numpy array and reduces it with one vectorized ``exp`` and an exactly
 rounded ``math.fsum``, so the result does not depend on the order of the
 terms. ``log_gamma`` is the C library ``lgamma``, for scalars. Array scans
 call ``scipy.special.gammaln`` and ``xlogy`` once per symbol on a table over
-k = 0..max count and gather every class's cells from it
-(``predictors._separable_rows``, on each kind's separable form), so a scan
-of K classes makes about m * (n + 1) cell evaluations plus one per class
-for its row total.
+k = 0..max count and gather each symbol's column of cells from it
+(``predictors._separable_rows``, on each kind's separable form). The
+columns are added left to right, which for m < 8 gives the bits of numpy's
+row sums; single rows and m >= 8 keep ``sum(axis=1)``, which sums rows of
+8 or more elements pairwise. A scan of K classes makes about m * (n + 1)
+cell evaluations plus its row totals: one when every class's total is the
+same float, as the mixture's are, and one per class otherwise.
 
 ``accept_quadrature`` is the one acceptance test for quadratures: a value
 is returned only if it is finite and its error estimate is within bound.

@@ -26,8 +26,9 @@ the parameters pin. The unnormalized log joint of counts c is
 (sum_i f(v_i(c_i)) - f(sum_i v_i(c_i)) - ln B) / alpha, and
 ``log_numerators``, ``spec_alphabet_size``, ``log_dirichlet_alpha_integral``,
 ``log_joints`` and the one-step ``conditional_distribution`` read that
-form. A scan evaluates f once per symbol on k = 0..max count and gathers
-every class's cells from those tables. ``log_joints``
+form. A scan evaluates f once per symbol on k = 0..max count, gathers
+every class's cells from those tables one symbol column at a time, and adds
+the columns (``_separable_rows``). ``log_joints``
 subtracts the horizon's log normalizer. ``log_normalizer`` reduces
 multiplicities plus numerators over the array of all type classes. There is
 one cache, ``DEFAULT_CACHE``, a thread-safe least-recently-used memo keyed by
@@ -277,32 +278,60 @@ def _separable(spec: PredictorSpec) -> _Separable:
     raise TypeError(f"unknown predictor spec {spec!r}")
 
 
+_PAIRWISE_FROM = 8  # numpy's sum(axis=1) adds a row of fewer elements left to right, a longer one pairwise
+
+
 def _separable_rows(form: _Separable, counts: np.ndarray) -> np.ndarray:
     """sum_i f(v_i) - f(sum_i v_i) - ln B(beta) per row, with v_i = cell(c_i) for symbol i.
 
     When K > max count + 1, ``cell`` and ``f`` run once per symbol on
-    k = 0..max count and the (K, m) cells are gathered from those tables;
-    smaller arrays (single rows, m = 2 scans where K = n + 1) evaluate every
-    cell. Each cell holds the same float either way and rows are summed the
-    same way, so both routes agree bit for bit. The row-total term stays
-    per row: the float sum of the cells differs from row to row in its last
-    bits.
+    k = 0..max count and every class's cells are gathered from those
+    tables; smaller arrays (single rows, m = 2 scans where K = n + 1)
+    evaluate every cell. Each cell holds the same float either way.
+
+    A scan of 2 <= m < 8 symbols works column by column: symbol i's cells
+    and terms are gathered with ``counts.T[i]`` from its own table column,
+    and the columns are added left to right, the order in which numpy's
+    ``sum(axis=1)`` adds rows of fewer than 8 elements, so the sums keep
+    its bits. The row-total term f(sum_i v_i) is evaluated once when every
+    row's total is the same float, and per row otherwise. Single rows keep
+    the (1, m) expression with ``sum(axis=1)``, which costs less per call,
+    and so does m >= 8, where numpy sums each row pairwise.
     """
     cell, f = form.cell, form.f
     rows, m = counts.shape
     top = int(counts.max()) if rows > 1 else 0
-    if rows > top + 1:
-        k = np.arange(top + 1, dtype=np.float64)[:, None]
-        table = np.broadcast_to(cell(k), (top + 1, m)).ravel()
-        at = counts * m + np.arange(m)  # flat index of cell (c_i, i)
-        values = table[at]
-        terms = f(table)[at]
+    gather = rows > top + 1
+    if gather:
+        table = np.broadcast_to(cell(np.arange(top + 1, dtype=np.float64)[:, None]), (top + 1, m))
+        f_table = f(table)
     else:
         values = cell(counts.astype(np.float64))
         terms = f(values)
-    out = terms.sum(axis=1) - f(values.sum(axis=1))
+    if rows < 2 or m >= _PAIRWISE_FROM:
+        if gather:
+            at = counts * m + np.arange(m)  # flat index of cell (c_i, i)
+            values, terms = table.ravel()[at], f_table.ravel()[at]
+        out = terms.sum(axis=1) - f(values.sum(axis=1))
+    else:
+        if gather:
+            values = [table[:, i][c] for i, c in enumerate(counts.T)]
+            terms = [f_table[:, i][c] for i, c in enumerate(counts.T)]
+        else:
+            values, terms = values.T, terms.T
+        out = _add_columns(terms)
+        totals = _add_columns(values)
+        out -= f(totals[:1] if totals.min() == totals.max() else totals)
     if form.beta is not None:
         out -= form.beta.log_beta
+    return out
+
+
+def _add_columns(columns) -> np.ndarray:
+    """columns[0] + columns[1] + ..., added left to right into a new array."""
+    out = columns[0].copy()
+    for column in columns[1:]:
+        out += column
     return out
 
 

@@ -447,9 +447,9 @@ def _xlog(e: float, t: float) -> float:
 
 
 def dirichlet_quadrature(
-    params: DirichletParams, weighted: Callable[[float, np.ndarray], float]
+    params: DirichletParams, weighted: Callable[[float, tuple[float, float]], float]
 ) -> tuple[float, float]:
-    """Integral over t in [0, 1] of weighted(density, theta) at theta = [[t, 1 - t]].
+    """Integral over t in [0, 1] of weighted(density, theta) at the tuple theta = (t, 1 - t).
 
     ``density`` is the Dirichlet(params) density at theta, from
     ``DirichletDensity.log_point``; the integrand multiplies it into its own
@@ -458,8 +458,8 @@ def dirichlet_quadrature(
     log_point = DirichletDensity(params).log_point
 
     def integrand(t: float) -> float:
-        s = 1.0 - t
-        return weighted(math.exp(log_point((t, s))), np.array([[t, s]]))
+        theta = (t, 1.0 - t)
+        return weighted(math.exp(log_point(theta)), theta)
 
     return integrate_unit_interval(integrand)
 
@@ -632,7 +632,7 @@ def _average_kl(predictor: PredictorSpec | JointFn, params: DirichletParams, n: 
     regret; ``what`` names the quantity in a rejection.
     """
     table = TypeClassTable(n, 2, predictor)
-    value, err = dirichlet_quadrature(params, lambda pdf, theta: pdf * table._point(theta.tolist()[0], 1.0))
+    value, err = dirichlet_quadrature(params, lambda pdf, theta: pdf * table._point(theta, 1.0))
     return accept_quadrature(value, err, 1e-8, what)
 
 

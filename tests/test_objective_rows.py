@@ -300,16 +300,17 @@ class TestQuadratureNodes:
     def test_every_node_gets_the_log_pdf_density(self, params):
         nodes, reference_nodes = [], []
 
-        def recorder(calls):
-            def weighted(pdf, theta):
-                calls.append((pdf, theta.shape, theta.tobytes()))
-                return pdf * theta[0, 0]
+        def weighted(pdf, theta):
+            assert type(theta) is tuple and len(theta) == 2 and all(type(x) is float for x in theta)
+            nodes.append((pdf.hex(), tuple(x.hex() for x in theta)))
+            return pdf * theta[0]
 
-            return weighted
+        def reference_weighted(pdf, theta):
+            assert theta.shape == (1, 2)
+            reference_nodes.append((pdf.hex(), tuple(x.hex() for x in theta[0].tolist())))
+            return pdf * theta[0, 0]
 
-        assert dirichlet_quadrature(params, recorder(nodes)) == reference_dirichlet_quadrature(
-            params, recorder(reference_nodes)
-        )
+        assert dirichlet_quadrature(params, weighted) == reference_dirichlet_quadrature(params, reference_weighted)
         assert nodes == reference_nodes
 
     @given(st.integers(0, 14), _PARAMS, st.data())

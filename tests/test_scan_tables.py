@@ -88,6 +88,34 @@ def reference_log_numerators(spec, counts) -> np.ndarray:
     return _log_beta_rows(spec.alpha * cs + params) / spec.alpha
 
 
+def reference_separable_rows(form, counts: np.ndarray) -> np.ndarray:
+    """``predictors._separable_rows`` before its column route: (K, m) cells, each row summed by ``sum(axis=1)``.
+
+    Cells are gathered from per-symbol tables through a flat (K, m) index
+    when K > max count + 1 and evaluated one by one otherwise.
+    """
+    cell, f = form.cell, form.f
+    rows, m = counts.shape
+    top = int(counts.max()) if rows > 1 else 0
+    if rows > top + 1:
+        k = np.arange(top + 1, dtype=np.float64)[:, None]
+        table = np.broadcast_to(cell(k), (top + 1, m)).ravel()
+        at = counts * m + np.arange(m)  # flat index of cell (c_i, i)
+        values = table[at]
+        terms = f(table)[at]
+    else:
+        values = cell(counts.astype(np.float64))
+        terms = f(values)
+    out = terms.sum(axis=1) - f(values.sum(axis=1))
+    if form.beta is not None:
+        out -= form.beta.log_beta
+    return out
+
+
+def _hexes(values: np.ndarray) -> list[str]:
+    return [float(v).hex() for v in values.tolist()]
+
+
 def reference_prefix_log_marginals(spec, path: np.ndarray, horizon: int) -> np.ndarray:
     """The backward pass that lowers a copy of the counts and searches it for the prefix at every level."""
     counts = count_vectors(horizon, path.shape[1])
@@ -121,9 +149,9 @@ def _specs(m: int, draw) -> list:
 
 
 @st.composite
-def count_arrays(draw, max_total: int = 60, max_rows: int = 40):
+def count_arrays(draw, max_total: int = 60, max_rows: int = 40, max_m: int = 5):
     """(K, m) count arrays whose rows have mixed, possibly sparse totals."""
-    m = draw(st.integers(2, 5))
+    m = draw(st.integers(2, max_m))
     totals = draw(st.lists(st.sampled_from([0, 1, 2, 7, 10, max_total]), min_size=1, max_size=max_rows))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return np.array([rng.multinomial(t, rng.dirichlet(np.ones(m))) for t in totals], dtype=np.int64)
@@ -198,6 +226,77 @@ class TestNumeratorTables:
 
     def test_empty_array_gives_empty_result(self):
         assert log_numerators(NML(), np.zeros((0, 2), dtype=np.int64)).shape == (0,)
+
+
+class TestColumnRoute:
+    """``_separable_rows`` against the row-sum oracle it replaced, by ``float.hex``."""
+
+    @given(st.integers(2, 10), st.integers(0, 40), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_kind_on_class_tables_and_slices(self, m, n, data):
+        """Whole class tables of up to 3000 classes, n = 0 included, and 1- and 3-row slices of them."""
+        while math.comb(n + m - 1, m - 1) > 3000:
+            n //= 2
+        counts = count_vectors(n, m)
+        start = data.draw(st.integers(0, counts.shape[0] - 1))
+        for spec in _specs(m, data.draw):
+            form = predictors._separable(spec)
+            for rows in (counts, counts[start : start + 1], counts[start : start + 3]):
+                assert _hexes(predictors._separable_rows(form, rows)) == _hexes(reference_separable_rows(form, rows))
+
+    @given(count_arrays(max_total=500, max_m=10), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_kind_on_sparse_arrays(self, counts, data):
+        """Rows of mixed totals, on both sides of the K > max count + 1 rule, and each single row."""
+        for spec in _specs(counts.shape[1], data.draw):
+            form = predictors._separable(spec)
+            assert _hexes(predictors._separable_rows(form, counts)) == _hexes(reference_separable_rows(form, counts))
+            for i in range(counts.shape[0]):
+                assert _hexes(predictors._separable_rows(form, counts[i : i + 1])) == _hexes(
+                    reference_separable_rows(form, counts[i : i + 1])
+                )
+
+    def test_one_total_evaluates_f_once(self):
+        """KT's totals v = c + m/2 are one float at each n, so f runs on one total, not on every row."""
+        calls = []
+        form = predictors._separable(AlphaNML(1.0, DirichletParams.jeffreys(3)))
+        form = form._replace(f=lambda x: calls.append(np.shape(x)) or gammaln(x))
+        counts = count_vectors(200, 3)
+        out = predictors._separable_rows(form, counts)
+        assert calls == [(201, 3), (1,)]  # the per-symbol table, then the one row total
+        assert _hexes(out) == _hexes(reference_separable_rows(form, counts))
+
+
+class TestPairwiseBoundary:
+    """numpy's ``sum(axis=1)`` adds rows of up to 7 elements left to right and sums longer rows pairwise.
+
+    The column route relies on the first and keeps ``sum(axis=1)`` from
+    m = 8 on, so a numpy that moves the boundary fails here instead of
+    changing numbers.
+    """
+
+    @staticmethod
+    def _rows(m: int) -> np.ndarray:
+        rng = np.random.default_rng(m)
+        return rng.standard_normal((20_000, m)) * np.exp(rng.uniform(-20.0, 20.0, (20_000, m)))
+
+    def test_seven_columns_add_like_row_sums(self):
+        rows = self._rows(7)
+        assert predictors._add_columns(rows.T).tobytes() == rows.sum(axis=1).tobytes()
+
+    def test_eight_columns_do_not(self):
+        rows = self._rows(8)
+        assert (predictors._add_columns(rows.T) != rows.sum(axis=1)).any()
+        assert predictors._PAIRWISE_FROM == 8
+
+    def test_m8_keeps_the_row_sums(self, monkeypatch):
+        """At m = 8 the scan equals the row-sum oracle, and the column route would not."""
+        counts = np.random.default_rng(8).multinomial(5000, np.full(8, 1 / 8), size=400)
+        form = predictors._separable(NML())
+        kept = predictors._separable_rows(form, counts)
+        assert _hexes(kept) == _hexes(reference_separable_rows(form, counts))
+        monkeypatch.setattr(predictors, "_PAIRWISE_FROM", 9)
+        assert _hexes(predictors._separable_rows(form, counts)) != _hexes(kept)
 
 
 class TestPrefixMarginals:

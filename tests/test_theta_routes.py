@@ -169,8 +169,9 @@ class TestQuadratureNodes:
 
         def recording(params, weighted):
             def node(pdf, theta):
+                assert type(theta) is tuple and len(theta) == 2 and all(type(x) is float for x in theta)
                 value = weighted(pdf, theta)
-                recorded.append((pdf, theta.copy(), value))
+                recorded.append((pdf, np.array([theta]), value))
                 return value
 
             return real(params, node)

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphanml.exceptions import NumericError
+from alphanml import cli, typeclass
+from alphanml.exceptions import NumericError, UnsupportedError
 from alphanml.numerics import log_multinomial, log_sum_exp
 from alphanml.typeclass import (
     CountVector,
@@ -185,3 +188,31 @@ class TestReduction:
         counts = count_vectors(3, 2)
         with pytest.raises(NumericError):
             log_sum_exp(log_multiplicities(counts) + np.full(counts.shape[0], math.nan))
+
+
+class TestClassBudget:
+    """More than ``_MAX_CLASSES`` classes fail fast, from the estimate, before any array is built."""
+
+    @pytest.mark.parametrize(("n", "m", "estimate"), [(100_000, 5, "4.17e+18"), (3000, 4, "4.51e+09")])
+    def test_over_budget_raises_without_allocating(self, n, m, estimate):
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnsupportedError, match=rf"has {re.escape(estimate)} type classes, above"):
+                count_vectors(n, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_the_budget_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(typeclass, "_MAX_CLASSES", count_vector_total(30, 3))
+        assert count_vectors(30, 3).shape == (496, 3)
+        with pytest.raises(UnsupportedError, match=r"\(n, m\) = \(31, 3\) has 528 type classes"):
+            count_vectors(31, 3)
+
+    @pytest.mark.parametrize("size", [["--n", "100000", "--m", "5"], ["--n", "3000", "--m", "4"]])
+    def test_cli_exits_4_with_one_error_line(self, capsys, size):
+        assert cli.main(["regret", "--kind", "worst", *size, "--predictor", "kt"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: (n, m) = (")
