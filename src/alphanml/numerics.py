@@ -15,7 +15,7 @@ Type-class scans evaluate whole arrays at once: ``log_sum_exp`` accepts a
 numpy array and reduces it with one vectorized ``exp`` and an exactly
 rounded ``math.fsum``, so the result does not depend on the order of the
 terms. ``log_gamma`` is the C library ``lgamma``, for scalars. Array scans
-call ``scipy.special.gammaln`` and ``xlogy`` once per symbol on a table over
+call ``gammaln`` and ``xlogy`` once per symbol on a table over
 k = 0..max count and gather each symbol's column of cells from it
 (``predictors._separable_rows``, on each kind's separable form). The
 columns are added left to right, which for m < 8 gives the bits of numpy's
@@ -24,6 +24,17 @@ row sums; single rows and m >= 8 keep ``sum(axis=1)``, which sums rows of
 cell evaluations plus its row totals: one when every class's total is the
 same float, as the mixture's are, and one per class otherwise.
 
+``gammaln`` and ``xlogy`` have two routes with the same bits. One is a
+plain-Python port, cell by cell with ``math.log``: ``_lgam`` is the Cephes
+``lgam`` that ``scipy.special.gammaln`` is built on, and ``_xlogy`` is
+0 where x == 0 and y is not nan, else x ln y. The other is
+``scipy.special``'s ufunc. A process starts on the ports, so a CLI process
+that stays small never imports scipy. It switches to scipy for good on the
+first call that finds ``scipy.special`` already loaded, whose import is
+then paid, or that would take the ports past ``_PORT_CELLS`` cells in all,
+about what that import costs. The tests compare the ports with scipy by
+``float.hex``.
+
 ``accept_quadrature`` is the one acceptance test for quadratures: a value
 is returned only if it is finite and its error estimate is within bound.
 """
@@ -31,10 +42,10 @@ is returned only if it is finite and its error estimate is within bound.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import special as _special
 
 from .exceptions import NumericError
 
@@ -53,12 +64,114 @@ def log_gamma(x: float) -> float:
 
 
 def xlogy(x, y):
-    """x * ln(y) with the 0 * ln(0) = 0 convention, elementwise.
+    """x * ln(y) with the 0 * ln(0) = 0 convention, elementwise: 0 where x == 0 and y is not nan.
 
     Shared so the convention cannot drift between callers. ln is the C
-    library's, so c * xlogy(1, y) == xlogy(c, y) bit for bit.
+    library's, so c * xlogy(1, y) == xlogy(c, y) bit for bit. The bits of
+    ``scipy.special.xlogy`` on either route.
     """
-    return _special.xlogy(x, y)
+    if _special is not None:
+        return _special.xlogy(x, y)
+    return _route("xlogy", _xlogy, x, y)
+
+
+def gammaln(x):
+    """ln |Gamma(x)| elementwise, with the bits of ``scipy.special.gammaln`` on either route."""
+    if _special is not None:
+        return _special.gammaln(x)
+    return _route("gammaln", _lgam, x)
+
+
+_special = None  # scipy.special, once the routes have switched to it for good
+_port_cells = 0  # cells the ports have evaluated in this process; unlocked, since a lost update only moves the switch
+# The ports take 0.2-1.4 us per cell and importing scipy.special takes about 0.3 s (measured on a 2-CPU
+# x86-64 host), so 2^18 port cells cost about one import; a process that needs more pays for the import.
+_PORT_CELLS = 1 << 18
+
+
+def _route(name: str, port, *args):
+    """``port`` cell by cell over the broadcast arguments cast to float64, or scipy.special's ``name``.
+
+    The switch to scipy is for good, and happens on the first call that
+    finds ``scipy.special`` loaded, or that would take the ports past
+    ``_PORT_CELLS`` cells in all. Only arguments the ufuncs compute in
+    float64 (float64, integers, bools) reach the ports; float32, complex
+    and other types go to scipy, and so switch. 0-d input gives an
+    np.float64, as a ufunc's does.
+    """
+    global _special, _port_cells
+    special = sys.modules.get("scipy.special")
+    if special is None:
+        arrays = [np.asarray(a) for a in args]
+        cells = np.broadcast(*arrays).size
+        in_float64 = all(a.dtype.kind in "biu" or a.dtype == np.float64 for a in arrays)
+        if in_float64 and _port_cells + cells <= _PORT_CELLS:
+            _port_cells += cells
+            arrays = np.broadcast_arrays(*(a.astype(np.float64, copy=False) for a in arrays))
+            values = np.fromiter(map(port, *(a.ravel().tolist() for a in arrays)), np.float64, cells)
+            return values.reshape(arrays[0].shape)[()]
+        from scipy import special
+    _special = special
+    return getattr(special, name)(*args)
+
+
+def _xlogy(x: float, y: float) -> float:
+    """scipy's xlogy of two floats: ln 0 is -inf and the ln of a negative is nan, where ``math.log`` raises."""
+    if x == 0.0 and y == y:
+        return 0.0
+    return x * (math.log(y) if y > 0.0 else -math.inf if y == 0.0 else math.nan)
+
+
+# Cephes lgam (S. L. Moshier, Cephes Math Library, gamma.c), the routine behind scipy.special.gammaln:
+# polynomial coefficients, highest power first; C's leading 1 is implied
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+           -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
+_LGAM_C = (-3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+           -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
+_LS2PI = 0.91893853320467274178  # ln sqrt(2 pi)
+
+
+def _lgam(x: float) -> float:
+    """Cephes lgam, operation for operation: the same C library log, products and sums in the same order."""
+    if not math.isfinite(x):
+        return x
+    if x < -34.0:  # Cephes reflects through sin(pi x), which is not ported; the library never gets here
+        from scipy.special import gammaln as scipy_gammaln
+
+        return float(scipy_gammaln(x))
+    if x < 13.0:  # a recurrence into [2, 3), then x B(x) / C(x) there
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            if u == 0.0:
+                return math.inf
+            z /= u
+            p += 1.0
+            u = x + p
+        z = abs(z)
+        if u == 2.0:
+            return math.log(z)
+        x += p - 2.0
+        b0, b1, b2, b3, b4, b5 = _LGAM_B
+        c0, c1, c2, c3, c4, c5 = _LGAM_C
+        num = x * (((((b0 * x + b1) * x + b2) * x + b3) * x + b4) * x + b5)
+        den = (((((x + c0) * x + c1) * x + c2) * x + c3) * x + c4) * x + c5
+        return math.log(z) + num / den
+    if x > 2.556348e305:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LS2PI  # Stirling's series
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.08333333333333333) / x
+    a0, a1, a2, a3, a4 = _LGAM_A
+    return q + ((((a0 * p + a1) * p + a2) * p + a3) * p + a4) / x
 
 
 def log_sum_exp(terms: Iterable[LogProb]) -> LogProb:

@@ -64,11 +64,12 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
-from .exceptions import InfeasibleModelError
+from . import typeclass
+from .exceptions import InfeasibleModelError, UnsupportedError
 from .numerics import (
     LogProb,
+    gammaln,
     log_gamma,
     log_multivariate_beta,
     log_sum_exp,
@@ -80,6 +81,7 @@ from .typeclass import (
     _lex_ranks,
     _validate_nm,
     _whole_symbols,
+    count_vector_total,
     count_vectors,
     log_multiplicities,
 )
@@ -607,11 +609,18 @@ def _lattice_table(spec: PredictorSpec, horizon: int, m: int) -> np.ndarray:
     by horizon - L, so its rows with c_0 >= 1 are the tail after the first
     C(L+m-2, m-2), and its c_k >= 1 masks for k >= 1 are slices of one mask
     built at the horizon. Each level's ``logaddexp`` calls write into its
-    slice of the table.
+    slice of the table. A table of more than ``typeclass._MAX_CLASSES``
+    entries raises UnsupportedError before anything is allocated.
     """
+    entries = count_vector_total(horizon, m + 1)  # C(horizon + m, m)
+    if entries > typeclass._MAX_CLASSES:
+        raise UnsupportedError(
+            f"the lattice table of (horizon, m) = ({horizon}, {m}) has {entries:.3g} entries,"
+            f" above the enumeration budget of {typeclass._MAX_CLASSES}"
+        )
     counts = count_vectors(horizon, m)
     has = np.ascontiguousarray(counts.T[1:] >= 1)  # c_k >= 1 for k >= 1; these columns never change
-    table = np.empty(math.comb(horizon + m, m))
+    table = np.empty(entries)
     marginals = table[: counts.shape[0]]
     marginals[:] = log_numerators(spec, counts)
     start, end = 0, counts.shape[0]

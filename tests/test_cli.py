@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from alphanml import cli
+from alphanml.predictors import DEFAULT_CACHE
 
 
 def run(capsys, argv):
@@ -274,12 +275,63 @@ class TestThreadsFlag:
         assert "--threads" in capsys.readouterr().err
 
 
+def _python(code: str, *args: str) -> str:
+    """stdout of a fresh interpreter running ``code`` on this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True).stdout
+
+
+# one invocation of each op kind of the benchmark's cli workload, whose special functions stay on the ports
+SMALL_COMMANDS = [
+    ["predict", "--m", "2", "--counts", "3,7", "--alpha", "2.500000"],
+    ["predict", "--m", "2", "--counts", "3,7", "--alpha", "2.500000", "--horizon", "30"],
+    ["regret", "--kind", "worst", "--n", "200", "--m", "2", "--alpha", "2.500000", "--prior", "0.700000,1.300000"],
+    ["regret", "--kind", "alpha", "--n", "20", "--m", "2", "--alpha", "2.500000", "--prior", "0.700000,1.300000"],
+    ["figure1", "--n-list", "10,50", "--alpha-max", "3"],
+    ["asymptotics", "--m", "2", "--alpha", "2.500000", "--n-list", "10,100"],
+    ["oracle", "--check", "normalizer", "--n", "10", "--m", "2", "--alpha", "2.500000", "--prior", "0.700000,1.300000"],
+]
+# its 150,001-row scan is more cells than the ports' budget, so it runs on scipy.special
+LARGE_COMMAND = ["regret", "--kind", "worst", "--n", "150000", "--m", "2", "--predictor", "kt"]
+
+_RUN_COMMANDS = """
+import contextlib, io, json, sys
+from alphanml import cli
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return [code, out.getvalue(), err.getvalue()]
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+small, large = json.loads(sys.argv[1])
+results = [run(argv) for argv in small]
+after_small = scipy_modules()
+results.append(run(large))
+print(json.dumps([results, after_small, scipy_modules()]))
+"""
+
+
 class TestImportCost:
-    """The command loads no optimizer or quadrature module until a computation needs one."""
+    """The command loads no scipy module until a computation needs one."""
 
     def test_cli_import_leaves_optimize_and_integrate_unloaded(self):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         probe = "import sys, alphanml.cli; print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])"
-        result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-        assert result.stdout.strip() == "[]"
+        assert _python(probe).strip() == "[]"
+
+    def test_small_commands_run_without_scipy_and_print_the_in_process_bytes(self, capsys):
+        """A fresh process runs the small commands on the ports, and the large one switches to scipy.special.
+
+        Each command's exit code, stdout and stderr equal those of ``cli.main`` in this process,
+        where scipy is loaded and the special functions run on scipy from the first call.
+        """
+        results, after_small, after_large = json.loads(_python(_RUN_COMMANDS, json.dumps([SMALL_COMMANDS, LARGE_COMMAND])))
+        assert after_small == []
+        assert "scipy.special" in after_large
+        for argv, result in zip([*SMALL_COMMANDS, LARGE_COMMAND], results, strict=True):
+            DEFAULT_CACHE.clear()
+            assert list(run(capsys, argv)) == result, argv

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from alphanml import (
     LuckinessNML,
     Mixture,
     NML,
+    UnsupportedError,
     count_vector_ranks,
     count_vectors,
     cumulative_log_loss,
@@ -34,7 +36,7 @@ from alphanml import (
     log_joints,
     log_normalizer,
 )
-from alphanml import predictors
+from alphanml import predictors, typeclass
 from alphanml.predictors import DEFAULT_CACHE
 
 
@@ -137,6 +139,27 @@ class TestBound:
         assert list(cache._values) == [(predictors._compute_log_normalizer, spec, n, 2) for n in (31, 32)]
         assert log_normalizer(spec, 30, 2) == cold
         assert np.array_equal(log_joints(spec, count_vectors(30, 2)), joints)
+
+
+class TestTableBudget:
+    """A lattice table of more than ``typeclass._MAX_CLASSES`` entries fails fast, from the estimate C(h + m, m)."""
+
+    def test_over_budget_raises_without_allocating(self, cache):
+        # 3,000,001 classes at the horizon are within the class budget; the table's 4.5e12 entries are not
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnsupportedError, match=r"\(horizon, m\) = \(3000000, 2\) has 4\.5e\+12 entries, above"):
+                cumulative_log_loss(kt(2), [1, 2, 1], horizon=3_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000 and len(cache) == 0
+
+    def test_the_budget_is_inclusive(self, cache, monkeypatch):
+        monkeypatch.setattr(typeclass, "_MAX_CLASSES", math.comb(8 + 2, 2))
+        assert cumulative_log_loss(NML(), [1, 2], 2, horizon=8) > 0.0
+        with pytest.raises(UnsupportedError, match=r"\(horizon, m\) = \(9, 2\) has 55 entries"):
+            cumulative_log_loss(NML(), [1, 2], 2, horizon=9)
 
 
 class TestOneCache:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alphanml import numerics
 from alphanml.exceptions import NumericError
 from alphanml.numerics import (
     LOG_TWO,
@@ -25,7 +27,7 @@ finite_floats = st.floats(min_value=-700.0, max_value=700.0, allow_nan=False)
 
 
 class TestLogGamma:
-    """ln Gamma with table-backed exactness on (half-)integer arguments."""
+    """ln Gamma of one float: the C library lgamma."""
 
     @given(st.floats(min_value=0.5, max_value=1e4))
     @settings(max_examples=100, deadline=None)
@@ -37,12 +39,12 @@ class TestLogGamma:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 10, 100, 1000, 50_000])
     def test_integer_agrees_with_lgamma(self, k):
-        """Table values match math.lgamma to relative 1e-13 at integers."""
+        """Values match math.lgamma to relative 1e-13 at integers."""
         assert abs(log_gamma(float(k)) - math.lgamma(k)) <= 1e-13 * max(1.0, math.lgamma(k))
 
     @pytest.mark.parametrize("k", [0, 1, 2, 10, 999, 50_000])
     def test_half_integer_agrees_with_lgamma(self, k):
-        """Table values match math.lgamma to relative 1e-13 at half-integers."""
+        """Values match math.lgamma to relative 1e-13 at half-integers."""
         x = k + 0.5
         assert abs(log_gamma(x) - math.lgamma(x)) <= 1e-13 * max(1.0, abs(math.lgamma(x)))
 
@@ -59,7 +61,7 @@ class TestLogGamma:
 
     @pytest.mark.parametrize("x", [1e7, 3.7e9, 2.5e12])
     def test_large_arguments_use_lgamma(self, x):
-        """Above the table cutoff the value matches scipy to relative 1e-13."""
+        """At large arguments the C library lgamma matches scipy's gammaln to relative 1e-13."""
         ref = float(scipy.special.gammaln(x))
         assert abs(log_gamma(x) - ref) <= 1e-13 * abs(ref)
 
@@ -72,6 +74,120 @@ class TestXlogy:
 
     def test_matches_direct_product(self):
         np.testing.assert_allclose(xlogy(3.0, 0.25), 3.0 * math.log(0.25), rtol=1e-15)
+
+
+def _hexes(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+BRANCH_EDGES = [2.0, 3.0, 13.0, 1000.0, 1e8]  # where Cephes lgam changes formula
+XLOGY_EDGES = [
+    (0.0, 0.0), (0.0, math.nan), (0.0, -1.0), (0.0, math.inf), (-0.0, 3.0),  # 0 * ln y is 0 unless y is nan
+    (2.5, 0.0), (-2.5, 0.0), (2.5, -1.0), (2.5, math.inf), (-2.5, math.inf),  # x * ln 0, ln of a negative, ln inf
+    (math.nan, 0.0), (math.inf, 1.0), (1.0, 5e-324),
+]
+
+
+class TestPortsMatchScipy:
+    """The plain-Python ports give the bits of scipy.special, compared by float.hex.
+
+    Under pytest scipy is loaded, so ``gammaln`` and ``xlogy`` route to it;
+    these tests call the ports themselves. A scipy release that changes
+    either function fails here, instead of making the two routes disagree.
+    """
+
+    @given(st.floats(min_value=0.0, max_value=1e300, exclude_min=True))
+    @settings(max_examples=1000, deadline=None)
+    def test_lgam_over_the_positive_floats(self, x):
+        assert numerics._lgam(x).hex() == float(scipy.special.gammaln(x)).hex()
+
+    def test_lgam_on_half_integers_and_integers(self):
+        """k + 1/2 and k + 1 for k <= 1e5: the cells of every mixture and Jeffreys scan."""
+        grid = np.concatenate([np.arange(100_001) + 0.5, np.arange(100_001) + 1.0])
+        assert _hexes([numerics._lgam(x) for x in grid.tolist()]) == _hexes(scipy.special.gammaln(grid))
+
+    @pytest.mark.parametrize("edge", BRANCH_EDGES)
+    def test_lgam_at_branch_edges(self, edge):
+        xs = [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
+        assert _hexes([numerics._lgam(x) for x in xs]) == _hexes(scipy.special.gammaln(xs))
+
+    def test_lgam_off_the_positive_axis(self):
+        """Poles, negative arguments (below -34 the port hands over to scipy), inf and nan."""
+        xs = [0.0, -0.0, -1.0, -7.0, -0.5, -2.75, -33.9, -34.5, -1e3 - 0.25, 5e-324, math.inf, -math.inf, math.nan]
+        assert _hexes([numerics._lgam(x) for x in xs]) == _hexes(scipy.special.gammaln(xs))
+
+    def test_xlogy_edge_cases(self):
+        x, y = map(list, zip(*XLOGY_EDGES))
+        assert _hexes(list(map(numerics._xlogy, x, y))) == _hexes(scipy.special.xlogy(x, y))
+
+    @given(st.floats(-1e6, 1e6), st.floats(0.0, 1e300))
+    @settings(max_examples=300, deadline=None)
+    def test_xlogy_over_floats(self, x, y):
+        assert numerics._xlogy(x, y).hex() == float(scipy.special.xlogy(x, y)).hex()
+
+
+class TestRoutes:
+    """The ports answer until scipy.special is loaded or their cell budget is spent; then scipy does, for good."""
+
+    @pytest.fixture
+    def unswitched(self, monkeypatch):
+        """A process that has not switched and has not loaded scipy.special; all is restored afterwards."""
+        monkeypatch.setattr(numerics, "_special", None)
+        monkeypatch.setattr(numerics, "_port_cells", 0)
+        monkeypatch.delitem(sys.modules, "scipy.special")
+        return monkeypatch
+
+    @pytest.mark.parametrize(
+        "shapes", [((), ()), ((3, 1), (4,)), ((), (5,)), ((2, 3), ()), ((0, 2), (2,))], ids=str
+    )
+    def test_the_ports_broadcast_as_the_ufuncs_do(self, unswitched, rng, shapes):
+        x = rng.uniform(-2.0, 2.0, shapes[0])
+        y = rng.choice(np.array([0.0, 0.25, 3.0, -1.0, math.inf, math.nan]), shapes[1])
+        for got, ref in [
+            (numerics.xlogy(x, y), scipy.special.xlogy(x, y)),
+            (numerics.gammaln(y), scipy.special.gammaln(y)),
+        ]:
+            assert type(got) is type(ref) and np.shape(got) == np.shape(ref)
+            assert _hexes(got) == _hexes(ref)
+        assert numerics._special is None
+        assert numerics._port_cells == np.broadcast(x, y).size + y.size
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint32, np.int16, np.bool_])
+    def test_integers_and_bools_reach_the_ports_as_float64(self, unswitched, dtype):
+        x = np.array([0, 1, 3], dtype=dtype)
+        assert _hexes(numerics.xlogy(x, x)) == _hexes(scipy.special.xlogy(x, x))
+        assert _hexes(numerics.gammaln(x)) == _hexes(scipy.special.gammaln(x))
+        assert (numerics._special, numerics._port_cells) == (None, 6)
+
+    @pytest.mark.parametrize("value", [np.float32(0.75), np.array([0.5, 2.0], dtype=np.float16), 0.5 + 0.25j])
+    def test_other_types_go_to_scipy(self, unswitched, value):
+        """A float32 argument has scipy's float32 loop, and a complex one its complex loop."""
+        got, ref = numerics.xlogy(value, value), scipy.special.xlogy(value, value)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert (numerics._special, numerics._port_cells) == (scipy.special, 0)
+
+    def test_a_python_float_gives_a_numpy_float(self, unswitched):
+        assert type(numerics.gammaln(2.5)) is np.float64
+        assert type(numerics.xlogy(2, 0.5)) is np.float64
+        assert numerics._special is None
+
+    def test_loaded_scipy_takes_over_at_the_first_call(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_special", None)
+        monkeypatch.setattr(numerics, "_port_cells", 0)
+        assert numerics.gammaln(np.array([0.5, 1.5])).tolist() == scipy.special.gammaln([0.5, 1.5]).tolist()
+        assert numerics._special is scipy.special
+        assert numerics._port_cells == 0
+
+    def test_a_call_past_the_budget_switches_for_good(self, unswitched):
+        unswitched.setattr(numerics, "_PORT_CELLS", 10)
+        cells = np.arange(6) + 0.5
+        numerics.gammaln(cells)
+        numerics.xlogy(cells[:4], 2.0)
+        assert (numerics._special, numerics._port_cells) == (None, 10)  # the budget is inclusive
+        assert _hexes(numerics.gammaln([0.5, 30.25])) == _hexes(scipy.special.gammaln([0.5, 30.25]))
+        assert (numerics._special, numerics._port_cells) == (scipy.special, 10)
+        numerics.xlogy(0.0, 1.0)
+        assert (numerics._special, numerics._port_cells) == (scipy.special, 10)
 
 
 class TestLogSumExp:
