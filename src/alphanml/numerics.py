@@ -33,7 +33,9 @@ that stays small never imports scipy. It switches to scipy for good on the
 first call that finds ``scipy.special`` already loaded, whose import is
 then paid, or that would take the ports past ``_PORT_CELLS`` cells in all,
 about what that import costs. The tests compare the ports with scipy by
-``float.hex``.
+``float.hex``, on x86-64 Linux only: where a compiler fuses Cephes'
+``ans * x + c`` into one fma, as aarch64 builds may, scipy's last bits
+can differ from the ports', which round twice.
 
 ``accept_quadrature`` is the one acceptance test for quadratures: a value
 is returned only if it is finite and its error estimate is within bound.
@@ -94,18 +96,16 @@ def _route(name: str, port, *args):
 
     The switch to scipy is for good, and happens on the first call that
     finds ``scipy.special`` loaded, or that would take the ports past
-    ``_PORT_CELLS`` cells in all. Only arguments the ufuncs compute in
-    float64 (float64, integers, bools) reach the ports; float32, complex
-    and other types go to scipy, and so switch. 0-d input gives an
-    np.float64, as a ufunc's does.
+    ``_PORT_CELLS`` cells in all. Only arguments that take the ufuncs'
+    float64 loop reach the ports (``_float64_loop``); others go to scipy,
+    and so switch. 0-d input gives an np.float64, as a ufunc's does.
     """
     global _special, _port_cells
     special = sys.modules.get("scipy.special")
     if special is None:
         arrays = [np.asarray(a) for a in args]
         cells = np.broadcast(*arrays).size
-        in_float64 = all(a.dtype.kind in "biu" or a.dtype == np.float64 for a in arrays)
-        if in_float64 and _port_cells + cells <= _PORT_CELLS:
+        if _float64_loop(args, arrays) and _port_cells + cells <= _PORT_CELLS:
             _port_cells += cells
             arrays = np.broadcast_arrays(*(a.astype(np.float64, copy=False) for a in arrays))
             values = np.fromiter(map(port, *(a.ravel().tolist() for a in arrays)), np.float64, cells)
@@ -113,6 +113,22 @@ def _route(name: str, port, *args):
         from scipy import special
     _special = special
     return getattr(special, name)(*args)
+
+
+def _float64_loop(args: tuple, arrays: list[np.ndarray]) -> bool:
+    """Whether the ufuncs' float64 loop computes ``args``, whatever the order of their float32 and float64 loops.
+
+    Every argument must be real and cast safely to float64, and float32 must
+    not hold them all: either every argument is a Python int or float (numpy
+    then takes int64 or float64), or some array argument has a dtype that
+    does not cast safely to float32. A Python scalar beside arrays is weak
+    and leaves the choice to them, so float32 arrays, small integers and
+    bools go to scipy.
+    """
+    if not all(a.dtype.kind in "biuf" and np.can_cast(a.dtype, np.float64) for a in arrays):
+        return False
+    strong = [a.dtype for arg, a in zip(args, arrays) if type(arg) not in (int, float)]
+    return not strong or any(not np.can_cast(dtype, np.float32) for dtype in strong)
 
 
 def _xlogy(x: float, y: float) -> float:

@@ -66,7 +66,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import typeclass
-from .exceptions import InfeasibleModelError, UnsupportedError
+from .exceptions import InfeasibleModelError
 from .numerics import (
     LogProb,
     gammaln,
@@ -609,15 +609,13 @@ def _lattice_table(spec: PredictorSpec, horizon: int, m: int) -> np.ndarray:
     by horizon - L, so its rows with c_0 >= 1 are the tail after the first
     C(L+m-2, m-2), and its c_k >= 1 masks for k >= 1 are slices of one mask
     built at the horizon. Each level's ``logaddexp`` calls write into its
-    slice of the table. A table of more than ``typeclass._MAX_CLASSES``
+    slice of the table. A table of more than ``typeclass._MAX_LATTICE_ENTRIES``
     entries raises UnsupportedError before anything is allocated.
     """
     entries = count_vector_total(horizon, m + 1)  # C(horizon + m, m)
-    if entries > typeclass._MAX_CLASSES:
-        raise UnsupportedError(
-            f"the lattice table of (horizon, m) = ({horizon}, {m}) has {entries:.3g} entries,"
-            f" above the enumeration budget of {typeclass._MAX_CLASSES}"
-        )
+    typeclass._check_budget(
+        f"the lattice table of (horizon, m) = ({horizon}, {m})", entries, "entries", typeclass._MAX_LATTICE_ENTRIES
+    )
     counts = count_vectors(horizon, m)
     has = np.ascontiguousarray(counts.T[1:] >= 1)  # c_k >= 1 for k >= 1; these columns never change
     table = np.empty(entries)

@@ -5,7 +5,9 @@ sequences collapses to a sum over the C(n+m-1, m-1) occupancy-count vectors,
 each weighted by its multinomial multiplicity. ``count_vectors`` returns
 every class of (n, m) as one (K, m) integer array in ascending lexicographic
 order; above ``_MAX_CLASSES`` classes it raises ``UnsupportedError`` on the
-estimate ``count_vector_total`` alone. ``log_multiplicities`` gives their
+estimate ``count_vector_total`` alone. ``_check_budget`` makes that check,
+and the lattice tables' against ``_MAX_LATTICE_ENTRIES``, so both budgets
+and their message live here. ``log_multiplicities`` gives their
 log multinomial coefficients as a product of binomials read from one table:
 a row of ln C(r, c) per distinct suffix sum r, built with one vectorized
 log of (r - j) / (j + 1) and one cumulative sum per block of rows. Scans
@@ -97,6 +99,16 @@ def _validate_nm(n: int, m: int) -> tuple[int, int]:
 # A cold scan peaks at 27-36 m bytes and takes 0.3-0.7 us per class (measured at m = 3..9), so the
 # budget's 2^23 classes need 0.8-2.7 GB and up to several seconds; a larger request fails fast.
 _MAX_CLASSES = 1 << 23
+# A lattice table (``predictors._lattice_table``) peaks at 8-15 bytes and takes 20-140 ns per entry
+# (measured at m = 2..6 on a 2-CPU x86-64 host), so the budget's 2^27 entries need 1.1-2.0 GB and 3-18 s, about
+# what a cold scan at the class budget needs: binary horizons up to 16,382 and ternary ones up to 928 fit.
+_MAX_LATTICE_ENTRIES = 1 << 27
+
+
+def _check_budget(subject: str, total: int, unit: str, limit: int) -> None:
+    """UnsupportedError, with the estimate in its one line, if ``total`` is over ``limit``."""
+    if total > limit:
+        raise UnsupportedError(f"{subject} has {total:.3g} {unit}, above the enumeration budget of {limit}")
 
 
 def count_vector_total(n: int, m: int) -> int:
@@ -115,11 +127,7 @@ def count_vectors(n: int, m: int) -> np.ndarray:
     anything is allocated.
     """
     n, m = _validate_nm(n, m)
-    total = count_vector_total(n, m)
-    if total > _MAX_CLASSES:
-        raise UnsupportedError(
-            f"(n, m) = ({n}, {m}) has {total:.3g} type classes, above the enumeration budget of {_MAX_CLASSES}"
-        )
+    _check_budget(f"(n, m) = ({n}, {m})", count_vector_total(n, m), "type classes", _MAX_CLASSES)
     sums = np.arange(n + 1, dtype=np.int64)[:, None]
     for _ in range(m - 2):
         last = sums[:, -1]

@@ -142,7 +142,7 @@ class TestBound:
 
 
 class TestTableBudget:
-    """A lattice table of more than ``typeclass._MAX_CLASSES`` entries fails fast, from the estimate C(h + m, m)."""
+    """A lattice table of more than ``typeclass._MAX_LATTICE_ENTRIES`` entries fails fast, from the estimate C(h + m, m)."""
 
     def test_over_budget_raises_without_allocating(self, cache):
         # 3,000,001 classes at the horizon are within the class budget; the table's 4.5e12 entries are not
@@ -155,11 +155,38 @@ class TestTableBudget:
             tracemalloc.stop()
         assert peak < 100_000 and len(cache) == 0
 
+    @pytest.mark.parametrize("m, horizon", [(2, 16_382), (3, 928), (4, 235), (6, 64)])
+    def test_the_budget_ends_after_these_horizons(self, cache, m, horizon):
+        """Binary horizons up to 16,382 and ternary ones up to 928 are within the 2^27 entries; one more is not."""
+        assert math.comb(horizon + m, m) <= typeclass._MAX_LATTICE_ENTRIES < math.comb(horizon + 1 + m, m)
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnsupportedError, match=rf"\(horizon, m\) = \({horizon + 1}, {m}\) has .* entries"):
+                cumulative_log_loss(kt(m), [1, 2], m, horizon=horizon + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000 and len(cache) == 0
+
     def test_the_budget_is_inclusive(self, cache, monkeypatch):
-        monkeypatch.setattr(typeclass, "_MAX_CLASSES", math.comb(8 + 2, 2))
+        monkeypatch.setattr(typeclass, "_MAX_LATTICE_ENTRIES", math.comb(8 + 2, 2))
         assert cumulative_log_loss(NML(), [1, 2], 2, horizon=8) > 0.0
         with pytest.raises(UnsupportedError, match=r"\(horizon, m\) = \(9, 2\) has 55 entries"):
             cumulative_log_loss(NML(), [1, 2], 2, horizon=9)
+
+    @pytest.mark.parametrize(
+        "m, sequence, loss",
+        [
+            # 12.5e6 entries, above the 2^23 class budget, which the lattice tables do not share
+            (2, [1 + (k * k % 7 < 3) for k in range(5000)], "0x1.7669e053b6a90p+11"),
+            (3, [1 + (5 * k + k // 7) % 3 for k in range(400)], "0x1.b55b6b43076c4p+8"),  # 10.9e6 entries
+        ],
+        ids=["m=2", "m=3"],
+    )
+    def test_long_sequences_keep_their_loss(self, cache, m, sequence, loss):
+        """The bits these sequences had before the lattice tables had a budget."""
+        assert math.comb(len(sequence) + m, m) > typeclass._MAX_CLASSES
+        assert cumulative_log_loss(kt(m), sequence, m).hex() == loss
 
 
 class TestOneCache:

@@ -152,18 +152,48 @@ class TestRoutes:
         assert numerics._special is None
         assert numerics._port_cells == np.broadcast(x, y).size + y.size
 
-    @pytest.mark.parametrize("dtype", [np.int64, np.uint32, np.int16, np.bool_])
-    def test_integers_and_bools_reach_the_ports_as_float64(self, unswitched, dtype):
-        x = np.array([0, 1, 3], dtype=dtype)
-        assert _hexes(numerics.xlogy(x, x)) == _hexes(scipy.special.xlogy(x, x))
-        assert _hexes(numerics.gammaln(x)) == _hexes(scipy.special.gammaln(x))
-        assert (numerics._special, numerics._port_cells) == (None, 6)
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (np.array([0, 1, 3]),),
+            (np.array([0, 1, 3], dtype=np.uint32),),
+            (np.array([0, 1, 3], dtype=np.int32),),
+            (3,),
+            (2.5,),
+            (np.array([1.0, 2.5], dtype=np.float32), np.array([0.5, 3.0])),
+            (np.array([0, 1, 3], dtype=np.int16), np.array([0, 1, 3])),
+            (2, np.array([0.5, 3.0])),
+        ],
+        ids=str,
+    )
+    def test_arguments_of_the_float64_loop_reach_the_ports(self, unswitched, args):
+        """An argument set reaches the ports when float32 cannot hold it all; scipy computes it in float64 too."""
+        cells = np.broadcast(*args).size
+        got, ref = numerics.xlogy(args[0], args[-1]), scipy.special.xlogy(args[0], args[-1])
+        assert got.dtype == ref.dtype == np.float64 and _hexes(got) == _hexes(ref)
+        got, ref = numerics.gammaln(args[-1]), scipy.special.gammaln(args[-1])
+        assert got.dtype == ref.dtype == np.float64 and _hexes(got) == _hexes(ref)
+        assert (numerics._special, numerics._port_cells) == (None, cells + np.size(args[-1]))
 
-    @pytest.mark.parametrize("value", [np.float32(0.75), np.array([0.5, 2.0], dtype=np.float16), 0.5 + 0.25j])
+    @pytest.mark.parametrize(
+        "value",
+        [
+            np.float32(0.75),
+            np.array([0.5, 2.0], dtype=np.float16),
+            np.array([0, 1, 3], dtype=np.int16),
+            np.array([0, 1, 3], dtype=np.uint8),
+            np.array([True, False]),
+            0.5 + 0.25j,
+        ],
+        ids=repr,
+    )
     def test_other_types_go_to_scipy(self, unswitched, value):
-        """A float32 argument has scipy's float32 loop, and a complex one its complex loop."""
-        got, ref = numerics.xlogy(value, value), scipy.special.xlogy(value, value)
-        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        """A set float32 holds may take scipy's float32 loop, whatever it takes today; complex takes the complex loop."""
+        for got, ref in [
+            (numerics.xlogy(value, value), scipy.special.xlogy(value, value)),
+            (numerics.xlogy(2, value), scipy.special.xlogy(2, value)),
+        ]:
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
         assert (numerics._special, numerics._port_cells) == (scipy.special, 0)
 
     def test_a_python_float_gives_a_numpy_float(self, unswitched):
