@@ -12,10 +12,14 @@ its density's e ln t on floats with ``math.log``. Conversions to bits
 happen only at output boundaries (divide by ln 2).
 
 Type-class scans evaluate whole arrays at once: ``log_sum_exp`` accepts a
-numpy array and reduces it with one vectorized ``exp`` and an exactly
-rounded ``math.fsum``, so the result does not depend on the order of the
-terms. ``log_gamma`` is the C library ``lgamma``, for scalars. Array scans
-call ``gammaln`` and ``xlogy`` once per symbol on a table over
+numpy array and reduces it with one vectorized ``exp`` and a correctly
+rounded sum, the bits of ``math.fsum``, so the result does not depend on
+the order of the terms. Below ``_EXACT_SUM_FROM`` terms it is fsum, which
+walks them one by one; from there ``_exact_sum`` gets the same bits from a
+few whole-array passes: error-free extraction (Rump, Ogita & Oishi 2008)
+brackets the sum, and a bracket that straddles a rounding boundary falls
+back to fsum. ``log_gamma`` is the C library ``lgamma``, for scalars.
+Array scans call ``gammaln`` and ``xlogy`` once per symbol on a table over
 k = 0..max count and gather each symbol's column of cells from it
 (``predictors._separable_rows``, on each kind's separable form). The
 columns are added left to right, which for m < 8 gives the bits of numpy's
@@ -193,8 +197,11 @@ def _lgam(x: float) -> float:
 def log_sum_exp(terms: Iterable[LogProb]) -> LogProb:
     """ln sum(exp(t)) over a finite collection (or array) of log values.
 
-    Shift-by-max with an exactly rounded (fsum) accumulation, so the result
-    is invariant under permutations of the input. All -inf yields -inf;
+    Shift-by-max with a correctly rounded accumulation, the bits of
+    ``math.fsum`` over the shifted exponentials (``_exact_sum``: fsum below
+    ``_EXACT_SUM_FROM`` terms, else an extraction bracket with fsum as its
+    fallback), so the result is invariant under permutations of the
+    input. All -inf yields -inf;
     an empty collection is an error; +inf inputs are rejected; a nan term
     raises NumericError.
     """
@@ -211,7 +218,52 @@ def log_sum_exp(terms: Iterable[LogProb]) -> LogProb:
         return -math.inf
     if hi == math.inf:
         raise ValueError("log_sum_exp received +inf")
-    return hi + math.log(math.fsum(memoryview(np.exp(values - hi))))
+    return hi + math.log(_exact_sum(np.exp(values - hi)))
+
+
+# fsum walks its terms one by one in C, 20-90 ns each as their exponents spread, while the extraction
+# costs 8-15 us of numpy calls plus a few whole-array passes; on a 2-CPU x86-64 host the two crossed
+# at 450-650 terms of real normalizers
+_EXACT_SUM_FROM = 512
+
+
+def _exact_sum(x: np.ndarray) -> float:
+    """``math.fsum(x)`` bit for bit, for a 1-d float64 array of n finite values in [0, 1].
+
+    Below ``_EXACT_SUM_FROM`` terms it is fsum. From there it extracts
+    (Rump, Ogita & Oishi, "Accurate floating-point summation part I", SIAM
+    J. Sci. Comput. 31(1), 2008, ExtractVector). With 2^t >= n + 2 and
+    sigma = 2^s >= 2^t max|r|, q = (r + sigma) - sigma is r rounded to a
+    multiple of ulp(sigma) / 2 with |q| <= sigma 2^-t, so every partial sum
+    of the q is such a multiple no larger than sigma, and q.sum() is exact
+    in any order; r - q is exact too, and at most ulp(sigma) / 2 in size,
+    which sets the next level's sigma. After the second level, and a third,
+    the true sum lies within rb = n ulp(sigma) / 2 of the sum T of the
+    parts, rb known without a pass. Rounding to nearest is monotone, so when
+    T - rb and T + rb round alike, that is the correctly rounded sum: fsum's.
+    A bracket still open after the third level, as around a sum on a
+    halfway point, falls back to fsum over the array.
+    """
+    n = x.size
+    if n < _EXACT_SUM_FROM:
+        return math.fsum(memoryview(x))
+    t = (n + 1).bit_length()
+    s = t  # max|x| <= 1
+    parts, r, q = [], x, None
+    for level in (1, 2, 3):
+        sigma = math.ldexp(1.0, s)
+        q = np.add(r, sigma, out=q)
+        q -= sigma
+        parts.append(float(q.sum()))
+        s += t - 53  # the next sigma is 2^t times the bound ulp(sigma) / 2 on r - q
+        if level > 1:
+            rb = math.ldexp(n, s - t)
+            low = math.fsum(parts + [-rb])
+            if low == math.fsum(parts + [rb]):
+                return low
+        if level < 3:
+            r = np.subtract(r, q, out=None if r is x else r)
+    return math.fsum(memoryview(x))
 
 
 def log_sum_exp_array(values: np.ndarray, axis: int | None = None) -> np.ndarray | float:

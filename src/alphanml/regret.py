@@ -790,7 +790,7 @@ def predictor_kl(
     support = lp != -math.inf
     lq = joint_values(q, table)[support]
     lp = lp[support]
-    return math.fsum(np.exp(table.log_mult[support] + lp) * (lp - lq))
+    return math.fsum(memoryview(np.exp(table.log_mult[support] + lp) * (lp - lq)))
 
 
 def _asymptote_base(n: int, m: int) -> float:

@@ -11,7 +11,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphanml import numerics
+from alphanml import NML, AlphaNML, DirichletParams, LuckinessNML, kt, log_normalizer, numerics, predictors
 from alphanml.exceptions import NumericError
 from alphanml.numerics import (
     LOG_TWO,
@@ -272,6 +272,23 @@ class TestLogSumExp:
         expected = -math.inf if hi == -math.inf else hi + math.log(math.fsum(np.exp(values - hi)))
         assert log_sum_exp(container(terms)) == expected
 
+    @given(
+        st.integers(257, 20_000),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1.0, 30.0, 700.0]),
+        st.sampled_from([0.0, 0.01, 0.5]),
+        st.sampled_from([list, np.array]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_long_reductions_equal_fsum_over_the_array(self, size, seed, spread, neg_inf, container):
+        """From 257 to 20,000 terms, -inf included, on both sides of the extraction threshold: fsum's bits."""
+        rng = np.random.default_rng(seed)
+        values = rng.normal(0.0, spread, size)
+        values[rng.random(size) < neg_inf] = -math.inf
+        hi = float(values.max())
+        expected = -math.inf if hi == -math.inf else hi + math.log(math.fsum(np.exp(values - hi)))
+        assert log_sum_exp(container(values.tolist())).hex() == expected.hex()
+
     def test_array_nan_term_raises(self):
         """Both forms of the array reduction fail on nan instead of returning it."""
         with pytest.raises(NumericError):
@@ -303,6 +320,131 @@ class TestLogSumExp:
         got = log_sum_exp_array(values, axis=1)
         assert got[0] == -np.inf
         np.testing.assert_allclose(got[1], LOG_TWO, rtol=1e-15)
+
+
+class _CountingMath:
+    """numerics' ``math``, with fsum counting its whole-array sums: memoryviews, where the bracket sums lists."""
+
+    def __init__(self):
+        self.whole_arrays = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def fsum(self, terms):
+        self.whole_arrays += isinstance(terms, memoryview)
+        return math.fsum(terms)
+
+
+def _exact_sum_counting(x: np.ndarray) -> tuple[float, int]:
+    """``_exact_sum(x)`` and how many times it summed the whole array with fsum: below the threshold or as fallback."""
+    counting = _CountingMath()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "math", counting)
+        return numerics._exact_sum(x), counting.whole_arrays
+
+
+def _unit_pieces(count: int) -> np.ndarray:
+    """``count`` dyadic fractions that add up to exactly 1."""
+    whole = 1 << (count.bit_length() - 1)
+    split = count - whole  # that many of ``whole`` equal pieces are halved
+    return np.concatenate((np.full(whole - split, 1.0 / whole), np.full(2 * split, 0.5 / whole)))
+
+
+def _fsum_log_sum_exp(terms) -> float:
+    """log_sum_exp's reduction with fsum over every shifted exponential, whatever their number."""
+    values = np.asarray(terms, dtype=np.float64).ravel()
+    hi = float(values.max())
+    return hi + math.log(math.fsum(np.exp(values - hi).tolist()))
+
+
+def _perfbench_draws(seed: int) -> list:
+    """Specs drawn as perfbench's scan ops draw them, at their sizes, with the class count each reduces."""
+    rng = np.random.default_rng(seed)
+
+    def anml(m):
+        return AlphaNML(float(rng.uniform(1.5, 4.0)), DirichletParams(tuple(rng.uniform(0.3, 2.0, m))))
+
+    return [
+        (anml(3), 100, 3, 5151),  # normalizer_m3
+        (anml(2), 1500, 2, 1501),  # worst_case_m2
+        (LuckinessNML(DirichletParams(tuple(rng.uniform(1.0, 3.0, 3)))), 60, 3, 1891),  # luckiness_worst_case_m3
+        (anml(5), 16, 5, 4845),  # normalizer_m5
+        (NML(), 40, 4, 12341),  # sibson_infinity_m4
+    ]
+
+
+class TestExactSum:
+    """The reduce layer's sum: ``math.fsum``'s bits, by fsum or by an extraction bracket with fsum as fallback."""
+
+    @staticmethod
+    def _draw(seed: int, size: int, kind: str) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        if kind == "exp":  # exp(-800) is 0 and exp below -708 subnormal
+            return np.exp(rng.uniform(-800.0, 0.0, size))
+        k = int(rng.integers(1, 53))  # a grid of step 2^-k on [0, 1], whose sums can land on halfway points
+        return rng.integers(0, 2**k + 1, size) * 2.0**-k
+
+    @given(
+        st.one_of(
+            st.integers(1, 1 << 16),
+            st.integers(numerics._EXACT_SUM_FROM - 64, numerics._EXACT_SUM_FROM + 64),
+        ),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["exp", "dyadic"]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_equals_fsum(self, size, seed, kind):
+        x = self._draw(seed, size, kind)
+        assert numerics._exact_sum(x).hex() == math.fsum(x.tolist()).hex()
+
+    @pytest.mark.parametrize("size", [numerics._EXACT_SUM_FROM, 5151, 70_001])
+    @pytest.mark.parametrize("nudge", [0.0, 5e-324])
+    def test_a_sum_on_a_halfway_point_falls_back_to_fsum(self, rng, size, nudge):
+        """1 + 2^-53 ties to even, down to 1; a 5e-324 nudge rounds it up. No bracket can close on either."""
+        x = np.concatenate(([1.0, nudge], _unit_pieces(size - 2) * 2.0**-53))
+        rng.shuffle(x)
+        got, fallbacks = _exact_sum_counting(x)
+        expected = math.nextafter(1.0, 2.0) if nudge else 1.0
+        assert got.hex() == math.fsum(x.tolist()).hex() == expected.hex()
+        assert fallbacks == 1
+
+    @pytest.mark.parametrize("size", [numerics._EXACT_SUM_FROM, 5151, 70_001])
+    def test_parts_above_a_halfway_point_with_the_terms_below_it(self, rng, size):
+        """Eight terms just over half a step of the second level's grid round up a whole step there, so the
+        first two parts sum 2 steps above 1 + 2^-53 while the terms sum 2 steps below it. A bracket as wide
+        as the remainders stays open, and the third level closes it at 1 without the fallback."""
+        t = (size + 1).bit_length()
+        step = 2.0 ** (2 * t - 105)
+        x = np.concatenate(([1.0, 2.0**-53 - 6 * step], np.full(8, step / 2 * (1 + 2.0**-24)), np.zeros(size - 10)))
+        rng.shuffle(x)
+        got, fallbacks = _exact_sum_counting(x)
+        assert got.hex() == math.fsum(x.tolist()).hex() == (1.0).hex()
+        assert fallbacks == 0
+
+    @pytest.mark.parametrize(
+        ("spec", "n", "m", "classes"),
+        [*_perfbench_draws(2301), *_perfbench_draws(2302), (kt(3), 1000, 3, 501_501)],
+        ids=lambda v: f"{v}" if isinstance(v, int) else type(v).__name__,
+    )
+    def test_scan_terms_close_the_bracket(self, monkeypatch, spec, n, m, classes):
+        """The terms real scans reduce resolve without the fallback, so a silent slide back to fsum shows."""
+        handed = []
+        exact_sum = numerics._exact_sum
+        monkeypatch.setattr(numerics, "_exact_sum", lambda x: handed.append(x.copy()) or exact_sum(x))
+        log_normalizer(spec, n, m, cache=None)
+        (x,) = handed
+        got, fallbacks = _exact_sum_counting(x)
+        assert (x.size, fallbacks) == (classes, 0)
+        assert got.hex() == math.fsum(x.tolist()).hex()
+
+    @pytest.mark.parametrize(("n", "m"), [(100, 3), (16, 5), (1500, 2)])
+    @pytest.mark.parametrize("kind", ["alpha", "nml"])
+    def test_log_normalizer_keeps_the_fsum_bits(self, monkeypatch, n, m, kind):
+        spec = NML() if kind == "nml" else AlphaNML(2.7, DirichletParams(tuple(np.linspace(0.4, 1.9, m))))
+        got = log_normalizer(spec, n, m, cache=None)
+        monkeypatch.setattr(predictors, "log_sum_exp", _fsum_log_sum_exp)
+        assert got.hex() == log_normalizer(spec, n, m, cache=None).hex()
 
 
 class TestCombinatorics:
