@@ -59,7 +59,6 @@ from .regret import (
     average_regret,
     figure1_table,
     infinity_split_check,
-    maximize_on_simplex,
     predictor_kl,
     renyi_divergence_vs_predictor,
     sibson_mi_alpha,
@@ -79,9 +78,7 @@ from .oracle import (
     brute_sequence_sum,
     brute_simplex_max,
     sequence_counts,
-    sequence_max_likelihood_log_prob,
     sequential_mixture_log_prob,
-    simplex_quadrature,
 )
 
 __version__ = "0.1.0"
@@ -136,15 +133,12 @@ __all__ = [
     "log_sum_exp_array",
     "luckiness_alpha_regret",
     "luckiness_alpha_regret_supform",
-    "maximize_on_simplex",
     "predictor_kl",
     "renyi_divergence_vs_predictor",
     "sequence_counts",
-    "sequence_max_likelihood_log_prob",
     "sequential_mixture_log_prob",
     "sibson_mi_alpha",
     "sibson_mi_infinity",
-    "simplex_quadrature",
     "tilted_params",
     "w_alpha_closed",
     "w_alpha_direct",

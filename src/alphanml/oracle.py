@@ -1,24 +1,23 @@
 """Brute-force oracles for desk-scale validation.
 
 These routes deliberately avoid the type-class machinery: sums run over all
-m^n explicit sequences via itertools, maxima over dense parameter grids, and
-integrals through adaptive quadrature. They share only scalar numerics
-primitives with the production code, so an agreement between the two is
-evidence that the grouped fast paths are right.
+m^n explicit sequences via itertools, and maxima over dense parameter grids.
+They share only scalar numerics primitives with the production code, so an
+agreement between the two is evidence that the grouped fast paths are right.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import warnings
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .exceptions import UnsupportedError
-from .numerics import LogProb, accept_quadrature, log_sum_exp
+from .numerics import LogProb, log_sum_exp
 
 _ENUMERATION_GUARD = 1 << 18  # sequences; at some 30 us each, an admitted sum ends within seconds
 _STREAM_CHUNK = 1 << 15
@@ -30,15 +29,25 @@ class OracleConfig:
 
     grid_points: int = 1_000_000
 
+    def __post_init__(self):
+        points = self.grid_points
+        if isinstance(points, bool) or not isinstance(points, numbers.Integral) or points < 1:
+            raise ValueError(f"grid_points must be an integer >= 1, got {points!r}")
 
-def _check_enumeration(n: int, m: int) -> None:
-    """Raise ValueError for a malformed (n, m), and UnsupportedError when m^n exceeds the guard."""
+
+def _check_enumeration(n: int, m: int) -> tuple[int, int]:
+    """(n, m) as ints; ValueError for a malformed pair, UnsupportedError when m^n exceeds the guard.
+
+    An n beyond the guard's bit length exceeds it at every m >= 2, so m^n is not built for it.
+    """
     if int(n) != n or n < 0 or int(m) != m or m < 2:
         raise ValueError(f"need integer n >= 0 and m >= 2, got n={n}, m={m}")
-    if m**n > _ENUMERATION_GUARD:
+    n, m = int(n), int(m)
+    if n > _ENUMERATION_GUARD.bit_length() or m**n > _ENUMERATION_GUARD:
         raise UnsupportedError(
             f"m^n = {m}^{n} sequences exceed the brute-force enumeration guard of {_ENUMERATION_GUARD}"
         )
+    return n, m
 
 
 def brute_sequence_sum(
@@ -52,7 +61,7 @@ def brute_sequence_sum(
     and reduced in fixed-size chunks to bound memory. More than 2^18
     sequences raise UnsupportedError before any is visited.
     """
-    _check_enumeration(n, m)
+    n, m = _check_enumeration(n, m)
     partials: list[float] = []
     block: list[float] = []
     for seq in itertools.product(range(1, m + 1), repeat=n):
@@ -92,31 +101,6 @@ def brute_simplex_max(
     return best_theta, best_val
 
 
-def simplex_quadrature(integrand: Callable[[float], float], tol: float = 1e-10, m: int = 2) -> float:
-    """Adaptive integral of ``integrand`` over the 1-simplex [0, 1].
-
-    The interval is split near both endpoints (margin 1e-3) so integrable
-    endpoint singularities, e.g. Dirichlet(1/2) densities, converge cleanly.
-    Raises NumericError carrying the partial estimate if it is not finite or
-    the combined error estimate misses the tolerance (``accept_quadrature``).
-    """
-    if m != 2:
-        raise UnsupportedError(f"simplex_quadrature supports m=2 only, got m={m}")
-    from scipy import integrate  # imported on use: slow to load, and most commands never integrate
-    margin = 1e-3
-    total = 0.0
-    err = 0.0
-    for lo, hi in ((0.0, margin), (margin, 1.0 - margin), (1.0 - margin, 1.0)):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            value, estimate = integrate.quad(
-                integrand, lo, hi, epsabs=tol / 4.0, epsrel=1e-12, limit=200
-            )
-        total += value
-        err += estimate
-    return accept_quadrature(total, err, max(tol, 1e-13), "the simplex integral")
-
-
 def sequence_counts(sequence: Sequence[int], m: int) -> tuple[int, ...]:
     """Occupancy counts of an explicit sequence (direct counting, no grouping)."""
     counts = [0] * m
@@ -140,14 +124,3 @@ def sequential_mixture_log_prob(sequence: Sequence[int], m: int, a: Sequence[flo
         log_p += math.log((counts[x - 1] + a[x - 1]) / (i + total_a))
         counts[x - 1] += 1
     return log_p
-
-
-def sequence_max_likelihood_log_prob(sequence: Sequence[int], m: int) -> float:
-    """ln sup over theta of p_theta(sequence), from direct counting."""
-    counts = sequence_counts(sequence, m)
-    n = len(sequence)
-    out = 0.0
-    for c in counts:
-        if c > 0:
-            out += c * math.log(c / n)
-    return out

@@ -23,18 +23,14 @@ with a Gamma-ratio expression under the Jeffreys prior.
 
 Maximization over theta uses a dense grid plus golden-section refinement on
 the 1-simplex, and a triangular lattice plus Nelder-Mead refinement on the
-2-simplex. ``maximize_on_simplex`` hands a caller's objective the grid and
-the lattice GRID_CHUNK points per call and each refinement probe as a
-(1, m) batch. The suprema of this module call no objective: their
-``TypeClassTable`` evaluates the grid GRID_CHUNK points at a time into two
-scratch arrays reused from chunk to chunk, gathers the lattice's rows from
-per-coordinate product tables, and evaluates each refinement probe and
-quadrature node, boundary points included, on (K,) rows. Every route gives
-the batch route's values bit for bit, and the generic route stays their
-test oracle. Argmax ties break to the lexicographically smallest point:
-``lex_argmax`` takes the first candidate within a relative ``TIE_REL`` of
-the maximum, and a refinement replaces it only when it is better by more
-than that window.
+2-simplex. A ``TypeClassTable`` evaluates the objective: the grid GRID_CHUNK
+points at a time into two scratch arrays reused from chunk to chunk, the
+lattice's rows gathered from per-coordinate product tables, and each
+refinement probe and quadrature node, boundary points included, on (K,)
+rows. Every route gives the batch route's values bit for bit. Argmax ties
+break to the lexicographically smallest point: ``lex_argmax`` takes the
+first candidate within a relative ``TIE_REL`` of the maximum, and a
+refinement replaces it only when it is better by more than that window.
 """
 
 from __future__ import annotations
@@ -76,7 +72,7 @@ LATTICE_STEP = 256  # m = 3 triangular-lattice resolution (step 1/256)
 REFINE_ITERS = 200  # m = 3 Nelder-Mead refinement iterations
 GOLDEN_TOL = 1e-10  # m = 2 refinement width in theta
 TIE_REL = 1e-12  # relative window treating argmax candidates as tied
-GRID_CHUNK = 512  # grid and lattice points per objective call; keeps the (points, classes) temporaries in cache
+GRID_CHUNK = 512  # grid and lattice rows per chunk of _grid_values; keeps the (rows, classes) scratch in cache
 
 
 def _check_order(alpha: float, *, above_one: bool = False, finite: bool = True) -> None:
@@ -166,23 +162,18 @@ def joint_values(predictor: PredictorSpec | JointFn, table: _ClassTable) -> np.n
 
 
 class TypeClassTable:
-    """Precomputed per-type-class arrays for one (n, m, predictor) triple.
+    """Per-type-class arrays for one (n, m, predictor) triple, and D_alpha(p_theta || predictor) over them.
 
-    Holds counts, log multiplicities and predictor log joints, and evaluates
-    divergence objectives vectorized over batches of source parameters.
-    The batch route takes ``xlogy(1, theta)`` once per coordinate, scales
-    it by each class's counts and sums the products symbol by symbol; the
-    0 * ln 0 = 0 rule for a zero coordinate lives there, in the ``positive``
-    table (counts > 0) that marks where it gives -inf. One theta with
-    finite coordinates >= 0 (a quadrature node, a golden-section or
-    Nelder-Mead probe) takes the row route instead: the same operations in
-    the same order on (K,) rows. A supremum over theta evaluates its grid
-    or lattice through ``_grid_values``, GRID_CHUNK rows at a time into two
-    scratch arrays made for that call; the m = 3 lattice gathers each
-    coordinate's products from a (LATTICE_STEP + 1, K) table. Every route
-    gives the batch route's values bit for bit. The public methods return
-    fresh arrays and a table keeps no scratch between calls, so threads may
-    share one. ``(1 - alpha) * log_joint`` is computed once per alpha.
+    Holds counts, log multiplicities and predictor log joints. The Renyi
+    divergence on sequence space (KL at alpha = 1) has three routes, which
+    give the same values bit for bit: the batch route (``_log_ptheta_batch``)
+    for the m = 2 grid; rows gathered from per-coordinate product tables for
+    the m = 3 lattice; and the row route (``_point``) for one theta with
+    finite coordinates >= 0, i.e. each refinement probe and quadrature node.
+    ``_grid_values`` runs a grid or lattice GRID_CHUNK rows at a time through
+    two scratch arrays made for that call, and a table keeps no scratch
+    between calls, so threads may share one. ``(1 - alpha) * log_joint`` is
+    computed once per alpha.
     """
 
     def __init__(self, n: int, m: int, predictor: PredictorSpec | JointFn):
@@ -195,48 +186,6 @@ class TypeClassTable:
         self.positive = table.counts > 0
         self.log_joint = joint_values(predictor, table)
         self._tilt: tuple[float | None, np.ndarray | None] = (None, None)  # (alpha, (1 - alpha) * log_joint)
-
-    def log_ptheta(self, thetas: np.ndarray) -> np.ndarray:
-        """(P, K) matrix of ln p_theta(counts) for a (P, m) batch of simplex points."""
-        return np.atleast_2d(self._log_ptheta(thetas)[0])
-
-    def renyi_values(self, thetas: np.ndarray, alpha: float) -> np.ndarray:
-        """D_alpha(p_theta || predictor) on sequence space, per theta row."""
-        if alpha == 1.0:
-            return self.kl_values(thetas)
-        lp = self._log_ptheta(thetas)[0]
-        if lp.ndim == 2 and len(lp) != 1:
-            return self._renyi_rows(lp, alpha)
-        return np.array([self._renyi_point(lp.reshape(-1), alpha)])
-
-    def renyi_sum(self, theta, alpha: float) -> tuple[float, float]:
-        """(hi, s) for one theta: the largest term over the classes, and s = sum of exp(term - hi).
-
-        A class's term is alpha ln p_theta + ln multiplicity + (1 - alpha) ln q;
-        s is nan unless hi is finite.
-        """
-        return self._renyi_sum(self._log_ptheta(theta)[0].reshape(-1), alpha)  # one row, from either route
-
-    def kl_values(self, thetas: np.ndarray) -> np.ndarray:
-        """KL(p_theta || predictor) on sequence space, per theta row."""
-        return np.atleast_1d(self._kl(*self._log_ptheta(thetas)))  # (1,) for a row, (P,) for a batch
-
-    def _log_ptheta(self, thetas) -> tuple[np.ndarray, bool]:
-        """ln p_theta in a fresh array, and whether every cell of it is finite.
-
-        One theta whose coordinates are all in [0, inf) takes the row route
-        and gives a (K,) row; any other batch takes the batch route and
-        gives (P, K).
-        """
-        thetas = np.asarray(thetas, dtype=np.float64)
-        if thetas.ndim != 2:
-            thetas = np.atleast_2d(thetas)
-        if thetas.shape[0] == 1:
-            (coordinates,) = thetas.tolist()
-            if all(0.0 <= t < math.inf for t in coordinates):
-                return self._row(coordinates)
-        out = np.empty((thetas.shape[0], self.log_mult.size))
-        return out, self._log_ptheta_batch(thetas, out, np.empty_like(out))
 
     def _log_ptheta_batch(self, thetas: np.ndarray, out: np.ndarray, products: np.ndarray) -> bool:
         """The batch route: ln p_theta of (P, m) thetas into ``out`` (P, K), with ``products`` (P, K) as scratch.
@@ -361,7 +310,10 @@ class TypeClassTable:
         return float(_log_sum_exp(lp[None, :], 1)[0]) / (alpha - 1.0)  # lp holds the unshifted terms
 
     def _renyi_sum(self, lp: np.ndarray, alpha: float) -> tuple[float, float]:
-        """``renyi_sum`` of a (K,) row, which it overwrites with the terms, shifted by hi when hi is finite."""
+        """(hi, s) for a (K,) row of ln p_theta, which it overwrites with the terms, shifted by hi when hi is finite.
+
+        hi is the largest term alpha ln p_theta + ln multiplicity + (1 - alpha) ln q; s is nan unless hi is finite.
+        """
         inner = self._renyi_inner(lp, alpha)
         hi = float(inner.max())
         if not math.isfinite(hi):
@@ -495,46 +447,21 @@ def _beats(value: float, best: float) -> bool:
     return value > best + TIE_REL * max(1.0, abs(best))
 
 
-def _embed2(ts: np.ndarray) -> np.ndarray:
-    return np.stack([ts, 1.0 - ts], axis=1)
-
-
-def _chunked_values(objective: Callable[[np.ndarray], np.ndarray], thetas: np.ndarray) -> np.ndarray:
-    """objective over the rows of thetas, GRID_CHUNK rows per call."""
-    return np.concatenate(
-        [np.asarray(objective(thetas[start : start + GRID_CHUNK]), dtype=np.float64)
-         for start in range(0, thetas.shape[0], GRID_CHUNK)]
-    )
-
-
-def maximize_on_simplex(m: int, objective: Callable[[np.ndarray], np.ndarray]) -> tuple[SimplexPoint, float]:
-    """Maximize a vectorized objective((P, m) thetas) -> (P,) over the simplex.
-
-    m = 2: uniform grid of GRID_POINTS points on [0, 1] including both
-    endpoints, then golden-section refinement to width GOLDEN_TOL. m = 3:
-    triangular lattice of step 1/LATTICE_STEP then Nelder-Mead refinement
-    capped at REFINE_ITERS iterations. The grid and the lattice go through
-    the objective GRID_CHUNK rows per call, and each refinement probe as a
-    (1, m) batch. The first grid or lattice point within TIE_REL of the
-    maximum wins ties, and a refined point replaces it only when better by
-    more than that window; larger alphabets are unsupported.
-    """
-    return _maximize(
-        m,
-        lambda thetas: _chunked_values(objective, thetas),
-        lambda theta: float(objective(np.array([theta]))[0]),
-    )
-
-
 def _maximize(
     m: int,
     grid_values: Callable[[np.ndarray], np.ndarray],
     point_value: Callable[[tuple[float, ...]], float],
 ) -> tuple[SimplexPoint, float]:
-    """``maximize_on_simplex`` given the objective at every grid or lattice row and at one point."""
+    """Maximize over the simplex an objective given at all (P, m) grid rows at once and at one m-tuple.
+
+    m = 2: GRID_POINTS points on [0, 1], endpoints included, then golden-section refinement to
+    width GOLDEN_TOL. m = 3: the lattice of step 1/LATTICE_STEP, then at most REFINE_ITERS
+    Nelder-Mead iterations. Ties go to the first point within TIE_REL of the maximum, which a
+    refined point replaces only when better by more than that window. m >= 4 is unsupported.
+    """
     if m == 2:
         ts = np.linspace(0.0, 1.0, GRID_POINTS)
-        vals = grid_values(_embed2(ts))
+        vals = grid_values(np.stack([ts, 1.0 - ts], axis=1))
         j = lex_argmax(vals)
         best_t, best_v = float(ts[j]), float(vals[j])
         lo = float(ts[max(j - 1, 0)])
@@ -569,8 +496,8 @@ def _maximize(
             t2 = min(max(float(res.x[1]), 0.0), 1.0 - t1)
             best_v = -float(res.fun)
             best_theta = np.array([t1, t2, 1.0 - t1 - t2])
-        point = SimplexPoint((float(best_theta[0]), float(best_theta[1]), 1.0 - float(best_theta[0]) - float(best_theta[1])))
-        return point, best_v
+        t1, t2 = float(best_theta[0]), float(best_theta[1])
+        return SimplexPoint((t1, t2, 1.0 - t1 - t2)), best_v
     raise UnsupportedError(f"simplex maximization supports m in {{2, 3}}, got m={m}")
 
 
@@ -714,13 +641,9 @@ def renyi_divergence_vs_predictor(
     alpha: float,
 ) -> float:
     """D_alpha(p_theta^n || predictor) on sequence space; alpha = 1 is KL."""
-    if isinstance(theta, SimplexPoint):
-        point = theta.as_array()
-    else:
-        point = SimplexPoint(tuple(float(t) for t in theta)).as_array()
+    point = theta if isinstance(theta, SimplexPoint) else SimplexPoint(tuple(float(t) for t in theta))
     _check_order(alpha)
-    table = TypeClassTable(n, point.size, predictor)
-    return float(table.renyi_values(point[None, :], alpha)[0])
+    return TypeClassTable(n, point.m, predictor)._point(point.as_array().tolist(), alpha)
 
 
 def _theta_sup(

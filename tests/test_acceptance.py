@@ -42,7 +42,6 @@ from alphanml import (
     luckiness_alpha_regret,
     predictor_kl,
     sequence_counts,
-    sequence_max_likelihood_log_prob,
     sequential_mixture_log_prob,
     sibson_mi_alpha,
     sibson_mi_infinity,
@@ -54,6 +53,17 @@ from alphanml import (
 from alphanml import cli
 
 J2 = DirichletParams.jeffreys(2)
+
+
+def sequence_max_likelihood_log_prob(sequence, m: int) -> float:
+    """ln sup over theta of p_theta(sequence), from direct counting: criterion 7's brute-force oracle."""
+    counts = sequence_counts(sequence, m)
+    n = len(sequence)
+    out = 0.0
+    for c in counts:
+        if c > 0:
+            out += c * math.log(c / n)
+    return out
 
 
 def _elapsed(started: float) -> float:

@@ -7,7 +7,7 @@ import inspect
 import pytest
 
 import alphanml
-from alphanml import log_joints, log_normalizer, maximize_on_simplex, regret
+from alphanml import log_joints, log_normalizer, regret
 
 # every public name; a name joins or leaves the package only with an edit here
 PUBLIC_NAMES = [
@@ -60,15 +60,12 @@ PUBLIC_NAMES = [
     "log_sum_exp_array",
     "luckiness_alpha_regret",
     "luckiness_alpha_regret_supform",
-    "maximize_on_simplex",
     "predictor_kl",
     "renyi_divergence_vs_predictor",
     "sequence_counts",
-    "sequence_max_likelihood_log_prob",
     "sequential_mixture_log_prob",
     "sibson_mi_alpha",
     "sibson_mi_infinity",
-    "simplex_quadrature",
     "tilted_params",
     "w_alpha_closed",
     "w_alpha_direct",
@@ -130,10 +127,6 @@ def test_scan_signatures_take_no_arrays_of_classes():
     """A scan passes its class table; the public joints take only a spec and counts."""
     assert list(inspect.signature(log_joints).parameters) == ["spec", "counts"]
     assert list(inspect.signature(regret.joint_values).parameters) == ["predictor", "table"]
-
-
-def test_maximize_on_simplex_signature():
-    assert list(inspect.signature(maximize_on_simplex).parameters) == ["m", "objective"]
 
 
 def test_log_normalizer_keeps_threads_as_a_no_op():

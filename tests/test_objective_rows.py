@@ -1,13 +1,13 @@
 """The row kernel of the simplex objectives against the batch route it bypasses.
 
-A batch of one theta whose coordinates are all positive (a quadrature node,
-a golden-section or Nelder-Mead probe) is evaluated on (K,) rows with one
-``math.log`` per coordinate; every other batch takes the batch route, which
+One theta with finite coordinates >= 0 (a quadrature node, a golden-section
+or Nelder-Mead probe) is evaluated by ``TypeClassTable._point`` on (K,) rows
+with one ``math.log`` per coordinate; a batch takes the batch route, which
 skips its finiteness mask when no theta has a zero coordinate. Quadrature
 nodes evaluate the Dirichlet density on scalars, and a worst-case scan whose
 predictor is its own benchmark evaluates the numerators once. The references
-below are the routes these replaced, and every value must equal theirs bit
-for bit (signs of zero included).
+here and in ``theta_reference`` are the routes these replaced, and every
+value must equal theirs bit for bit (signs of zero included).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import xlogy
 
 from alphanml import (
     AlphaNML,
@@ -33,10 +32,8 @@ from alphanml import (
     log_joint,
     log_joints,
     log_numerators,
-    log_sum_exp_array,
     luckiness_alpha_regret,
     luckiness_alpha_regret_supform,
-    maximize_on_simplex,
     sibson_mi_alpha,
     tilted_params,
     worst_case_luckiness_regret,
@@ -46,45 +43,7 @@ from alphanml import predictors, regret
 from alphanml.numerics import accept_quadrature
 from alphanml.predictors import DEFAULT_CACHE
 from alphanml.regret import DirichletDensity, dirichlet_quadrature, integrate_unit_interval
-
-
-def reference_log_ptheta(table, thetas):
-    """The batch route of ``TypeClassTable.log_ptheta``, for every batch."""
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
-    logs = xlogy(1.0, thetas)
-    zero = thetas == 0.0
-    has_zero = zero.any()
-    if has_zero:
-        logs[zero] = 0.0
-    # c * xlogy(1, theta) == xlogy(c, theta) bit for bit, and summing from
-    # zero one symbol at a time keeps the rounding of the per-cell formula
-    out = np.zeros((thetas.shape[0], table.counts.shape[0]))
-    for i in range(table.m):
-        out += logs[:, i, None] * table.columns[i]
-    if has_zero:
-        for i in range(table.m):
-            out[np.ix_(zero[:, i], table.positive[:, i])] = -np.inf
-    return out
-
-
-def reference_renyi_values(table, thetas, alpha):
-    """D_alpha(p_theta || predictor) on sequence space, per theta row."""
-    if alpha == 1.0:
-        return reference_kl_values(table, thetas)
-    inner = reference_log_ptheta(table, thetas)
-    inner *= alpha
-    inner += table.log_mult
-    inner += (1.0 - alpha) * table.log_joint
-    return log_sum_exp_array(inner, axis=1) / (alpha - 1.0)
-
-
-def reference_kl_values(table, thetas):
-    """KL(p_theta || predictor) on sequence space, per theta row."""
-    lp = reference_log_ptheta(table, thetas)
-    gap = np.where(np.isfinite(lp), lp - table.log_joint, 0.0)
-    lp += table.log_mult
-    gap *= np.exp(lp, out=lp)
-    return np.sum(gap, axis=1)
+from theta_reference import batch_route, maximize_on_simplex, reference_kl_values, reference_log_ptheta, reference_renyi_values
 
 
 def reference_dirichlet_quadrature(params, weighted):
@@ -126,6 +85,11 @@ def _same(a, b) -> bool:
     """Equal shape and bytes: the same floats, signs of zero and nan bits included."""
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _point_values(table, theta, alpha):
+    """The row route at the one row of a (1, m) theta, as a (1,) array."""
+    return np.array([table._point(theta[0].tolist(), alpha)])
 
 
 def _outcome(call):
@@ -197,10 +161,10 @@ class TestRowKernel:
         for _ in range(4):
             theta = data.draw(_rows(m))[None, :]
             with np.errstate(all="ignore"):
-                assert _same(table.log_ptheta(theta), reference_log_ptheta(table, theta))
-                assert _same(table.kl_values(theta), reference_kl_values(table, theta))
+                assert _same(table._row(theta[0].tolist())[0][None, :], reference_log_ptheta(table, theta))
+                assert _same(_point_values(table, theta, 1.0), reference_kl_values(table, theta))
                 assert _same(
-                    _outcome(lambda: table.renyi_values(theta, alpha)),
+                    _outcome(lambda: _point_values(table, theta, alpha)),
                     _outcome(lambda: reference_renyi_values(table, theta, alpha)),
                 )
 
@@ -211,10 +175,10 @@ class TestRowKernel:
         m, table = case
         thetas = np.array([data.draw(_rows(m)) for _ in range(data.draw(st.integers(2, 6)))])
         with np.errstate(all="ignore"):
-            assert _same(table.log_ptheta(thetas), reference_log_ptheta(table, thetas))
-            assert _same(table.kl_values(thetas), reference_kl_values(table, thetas))
+            assert _same(batch_route(table, thetas), reference_log_ptheta(table, thetas))
+            assert _same(batch_route(table, thetas, 1.0), reference_kl_values(table, thetas))
             assert _same(
-                _outcome(lambda: table.renyi_values(thetas, alpha)),
+                _outcome(lambda: batch_route(table, thetas, alpha)),
                 _outcome(lambda: reference_renyi_values(table, thetas, alpha)),
             )
 
@@ -228,16 +192,16 @@ class TestRowKernel:
     def test_empty_horizon_keeps_the_sign_of_zero(self):
         table = TypeClassTable(0, 3, NML())
         theta = np.array([[0.25, 0.25, 0.5]])
-        lp = table.log_ptheta(theta)
+        lp = table._row(theta[0].tolist())[0][None, :]
         assert lp.tolist() == [[0.0]] and not np.signbit(lp).any()
-        assert _same(table.renyi_values(theta, 2.0), reference_renyi_values(table, theta, 2.0))
+        assert _same(_point_values(table, theta, 2.0), reference_renyi_values(table, theta, 2.0))
 
     def test_tilt_follows_the_order(self):
         """(1 - alpha) ln q is computed once per order and replaced when the order changes."""
         table = TypeClassTable(9, 2, AlphaNML(2.0, DirichletParams((0.3, 0.8))))
         theta = np.array([[0.3, 0.7]])
         for alpha in (2.0, 3.7, 2.0, 1.5, 1.5):
-            assert _same(table.renyi_values(theta, alpha), reference_renyi_values(table, theta, alpha))
+            assert _same(_point_values(table, theta, alpha), reference_renyi_values(table, theta, alpha))
 
 
 class TestProbes:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -18,10 +19,16 @@ from alphanml import (
     log_ml,
     kt,
     sequence_counts,
-    sequence_max_likelihood_log_prob,
     sequential_mixture_log_prob,
-    simplex_quadrature,
 )
+from alphanml.numerics import accept_quadrature
+from alphanml.regret import integrate_unit_interval
+from test_acceptance import sequence_max_likelihood_log_prob
+
+
+def _simplex_integral(integrand) -> float:
+    """The integral over [0, 1] by ``integrate_unit_interval``, accepted at 1e-10."""
+    return accept_quadrature(*integrate_unit_interval(integrand), 1e-10, "the simplex integral")
 
 
 class TestSequenceSum:
@@ -48,6 +55,20 @@ class TestSequenceSum:
         for n, m in ((30, 2), (19, 2), (10, 4)):  # 2^19 and 4^10 exceed the guard of 2^18
             with pytest.raises(UnsupportedError, match="enumeration guard"):
                 brute_sequence_sum(n, m, visited)
+
+    def test_huge_horizon_is_rejected_before_m_to_the_n_is_built(self):
+        started = time.perf_counter()
+        with pytest.raises(UnsupportedError, match=r"^m\^n = 3\^1000000000 sequences exceed the brute-force enumeration guard"):
+            brute_sequence_sum(10**9, 3, lambda seq: 0.0)
+        assert time.perf_counter() - started < 1.0
+
+    def test_whole_float_horizon_is_an_integer(self):
+        def term(seq):
+            assert type(seq) is tuple and len(seq) == 3
+            return 0.1 * sum(seq)
+
+        assert brute_sequence_sum(3.0, 2, term) == brute_sequence_sum(3, 2, term)
+        assert brute_sequence_sum(3, 2.0, term) == brute_sequence_sum(3, 2, term)
 
     def test_mixture_joint_cross_module(self):
         """Summing the mixture joint over sequences with fixed counts matches
@@ -100,15 +121,24 @@ class TestSimplexMax:
         theta, _ = brute_simplex_max(lambda t: np.zeros_like(t), config=OracleConfig(grid_points=1000))
         assert theta == 0.0
 
+    @pytest.mark.parametrize("points", [-1, 0, 2.5, 8192.0, True, None, "8192"])
+    def test_grid_points_must_be_a_positive_integer(self, points):
+        with pytest.raises(ValueError, match="grid_points must be an integer >= 1"):
+            OracleConfig(grid_points=points)
+
+    def test_one_grid_point_and_numpy_integers_are_accepted(self):
+        assert brute_simplex_max(lambda t: t, config=OracleConfig(grid_points=1)) == (1.0, 1.0)
+        assert brute_simplex_max(lambda t: -t, config=OracleConfig(grid_points=np.int64(8))) == (0.0, -0.0)
+
 
 class TestQuadrature:
     """Adaptive integration over the unit interval with endpoint splits."""
 
     def test_unit_mass(self):
-        np.testing.assert_allclose(simplex_quadrature(lambda t: 1.0), 1.0, rtol=1e-10)
+        np.testing.assert_allclose(_simplex_integral(lambda t: 1.0), 1.0, rtol=1e-10)
 
     def test_linear_moment(self):
-        np.testing.assert_allclose(simplex_quadrature(lambda t: t), 0.5, rtol=1e-10)
+        np.testing.assert_allclose(_simplex_integral(lambda t: t), 0.5, rtol=1e-10)
 
     def test_integrable_endpoint_singularity(self):
         """The arcsine density integrates to one despite endpoint blowups."""
@@ -116,17 +146,17 @@ class TestQuadrature:
         def density(t):
             return 1.0 / (math.pi * math.sqrt(t * (1.0 - t)))
 
-        np.testing.assert_allclose(simplex_quadrature(density), 1.0, rtol=1e-8)
+        np.testing.assert_allclose(_simplex_integral(density), 1.0, rtol=1e-8)
 
     def test_divergent_integrand_raises_with_partial(self):
         with pytest.raises(NumericError) as info:
-            simplex_quadrature(lambda t: 1.0 / t)
+            _simplex_integral(lambda t: 1.0 / t)
         assert hasattr(info.value, "partial")
 
     def test_nan_integrand_raises(self):
         """A nan estimate fails the finite-and-within-bound test instead of being returned."""
         with pytest.raises(NumericError) as info:
-            simplex_quadrature(lambda t: math.nan)
+            _simplex_integral(lambda t: math.nan)
         assert math.isnan(info.value.partial)
 
     def test_config_frozen(self):

@@ -16,6 +16,7 @@ from alphanml import (
     AlphaNML,
     DirichletParams,
     LuckinessAlphaNML,
+    LuckinessNML,
     Mixture,
     NML,
     NumericError,
@@ -29,6 +30,7 @@ from alphanml import (
     average_regret,
     figure1_table,
     kt,
+    laplace,
     infinity_split_check,
     alpha_split_check,
     log_joint,
@@ -37,7 +39,6 @@ from alphanml import (
     log_sum_exp_array,
     luckiness_alpha_regret,
     luckiness_alpha_regret_supform,
-    maximize_on_simplex,
     predictor_kl,
     renyi_divergence_vs_predictor,
     sibson_mi_alpha,
@@ -48,7 +49,8 @@ from alphanml import (
     worst_case_regret,
 )
 from alphanml.predictors import DEFAULT_CACHE
-from alphanml.regret import accept_quadrature
+from alphanml.regret import DirichletDensity, accept_quadrature
+from theta_reference import batch_route, maximize_on_simplex
 
 J2 = DirichletParams.jeffreys(2)
 J3 = DirichletParams.jeffreys(3)
@@ -298,7 +300,7 @@ class TestSimplexMaximization:
 
 
 def _per_cell_log_ptheta(table, thetas):
-    """One xlogy per (theta, class, symbol) cell: the oracle for log_ptheta."""
+    """One xlogy per (theta, class, symbol) cell: the oracle for ln p_theta."""
     out = np.zeros((thetas.shape[0], table.counts.shape[0]))
     for i in range(table.m):
         out += special.xlogy(table.counts[None, :, i], thetas[:, i][:, None])
@@ -351,14 +353,14 @@ class TestTypeClassTable:
         """One log per coordinate gives the per-cell xlogy values bit for bit."""
         table, thetas = case
         with np.errstate(all="ignore"):
-            assert np.array_equal(table.log_ptheta(thetas), _per_cell_log_ptheta(table, thetas))
-            assert np.array_equal(table.kl_values(thetas), _per_cell_kl(table, thetas))
-            assert np.array_equal(table.renyi_values(thetas, alpha), _per_cell_renyi(table, thetas, alpha))
+            assert np.array_equal(batch_route(table, thetas), _per_cell_log_ptheta(table, thetas))
+            assert np.array_equal(batch_route(table, thetas, 1.0), _per_cell_kl(table, thetas))
+            assert np.array_equal(batch_route(table, thetas, alpha), _per_cell_renyi(table, thetas, alpha))
 
     def test_zero_coordinate_rule(self):
         """0 * ln 0 = 0 where a class has no count of a zero-probability symbol; -inf where it has."""
         table = TypeClassTable(2, 3, kt(3))
-        lp = table.log_ptheta(np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]))
+        lp = batch_route(table, np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]))
         rows = [tuple(int(c) for c in row) for row in table.counts]
         expected = {
             (0, 0, 2): (-math.inf, -math.inf),
@@ -374,7 +376,7 @@ class TestTypeClassTable:
     def test_source_probabilities_normalize(self, rng):
         table = TypeClassTable(6, 2, kt(2))
         thetas = rng.dirichlet((1.0, 1.0), size=5)
-        lp = table.log_ptheta(thetas)
+        lp = batch_route(table, thetas)
         totals = [log_sum_exp(list(table.log_mult + lp[i])) for i in range(5)]
         np.testing.assert_allclose(totals, 0.0, atol=1e-10)
 
@@ -382,7 +384,7 @@ class TestTypeClassTable:
         table = TypeClassTable(5, 2, kt(2))
         thetas = rng.dirichlet((2.0, 2.0), size=4)
         np.testing.assert_allclose(
-            table.renyi_values(thetas, 1.0), table.kl_values(thetas), rtol=1e-12
+            [table._point(theta, 1.0) for theta in thetas.tolist()], _per_cell_kl(table, thetas), rtol=1e-12
         )
 
 
@@ -615,3 +617,50 @@ class TestObjectiveGoldens:
 
     def test_order_one_radius_prior_below_one(self):
         assert sibson_mi_alpha(60, 2, 1.0, DirichletParams((0.4, 0.7))) == 1.7741446963040608
+
+
+class TestSupremumAttainedAtMaximizer:
+    """Each reported supremum is the objective at its reported maximizer, bit for bit."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("alpha", [1.0, 1.8, 6.0])
+    @pytest.mark.parametrize("predictor", ["kt", "anml", "nml"])
+    def test_alpha_and_average_regret(self, m, alpha, predictor):
+        spec = {"kt": kt(m), "anml": AlphaNML(2.2, DirichletParams((0.4, 1.3, 0.8)[:m])), "nml": NML()}[predictor]
+        n = 9 if m == 3 else 40
+        rep = average_regret(spec, n, m) if alpha == 1.0 else alpha_regret(spec, n, m, alpha)
+        assert rep.value_nats.hex() == renyi_divergence_vs_predictor(rep.maximizer, spec, n, alpha).hex()
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("alpha", [1.0, 1.9, 6.0])
+    def test_luckiness_supform(self, m, alpha):
+        spec = AlphaNML(2.2, DirichletParams((0.8, 1.5, 0.5)[:m]))
+        b = DirichletParams((1.5, 2.0, 1.2)[:m])
+        n = 9 if m == 3 else 40
+        rep = luckiness_alpha_regret_supform(spec, b, n, m, alpha)
+        divergence = renyi_divergence_vs_predictor(rep.maximizer, spec, n, alpha)
+        expected = DirichletDensity(b).log_point(rep.maximizer.theta) + divergence
+        assert rep.value_nats.hex() == expected.hex()
+
+
+class TestRenyiDivergenceGoldens:
+    """``renyi_divergence_vs_predictor`` pinned by ``float.hex``, zero coordinates and m = 4 included."""
+
+    @pytest.mark.parametrize(
+        "theta, predictor, n, alpha, expected",
+        [
+            ((0.3, 0.7), kt(2), 5, 1.0, "0x1.16843309dcccfp-1"),
+            ((0.3, 0.7), kt(2), 5, 2.0, "0x1.6b02195ca1cd3p-1"),
+            ((0.0, 1.0), AlphaNML(2.5, DirichletParams((0.5, 0.5))), 8, 1.5, "0x1.84dd9fecfc2a2p+0"),
+            ((0.2, 0.5, 0.3), NML(), 6, 3.7, "0x1.c1bbbd6e27d68p+0"),
+            ((0.5, 0.0, 0.5), Mixture(DirichletParams((0.7, 1.2, 0.9))), 7, 1.0, "0x1.3a8b77f9ae8a8p+1"),
+            ((0.1, 0.2, 0.3, 0.4), kt(4), 6, 2.0, "0x1.6c8e89df07430p+0"),
+            ((0.25, 0.0, 0.5, 0.25), LuckinessNML(DirichletParams((1.2, 1.5, 2.0, 1.1))), 5, 12.0, "0x1.12fb423de4dd3p+1"),
+            ((0.0, 0.0, 1.0, 0.0), AlphaNML(3.0, DirichletParams((0.6, 0.8, 1.0, 1.4))), 4, 1.0, "0x1.7c88941d4afbfp+1"),
+            ((0.6, 0.4), LuckinessAlphaNML(1.7, DirichletParams((1.3, 1.6))), 10, 1e6, "0x1.fd06acc019fe4p-1"),
+            (SimplexPoint((0.5, 0.5)), laplace(2), 0, 2.0, "0x0.0p+0"),
+            ((0.3, 0.3, 0.4), lambda cv: log_joint(kt(3), cv), 4, 1.5, "0x1.5d561bf95087cp-1"),
+        ],
+    )
+    def test_golden(self, theta, predictor, n, alpha, expected):
+        assert renyi_divergence_vs_predictor(theta, predictor, n, alpha).hex() == expected

@@ -1,11 +1,11 @@
-"""The routes a supremum or a quadrature over theta takes, against the generic routes they bypass.
+"""The routes a supremum or a quadrature over theta takes, against the references they must match.
 
 ``_theta_sup`` evaluates its grid or lattice through ``TypeClassTable._grid_values`` (two scratch
 arrays reused from chunk to chunk; at m = 3 the lattice rows are gathered from per-coordinate product
 tables) and its refinement probes through the single-theta row; quadrature nodes take the same row.
-The generic routes are ``maximize_on_simplex`` over the public ``renyi_values`` and the public
-``kl_values``/``renyi_sum``, and every value must equal theirs bit for bit (``float.hex``). The
-scratch arrays belong to one call, so threads may share a table and no public result changes when a
+The references are ``theta_reference``'s: ``maximize_on_simplex`` over ``reference_renyi_values``,
+and the table's batch route on any rows. Every value must equal theirs bit for bit (``float.hex``).
+The scratch arrays belong to one call, so threads may share a table and no result changes when a
 later call runs.
 """
 
@@ -27,15 +27,14 @@ from alphanml import (
     NML,
     NumericError,
     TypeClassTable,
-    UnsupportedError,
     average_luckiness_regret,
     log_joint,
     luckiness_alpha_regret,
-    maximize_on_simplex,
     sibson_mi_alpha,
 )
 from alphanml import luckiness, regret
-from alphanml.regret import DirichletDensity, GRID_POINTS, LATTICE_STEP, _chunked_values, _class_table, _embed2
+from alphanml.regret import DirichletDensity, GRID_CHUNK, GRID_POINTS, LATTICE_STEP, _class_table
+from theta_reference import batch_route, chunked_values, maximize_on_simplex, reference_kl_values, reference_renyi_values
 
 
 def _hex(values) -> list[str]:
@@ -51,9 +50,10 @@ def _outcome(call) -> list[str] | tuple[str, str]:
 
 
 def _grid(m: int) -> np.ndarray:
-    """The rows ``maximize_on_simplex`` evaluates before refining."""
+    """The rows ``regret._maximize`` evaluates before refining."""
     if m == 2:
-        return _embed2(np.linspace(0.0, 1.0, GRID_POINTS))
+        ts = np.linspace(0.0, 1.0, GRID_POINTS)
+        return np.stack([ts, 1.0 - ts], axis=1)
     return _class_table(LATTICE_STEP, 3).counts / LATTICE_STEP
 
 
@@ -82,7 +82,7 @@ class TestGridRoute:
         thetas = _grid(3)
         with np.errstate(all="ignore"):
             fast = _outcome(lambda: table._grid_values(thetas, alpha))
-            generic = _outcome(lambda: _chunked_values(lambda rows: table.renyi_values(rows, alpha), thetas))
+            generic = _outcome(lambda: chunked_values(lambda rows: reference_renyi_values(table, rows, alpha), thetas))
         assert fast == generic
 
     @given(st.integers(0, 40), _ALPHAS, st.data())
@@ -92,7 +92,7 @@ class TestGridRoute:
         thetas = _grid(2)
         with np.errstate(all="ignore"):
             fast = _outcome(lambda: table._grid_values(thetas, alpha))
-            generic = _outcome(lambda: _chunked_values(lambda rows: table.renyi_values(rows, alpha), thetas))
+            generic = _outcome(lambda: chunked_values(lambda rows: reference_renyi_values(table, rows, alpha), thetas))
         assert fast == generic
 
     def test_lattice_products_hold_the_zero_coordinate_rule(self):
@@ -104,7 +104,7 @@ class TestGridRoute:
 
 
 class TestSupremumRoute:
-    """``_theta_sup`` finds what ``maximize_on_simplex`` finds over the public objective."""
+    """``_theta_sup`` finds what ``maximize_on_simplex`` finds over the reference objective."""
 
     @given(st.sampled_from((2, 3)), st.integers(0, 14), _ALPHAS, st.booleans(), st.data())
     @settings(max_examples=12, deadline=None)
@@ -117,7 +117,7 @@ class TestSupremumRoute:
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_weighted_supremum_equals_maximizing_the_public_objective(self, m):
-        """The Dirichlet weight's refinement probes take ``log_point``; the public objective takes ``log_pdf``."""
+        """The Dirichlet weight's refinement probes take ``log_point``; the reference objective takes ``log_pdf``."""
         predictor = AlphaNML(2.5, DirichletParams((0.7, 1.6, 0.9)[:m]))
         for b in ((1.5, 2.0, 1.25)[:m], (0.8, 1.2, 1.0)[:m]):  # the second is +inf at a vertex with theta_1 = 0
             fast, generic = self._outcomes(predictor, 9, m, 1.7, DirichletDensity(DirichletParams(b)))
@@ -125,11 +125,11 @@ class TestSupremumRoute:
 
     @staticmethod
     def _outcomes(predictor, n, m, alpha, density):
-        """The (theta, value) hex of ``_theta_sup`` and of ``maximize_on_simplex`` over the public objective."""
+        """The (theta, value) hex of ``_theta_sup`` and of ``maximize_on_simplex`` over the reference objective."""
         table = TypeClassTable(n, m, predictor)
 
         def objective(thetas):
-            values = table.renyi_values(thetas, alpha)
+            values = reference_renyi_values(table, thetas, alpha)
             return values if density is None else density.log_pdf(thetas) + values
 
         with np.errstate(all="ignore"):
@@ -145,21 +145,9 @@ class TestSupremumRoute:
                 outcomes.append((_hex(point.theta), _hex([value])))
         return outcomes
 
-    def test_public_maximizer_keeps_its_generic_route(self):
-        calls = []
-
-        def objective(thetas):
-            calls.append(thetas.shape)
-            return -np.sum((thetas - np.array([0.2, 0.3, 0.5])) ** 2, axis=1)
-
-        maximize_on_simplex(3, objective)
-        assert calls[0] == (regret.GRID_CHUNK, 3) and (1, 3) in calls
-        with pytest.raises(UnsupportedError):
-            maximize_on_simplex(4, objective)
-
 
 class TestQuadratureNodes:
-    """Every lean node gives what the public methods give at that theta."""
+    """Every lean node gives what the batch route gives at that theta."""
 
     @staticmethod
     def _nodes(call) -> list:
@@ -194,8 +182,8 @@ class TestQuadratureNodes:
         table = TypeClassTable(n, 2, predictor)
         for pdf, theta, value in self._nodes(lambda: average_luckiness_regret(predictor, params, n)):
             batch = np.repeat(theta, 2, axis=0)  # two rows: the batch route, not the row route
-            assert value.hex() == (pdf * float(table.kl_values(theta)[0])).hex()
-            assert value.hex() == (pdf * float(table.kl_values(batch)[0])).hex()
+            assert value.hex() == (pdf * float(reference_kl_values(table, theta)[0])).hex()
+            assert value.hex() == (pdf * float(batch_route(table, batch, 1.0)[0])).hex()
 
     @given(n=st.integers(0, 14), alpha=st.sampled_from((1.5, 3.7, 12.0)), b=st.tuples(st.floats(1.0, 3.0), st.floats(1.0, 3.0)))
     @settings(max_examples=6, deadline=None)
@@ -204,8 +192,8 @@ class TestQuadratureNodes:
         predictor = AlphaNML(2.0, params)
         table = TypeClassTable(n, 2, predictor)
         for pdf, theta, value in self._nodes(lambda: luckiness_alpha_regret(predictor, params, n, alpha)):
-            hi, total = table.renyi_sum(theta, alpha)
-            inner = table.log_ptheta(np.repeat(theta, 2, axis=0))[0]  # the batch route's row
+            hi, total = table._renyi_sum(table._row(theta[0].tolist())[0], alpha)
+            inner = batch_route(table, np.repeat(theta, 2, axis=0))[0]  # the batch route's row
             inner *= alpha
             inner += table.log_mult
             inner += (1.0 - alpha) * table.log_joint
@@ -218,7 +206,7 @@ class TestQuadratureNodes:
         params = DirichletParams((0.7, 1.6))
         table = TypeClassTable(9, 2, Mixture(params))
         for pdf, theta, value in self._nodes(lambda: sibson_mi_alpha(9, 2, 1.0, params)):
-            assert value.hex() == (pdf * float(table.kl_values(np.repeat(theta, 2, axis=0))[0])).hex()
+            assert value.hex() == (pdf * float(batch_route(table, np.repeat(theta, 2, axis=0), 1.0)[0])).hex()
 
 
 class TestPointRoute:
@@ -226,13 +214,13 @@ class TestPointRoute:
         """A row's Renyi value takes np.log of its sum, as the batch route does; math.log differs at some sums."""
         table = TypeClassTable(20, 2, AlphaNML(1.7, DirichletParams((0.6, 1.4))))
         for t in np.random.default_rng(11).random(100_000).tolist():
-            hi, total = table.renyi_sum(np.array([[t, 1.0 - t]]), 2.5)
+            hi, total = table._renyi_sum(table._row((t, 1.0 - t))[0], 2.5)
             if math.log(total) + hi != np.log(total) + hi:
                 break
         else:
             pytest.skip("numpy's log equals the C library's at every sum drawn")
         theta = (t, 1.0 - t)
-        assert table._point(theta, 2.5).hex() == float(table.renyi_values(np.array([theta, theta]), 2.5)[0]).hex()
+        assert table._point(theta, 2.5).hex() == float(batch_route(table, np.array([theta, theta]), 2.5)[0]).hex()
 
 
 class TestScratchArrays:
@@ -246,8 +234,8 @@ class TestScratchArrays:
         out = []
         for alpha in alphas:
             out.append(_hex(table._grid_values(_grid(table.m), alpha)))
-            out.append(_hex(table.renyi_values(batch, alpha)))
-            out.append(_hex(table.log_ptheta(batch[:5])))
+            out.append(_hex(batch_route(table, batch, alpha)))
+            out.append(_hex(batch_route(table, batch[:5])))
             out.append(_hex([table._point(tuple(batch[3].tolist()), alpha)]))
         return out
 
@@ -280,16 +268,17 @@ class TestScratchArrays:
     def test_public_results_survive_later_calls(self):
         table = TypeClassTable(12, 3, Mixture(DirichletParams((0.5, 0.5, 0.5))))
         rng = np.random.default_rng(3)
-        first, second = rng.dirichlet(np.ones(3), size=(2, regret.GRID_CHUNK))
-        lp = table.log_ptheta(first)
-        kl = table.kl_values(first)
-        renyi = table.renyi_values(first, 2.0)
-        row = table.log_ptheta(first[:1])
-        kept = [a.copy() for a in (lp, kl, renyi, row)]
-        later = table.log_ptheta(second)
-        table._grid_values(_grid(3), 2.0)
-        table.kl_values(second)
-        table.renyi_values(second, 3.0)
-        table.log_ptheta(second[:1])
-        assert all(np.array_equal(a, b) for a, b in zip(kept, (lp, kl, renyi, row)))
-        assert not np.shares_memory(lp, later)
+        first, second = rng.dirichlet(np.ones(3), size=(2, GRID_CHUNK))
+        lp = batch_route(table, first)
+        kl = batch_route(table, first, 1.0)
+        renyi = batch_route(table, first, 2.0)
+        row = table._row(first[0].tolist())[0]
+        grid = table._grid_values(_grid(3), 2.0)
+        kept = [a.copy() for a in (lp, kl, renyi, row, grid)]
+        later_row = table._row(second[0].tolist())[0]
+        later_grid = table._grid_values(_grid(3), 3.0)
+        batch_route(table, second, 1.0)
+        batch_route(table, second, 3.0)
+        table._point(second[0].tolist(), 1.0)
+        assert all(np.array_equal(a, b) for a, b in zip(kept, (lp, kl, renyi, row, grid)))
+        assert not np.shares_memory(row, later_row) and not np.shares_memory(grid, later_grid)
