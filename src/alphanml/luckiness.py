@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .exceptions import NumericError, UnsupportedError
 from .numerics import accept_quadrature
 from .predictors import DirichletParams, LuckinessNML, PredictorSpec, tilted_params
@@ -90,16 +92,19 @@ def luckiness_alpha_regret(
     tilt = tilted_params(alpha, b)
     table = TypeClassTable(n, m, predictor)
 
-    def weighted(pdf: float, theta: tuple[float, float]) -> float:
-        hi, total = table._renyi_sum(table._row(theta)[0], alpha)
-        # q = 0 on a class (hi = +inf) or a nan cell gives a nan total: a nan node, which accept_quadrature rejects
-        try:
-            return pdf * math.exp(hi) * total
-        except OverflowError:  # a finite hi above the float range: e^hi is no float
-            raise NumericError(
-                f"the tilted alpha-regret's integrand exceeds the float range: its log is {hi:.6g} "
-                f"at theta_1 = {theta[0]:.6g}"
-            ) from None
+    def weighted(pdfs: list[float], thetas: np.ndarray) -> list[float]:
+        his, totals = table._renyi_sums(thetas, alpha)
+        values = []
+        for pdf, hi, total, theta_1 in zip(pdfs, his, totals, thetas[:, 0].tolist()):
+            # q = 0 on a class (hi = +inf) or a nan cell gives a nan total: a nan node, which accept_quadrature rejects
+            try:
+                values.append(pdf * math.exp(hi) * total)
+            except OverflowError:  # a finite hi above the float range: e^hi is no float
+                raise NumericError(
+                    f"the tilted alpha-regret's integrand exceeds the float range: its log is {hi:.6g} "
+                    f"at theta_1 = {theta_1:.6g}"
+                ) from None
+        return values
 
     value, err = dirichlet_quadrature(tilt, weighted)
     # a relative tolerance of 1e-7; the log below needs a positive value, and a nan bound fails the acceptance test

@@ -7,8 +7,8 @@ enforced by the shared ``xlogy`` helper, with two exceptions on the same C
 library log. ``regret.TypeClassTable`` takes ``xlogy(1, theta)`` once per
 coordinate (``math.log`` for a lone theta; a table of products for the
 m = 3 lattice), scales it by the counts, and itself puts -inf where a zero
-coordinate meets a positive count; ``regret.dirichlet_quadrature`` takes
-its density's e ln t on floats with ``math.log``. Conversions to bits
+coordinate meets a positive count; ``regret.DirichletDensity.log_point``
+takes a density's e ln t on floats with ``math.log``. Conversions to bits
 happen only at output boundaries (divide by ln 2).
 
 Type-class scans evaluate whole arrays at once: ``log_sum_exp`` accepts a

@@ -38,9 +38,10 @@ class OracleConfig:
 def _check_enumeration(n: int, m: int) -> tuple[int, int]:
     """(n, m) as ints; ValueError for a malformed pair, UnsupportedError when m^n exceeds the guard.
 
-    An n beyond the guard's bit length exceeds it at every m >= 2, so m^n is not built for it.
+    An n beyond the guard's bit length exceeds it at every m >= 2, so m^n is not built for it. nan and
+    +-inf fail before ``int``, which raises on them.
     """
-    if int(n) != n or n < 0 or int(m) != m or m < 2:
+    if not all(x == x and abs(x) != math.inf and int(x) == x for x in (n, m)) or n < 0 or m < 2:
         raise ValueError(f"need integer n >= 0 and m >= 2, got n={n}, m={m}")
     n, m = int(n), int(m)
     if n > _ENUMERATION_GUARD.bit_length() or m**n > _ENUMERATION_GUARD:

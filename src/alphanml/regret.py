@@ -25,9 +25,11 @@ Maximization over theta uses a dense grid plus golden-section refinement on
 the 1-simplex, and a triangular lattice plus Nelder-Mead refinement on the
 2-simplex. A ``TypeClassTable`` evaluates the objective: the grid GRID_CHUNK
 points at a time into two scratch arrays reused from chunk to chunk, the
-lattice's rows gathered from per-coordinate product tables, and each
-refinement probe and quadrature node, boundary points included, on (K,)
-rows. Every route gives the batch route's values bit for bit. Argmax ties
+lattice's rows gathered from per-coordinate product tables, each refinement
+probe, boundary points included, on (K,) rows, and each quadrature panel's
+21 nodes as one batch. Every route gives the batch route's values bit for
+bit. The quadrature (QUADPACK's qagse) and Nelder-Mead run on the plain-Python
+ports in ``_ports``, which give scipy's bits without importing scipy. Argmax ties
 break to the lexicographically smallest point: ``lex_argmax`` takes the
 first candidate within a relative ``TIE_REL`` of the maximum, and a
 refinement replaces it only when it is better by more than that window.
@@ -36,7 +38,6 @@ refinement replaces it only when it is better by more than that window.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -167,9 +168,10 @@ class TypeClassTable:
     Holds counts, log multiplicities and predictor log joints. The Renyi
     divergence on sequence space (KL at alpha = 1) has three routes, which
     give the same values bit for bit: the batch route (``_log_ptheta_batch``)
-    for the m = 2 grid; rows gathered from per-coordinate product tables for
-    the m = 3 lattice; and the row route (``_point``) for one theta with
-    finite coordinates >= 0, i.e. each refinement probe and quadrature node.
+    for the m = 2 grid and each quadrature panel's nodes; rows gathered from
+    per-coordinate product tables for the m = 3 lattice; and the row route
+    (``_point``) for one theta with finite coordinates >= 0, i.e. each
+    refinement probe.
     ``_grid_values`` runs a grid or lattice GRID_CHUNK rows at a time through
     two scratch arrays made for that call, and a table keeps no scratch
     between calls, so threads may share one. ``(1 - alpha) * log_joint`` is
@@ -240,7 +242,7 @@ class TypeClassTable:
     def _point(self, coordinates: Sequence[float], alpha: float) -> float:
         """D_alpha(p_theta || predictor), KL at alpha = 1, at one theta with finite coordinates >= 0.
 
-        The route of every refinement probe and quadrature node.
+        The route of every refinement probe.
         """
         lp, finite = self._row(coordinates)
         return float(self._kl(lp, finite) if alpha == 1.0 else self._renyi_point(lp, alpha))
@@ -321,6 +323,22 @@ class TypeClassTable:
         inner -= hi
         return hi, float(np.add.reduce(np.exp(inner, out=inner)))
 
+    def _renyi_sums(self, thetas: np.ndarray, alpha: float) -> tuple[list[float], list[float]]:
+        """``_renyi_sum`` at every row of (P, m) thetas with finite coordinates >= 0, on the batch route.
+
+        Returns the his and the sums as lists of floats, with the row route's bits.
+        """
+        lp, scratch = np.empty((2, len(thetas), self.log_mult.size))
+        self._log_ptheta_batch(thetas, lp, scratch)
+        inner = self._renyi_inner(lp, alpha)
+        hi = inner.max(axis=1)
+        finite = np.isfinite(hi)
+        inner[~finite] = 0.0  # these rows' sums are nan: no exp of their terms
+        inner -= np.where(finite, hi, 0.0)[:, None]
+        totals = np.add.reduce(np.exp(inner, out=inner), axis=1)
+        totals[~finite] = math.nan
+        return hi.tolist(), totals.tolist()
+
     def _renyi_inner(self, lp: np.ndarray, alpha: float) -> np.ndarray:
         """alpha ln p_theta + ln multiplicity + (1 - alpha) ln q, per cell, in place on lp."""
         tilt_alpha, tilt = self._tilt
@@ -333,24 +351,24 @@ class TypeClassTable:
         return lp
 
 
-def integrate_unit_interval(f: Callable[[float], float]) -> tuple[float, float]:
-    """Adaptive integral of f over [0, 1] with endpoint-singularity splitting.
+def integrate_unit_interval(f: Callable[[np.ndarray], Sequence[float]]) -> tuple[float, float]:
+    """Adaptive integral of f over [0, 1] with endpoint-singularity splitting, 21 nodes per call of f.
 
     The pieces [0, 1e-3], [1e-3, 1 - 1e-3] and [1 - 1e-3, 1] each get
-    ``quad`` with absolute tolerance 1e-11, relative tolerance 1e-12 and at
-    most 200 subintervals. Returns (value, error estimate); callers compare
+    QUADPACK's ``qagse`` (``_ports.qagse``, the routine and bits of scipy's
+    ``quad``) with absolute tolerance 1e-11, relative tolerance 1e-12 and at
+    most 200 subintervals. f takes one panel's 21 nodes as an array and
+    returns their 21 values. Returns (value, error estimate); callers compare
     the estimate against their own tolerance (``accept_quadrature``), so
-    scipy's IntegrationWarning is suppressed rather than passed on.
+    qagse's exit code is not passed on.
     """
-    from scipy import integrate  # imported on use: slow to load, and most commands never integrate
+    from . import _ports  # imported on use: most commands never integrate
     total = 0.0
     err = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        for lo, hi in ((0.0, 1e-3), (1e-3, 1.0 - 1e-3), (1.0 - 1e-3, 1.0)):
-            value, estimate = integrate.quad(f, lo, hi, epsabs=1e-11, epsrel=1e-12, limit=200)
-            total += value
-            err += estimate
+    for lo, hi in ((0.0, 1e-3), (1e-3, 1.0 - 1e-3), (1.0 - 1e-3, 1.0)):
+        value, estimate, _, _ = _ports.qagse(f, lo, hi, 1e-11, 1e-12, 200)
+        total += value
+        err += estimate
     return total, err
 
 
@@ -399,19 +417,21 @@ def _xlog(e: float, t: float) -> float:
 
 
 def dirichlet_quadrature(
-    params: DirichletParams, weighted: Callable[[float, tuple[float, float]], float]
+    params: DirichletParams, weighted: Callable[[list[float], np.ndarray], Sequence[float]]
 ) -> tuple[float, float]:
-    """Integral over t in [0, 1] of weighted(density, theta) at the tuple theta = (t, 1 - t).
+    """Integral over t in [0, 1] of weighted(density, theta) at theta = (t, 1 - t), a panel's 21 nodes at a time.
 
-    ``density`` is the Dirichlet(params) density at theta, from
-    ``DirichletDensity.log_point``; the integrand multiplies it into its own
-    term. Returns (value, error estimate) of ``integrate_unit_interval``.
+    ``weighted`` gets the panel's densities as a list of floats and its
+    thetas as a (21, 2) array, and returns the 21 values; a density is the
+    Dirichlet(params) density at its theta, ``math.exp`` of
+    ``DirichletDensity.log_pdf``, and the integrand multiplies it into its
+    own term. Returns (value, error estimate) of ``integrate_unit_interval``.
     """
-    log_point = DirichletDensity(params).log_point
+    log_pdf = DirichletDensity(params).log_pdf
 
-    def integrand(t: float) -> float:
-        theta = (t, 1.0 - t)
-        return weighted(math.exp(log_point(theta)), theta)
+    def integrand(t: np.ndarray) -> Sequence[float]:
+        thetas = np.stack([t, 1.0 - t], axis=1)
+        return weighted([math.exp(v) for v in log_pdf(thetas).tolist()], thetas)
 
     return integrate_unit_interval(integrand)
 
@@ -471,30 +491,24 @@ def _maximize(
             best_t, best_v = t_ref, v_ref
         return SimplexPoint((best_t, 1.0 - best_t)), best_v
     if m == 3:
-        from scipy import optimize  # imported on use: slow to load, and only m = 3 needs it
+        from . import _ports  # imported on use: only m = 3 refines by Nelder-Mead
         thetas = _class_table(LATTICE_STEP, 3).counts / LATTICE_STEP
         vals = grid_values(thetas)
         k = lex_argmax(vals)
         best_v = float(vals[k])
         best_theta = thetas[k]
 
-        def neg(xy: np.ndarray) -> float:
-            t1, t2 = float(xy[0]), float(xy[1])
+        def neg(t1: float, t2: float) -> float:
             t3 = 1.0 - t1 - t2
             if t1 < 0.0 or t2 < 0.0 or t3 < 0.0:
                 return math.inf
             return -point_value((t1, t2, t3))
 
-        res = optimize.minimize(
-            neg,
-            x0=best_theta[:2],
-            method="Nelder-Mead",
-            options={"maxiter": REFINE_ITERS, "xatol": 1e-12, "fatol": 1e-13},
-        )
-        if math.isfinite(res.fun) and _beats(-float(res.fun), best_v):
-            t1 = min(max(float(res.x[0]), 0.0), 1.0)
-            t2 = min(max(float(res.x[1]), 0.0), 1.0 - t1)
-            best_v = -float(res.fun)
+        x, fun, _, _ = _ports.nelder_mead(neg, best_theta[:2].tolist(), REFINE_ITERS, 1e-12, 1e-13)
+        if math.isfinite(fun) and _beats(-fun, best_v):
+            t1 = min(max(x[0], 0.0), 1.0)
+            t2 = min(max(x[1], 0.0), 1.0 - t1)
+            best_v = -fun
             best_theta = np.array([t1, t2, 1.0 - t1 - t2])
         t1, t2 = float(best_theta[0]), float(best_theta[1])
         return SimplexPoint((t1, t2, 1.0 - t1 - t2)), best_v
@@ -559,7 +573,11 @@ def _average_kl(predictor: PredictorSpec | JointFn, params: DirichletParams, n: 
     regret; ``what`` names the quantity in a rejection.
     """
     table = TypeClassTable(n, 2, predictor)
-    value, err = dirichlet_quadrature(params, lambda pdf, theta: pdf * table._point(theta, 1.0))
+
+    def weighted(pdfs: list[float], thetas: np.ndarray) -> list[float]:
+        return [pdf * value for pdf, value in zip(pdfs, table._grid_values(thetas, 1.0).tolist())]
+
+    value, err = dirichlet_quadrature(params, weighted)
     return accept_quadrature(value, err, 1e-8, what)
 
 

@@ -89,11 +89,16 @@ def _whole_symbols(sequence: Sequence[int], m: int) -> np.ndarray:
 
 
 def _validate_nm(n: int, m: int) -> tuple[int, int]:
-    if int(n) != n or n < 0:
+    if not _whole(n) or n < 0:
         raise ValueError(f"n must be a non-negative integer, got {n}")
-    if int(m) != m or m < 2:
+    if not _whole(m) or m < 2:
         raise ValueError(f"alphabet size m must be an integer >= 2, got {m}")
     return int(n), int(m)
+
+
+def _whole(x) -> bool:
+    """Whether x is a whole number; nan and +-inf are not, and fail before ``int``, which raises on them."""
+    return x == x and abs(x) != math.inf and int(x) == x
 
 
 # A cold scan peaks at 27-36 m bytes and takes 0.3-0.7 us per class (measured at m = 3..9), so the

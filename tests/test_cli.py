@@ -292,6 +292,11 @@ SMALL_COMMANDS = [
     ["asymptotics", "--m", "2", "--alpha", "2.500000", "--n-list", "10,100"],
     ["oracle", "--check", "normalizer", "--n", "10", "--m", "2", "--alpha", "2.500000", "--prior", "0.700000,1.300000"],
 ]
+# a quadrature over theta and an m = 3 supremum, which run on alphanml._ports and stay within the ports' budget
+THETA_COMMANDS = [
+    ["oracle", "--check", "theorem5", "--n", "6", "--m", "2", "--alpha", "2.5"],
+    ["regret", "--kind", "alpha", "--n", "8", "--m", "3", "--alpha", "2", "--predictor", "kt"],
+]
 # its 150,001-row scan is more cells than the ports' budget, so it runs on scipy.special
 LARGE_COMMAND = ["regret", "--kind", "worst", "--n", "150000", "--m", "2", "--predictor", "kt"]
 
@@ -320,7 +325,10 @@ class TestImportCost:
     """The command loads no scipy module until a computation needs one."""
 
     def test_cli_import_leaves_optimize_and_integrate_unloaded(self):
-        probe = "import sys, alphanml.cli; print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])"
+        probe = (
+            "import sys, alphanml.cli; "
+            "print([m for m in ('scipy.optimize', 'scipy.integrate', 'alphanml._ports') if m in sys.modules])"
+        )
         assert _python(probe).strip() == "[]"
 
     def test_small_commands_run_without_scipy_and_print_the_in_process_bytes(self, capsys):
@@ -329,9 +337,10 @@ class TestImportCost:
         Each command's exit code, stdout and stderr equal those of ``cli.main`` in this process,
         where scipy is loaded and the special functions run on scipy from the first call.
         """
-        results, after_small, after_large = json.loads(_python(_RUN_COMMANDS, json.dumps([SMALL_COMMANDS, LARGE_COMMAND])))
+        small = [*SMALL_COMMANDS, *THETA_COMMANDS]
+        results, after_small, after_large = json.loads(_python(_RUN_COMMANDS, json.dumps([small, LARGE_COMMAND])))
         assert after_small == []
         assert "scipy.special" in after_large
-        for argv, result in zip([*SMALL_COMMANDS, LARGE_COMMAND], results, strict=True):
+        for argv, result in zip([*small, LARGE_COMMAND], results, strict=True):
             DEFAULT_CACHE.clear()
             assert list(run(capsys, argv)) == result, argv

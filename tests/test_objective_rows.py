@@ -1,13 +1,14 @@
 """The row kernel of the simplex objectives against the batch route it bypasses.
 
-One theta with finite coordinates >= 0 (a quadrature node, a golden-section
-or Nelder-Mead probe) is evaluated by ``TypeClassTable._point`` on (K,) rows
-with one ``math.log`` per coordinate; a batch takes the batch route, which
-skips its finiteness mask when no theta has a zero coordinate. Quadrature
-nodes evaluate the Dirichlet density on scalars, and a worst-case scan whose
-predictor is its own benchmark evaluates the numerators once. The references
-here and in ``theta_reference`` are the routes these replaced, and every
-value must equal theirs bit for bit (signs of zero included).
+One theta with finite coordinates >= 0 (a golden-section or Nelder-Mead
+probe) is evaluated by ``TypeClassTable._point`` on (K,) rows with one
+``math.log`` per coordinate; a batch, a quadrature panel's 21 nodes among
+them, takes the batch route, which skips its finiteness mask when no theta
+has a zero coordinate. A worst-case scan whose predictor is its own
+benchmark evaluates the numerators once. The references here and in
+``theta_reference`` are the routes these replaced (the quadratures on
+scipy's ``quad``, one node at a time), and every value must equal theirs bit
+for bit (signs of zero included).
 """
 
 from __future__ import annotations
@@ -42,19 +43,9 @@ from alphanml import (
 from alphanml import predictors, regret
 from alphanml.numerics import accept_quadrature
 from alphanml.predictors import DEFAULT_CACHE
-from alphanml.regret import DirichletDensity, dirichlet_quadrature, integrate_unit_interval
+from alphanml.regret import DirichletDensity, dirichlet_quadrature
 from theta_reference import batch_route, maximize_on_simplex, reference_kl_values, reference_log_ptheta, reference_renyi_values
-
-
-def reference_dirichlet_quadrature(params, weighted):
-    """The quadrature whose integrand took the density from ``DirichletDensity.log_pdf``."""
-    density = DirichletDensity(params)
-
-    def integrand(t: float) -> float:
-        theta = np.array([[t, 1.0 - t]])
-        return weighted(math.exp(density.log_pdf(theta)[0]), theta)
-
-    return integrate_unit_interval(integrand)
+from theta_reference import scipy_dirichlet_quadrature
 
 
 def reference_luckiness_alpha_regret(predictor, b, n, alpha, tol=1e-7):
@@ -69,7 +60,7 @@ def reference_luckiness_alpha_regret(predictor, b, n, alpha, tol=1e-7):
         return pdf * math.exp(hi) * float(np.sum(np.exp(inner - hi)))
 
     with np.errstate(invalid="ignore"):  # inf - inf on a zero-probability class
-        value, err = reference_dirichlet_quadrature(tilt, weighted)
+        value, err = scipy_dirichlet_quadrature(tilt, weighted)
     bound = tol * max(value, 1e-300) if value > 0.0 else math.nan
     return math.log(accept_quadrature(value, err, bound, "the tilted alpha-regret")) / (alpha - 1.0)
 
@@ -77,7 +68,7 @@ def reference_luckiness_alpha_regret(predictor, b, n, alpha, tol=1e-7):
 def reference_kl_quadrature(predictor, params, n, tol):
     """``average_luckiness_regret`` and the order-one radius with the batch-route KL integrand."""
     table = TypeClassTable(n, 2, predictor)
-    value, err = reference_dirichlet_quadrature(params, lambda pdf, theta: pdf * float(reference_kl_values(table, theta)[0]))
+    value, err = scipy_dirichlet_quadrature(params, lambda pdf, theta: pdf * float(reference_kl_values(table, theta)[0]))
     return accept_quadrature(value, err, tol, "the average luckiness regret")
 
 
@@ -264,17 +255,17 @@ class TestQuadratureNodes:
     def test_every_node_gets_the_log_pdf_density(self, params):
         nodes, reference_nodes = [], []
 
-        def weighted(pdf, theta):
-            assert type(theta) is tuple and len(theta) == 2 and all(type(x) is float for x in theta)
-            nodes.append((pdf.hex(), tuple(x.hex() for x in theta)))
-            return pdf * theta[0]
+        def weighted(pdfs, thetas):
+            assert thetas.shape == (21, 2) and len(pdfs) == 21 and all(type(pdf) is float for pdf in pdfs)
+            nodes.extend((pdf.hex(), tuple(x.hex() for x in theta)) for pdf, theta in zip(pdfs, thetas.tolist()))
+            return [pdf * theta[0] for pdf, theta in zip(pdfs, thetas.tolist())]
 
         def reference_weighted(pdf, theta):
             assert theta.shape == (1, 2)
             reference_nodes.append((pdf.hex(), tuple(x.hex() for x in theta[0].tolist())))
             return pdf * theta[0, 0]
 
-        assert dirichlet_quadrature(params, weighted) == reference_dirichlet_quadrature(params, reference_weighted)
+        assert dirichlet_quadrature(params, weighted) == scipy_dirichlet_quadrature(params, reference_weighted)
         assert nodes == reference_nodes
 
     @given(st.integers(0, 14), _PARAMS, st.data())

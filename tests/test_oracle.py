@@ -24,11 +24,12 @@ from alphanml import (
 from alphanml.numerics import accept_quadrature
 from alphanml.regret import integrate_unit_interval
 from test_acceptance import sequence_max_likelihood_log_prob
+from theta_reference import nodewise
 
 
 def _simplex_integral(integrand) -> float:
     """The integral over [0, 1] by ``integrate_unit_interval``, accepted at 1e-10."""
-    return accept_quadrature(*integrate_unit_interval(integrand), 1e-10, "the simplex integral")
+    return accept_quadrature(*integrate_unit_interval(nodewise(integrand)), 1e-10, "the simplex integral")
 
 
 class TestSequenceSum:
@@ -61,6 +62,12 @@ class TestSequenceSum:
         with pytest.raises(UnsupportedError, match=r"^m\^n = 3\^1000000000 sequences exceed the brute-force enumeration guard"):
             brute_sequence_sum(10**9, 3, lambda seq: 0.0)
         assert time.perf_counter() - started < 1.0
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_n_or_m_is_a_value_error(self, bad):
+        for n, m in ((bad, 2), (3, bad)):
+            with pytest.raises(ValueError, match=r"^need integer n >= 0 and m >= 2, got "):
+                brute_sequence_sum(n, m, lambda seq: 0.0)
 
     def test_whole_float_horizon_is_an_integer(self):
         def term(seq):

@@ -38,6 +38,7 @@ from alphanml.numerics import accept_quadrature, log_multinomial, log_sum_exp
 from alphanml.oracle import sequential_mixture_log_prob
 from alphanml.predictors import spec_alphabet_size
 from alphanml.regret import integrate_unit_interval
+from theta_reference import nodewise
 
 J2 = DirichletParams.jeffreys(2)
 J3 = DirichletParams.jeffreys(3)
@@ -114,7 +115,7 @@ class TestBuildingBlocks:
                 dens = la - 0.5 * math.log(t) + 0.5 * math.log1p(-t)
                 return math.exp(dens + alpha * (3 * math.log(t) + 2 * math.log1p(-t)))
 
-            val = accept_quadrature(*integrate_unit_interval(integrand), 1e-10, "the simplex integral")
+            val = accept_quadrature(*integrate_unit_interval(nodewise(integrand)), 1e-10, "the simplex integral")
             np.testing.assert_allclose(
                 log_dirichlet_alpha_integral(counts, alpha, a), math.log(val), rtol=1e-9
             )

@@ -2,7 +2,8 @@
 
 ``_theta_sup`` evaluates its grid or lattice through ``TypeClassTable._grid_values`` (two scratch
 arrays reused from chunk to chunk; at m = 3 the lattice rows are gathered from per-coordinate product
-tables) and its refinement probes through the single-theta row; quadrature nodes take the same row.
+tables) and its refinement probes through the single-theta row; a quadrature panel's nodes take the
+batch route.
 The references are ``theta_reference``'s: ``maximize_on_simplex`` over ``reference_renyi_values``,
 and the table's batch route on any rows. Every value must equal theirs bit for bit (``float.hex``).
 The scratch arrays belong to one call, so threads may share a table and no result changes when a
@@ -156,13 +157,13 @@ class TestQuadratureNodes:
         real = regret.dirichlet_quadrature
 
         def recording(params, weighted):
-            def node(pdf, theta):
-                assert type(theta) is tuple and len(theta) == 2 and all(type(x) is float for x in theta)
-                value = weighted(pdf, theta)
-                recorded.append((pdf, np.array([theta]), value))
-                return value
+            def panel(pdfs, thetas):
+                assert thetas.shape == (21, 2) and len(pdfs) == 21 and all(type(pdf) is float for pdf in pdfs)
+                values = weighted(pdfs, thetas)
+                recorded.extend(zip(pdfs, thetas[:, None, :], values))
+                return values
 
-            return real(params, node)
+            return real(params, panel)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(regret, "dirichlet_quadrature", recording)

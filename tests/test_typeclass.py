@@ -111,6 +111,14 @@ class TestEnumeration:
         n, m = nm
         assert count_vectors(n, m).tolist() == [list(c) for c in sorted(stars_and_bars(n, m))]
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("count", [count_vectors, count_vector_total])
+    def test_non_finite_n_or_m_is_a_value_error(self, count, bad):
+        with pytest.raises(ValueError, match=r"^n must be a non-negative integer, got "):
+            count(bad, 2)
+        with pytest.raises(ValueError, match=r"^alphabet size m must be an integer >= 2, got "):
+            count(3, bad)
+
     def test_incremental_multiplicity_matches_direct(self):
         """The table-built log multiplicity equals the multinomial formula."""
         for n, m in [(0, 2), (1, 2), (7, 2), (9, 3), (5, 4)]:
