@@ -6,10 +6,11 @@ alpha family into its tilted counterpart; every measure here takes b.
 Conditional NML given past counts is luckiness NML with b = past counts + 1
 (``tests/test_luckiness.py::TestConditionalIdentity``).
 
-Regret measures are the plain ones on the plain drivers: a worst-case scan
-where the benchmark is the tilted supremum, the order-one radius's
-quadrature against the luckiness density, an alpha-regret integrated
-against the tilted prior (parameters alpha*(b-1)+1), and the alpha-regret's
+Regret measures are the plain ones on ``regret``'s drivers, and nothing
+here evaluates over theta itself: a worst-case scan where the benchmark is
+the tilted supremum, the Dirichlet average of KL against the luckiness
+density, the Dirichlet average of sum_x p_theta^alpha q^(1-alpha) against
+the tilted prior (parameters alpha*(b-1)+1), and the alpha-regret's
 supremum with ln pi(theta) added, which recovers the worst case as alpha
 grows. The b = (1, ..., 1) luckiness is the constant density on the
 simplex, under which every measure collapses to its plain counterpart (for
@@ -20,21 +21,17 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .exceptions import NumericError, UnsupportedError
+from .exceptions import UnsupportedError
 from .numerics import accept_quadrature
 from .predictors import DirichletParams, LuckinessNML, PredictorSpec, tilted_params
 from .regret import (
     JointFn,
     DirichletDensity,
     RegretReport,
-    TypeClassTable,
-    _average_kl,
     _check_order,
+    _dirichlet_average,
     _theta_sup,
     _worst_case_scan,
-    dirichlet_quadrature,
 )
 
 
@@ -69,7 +66,7 @@ def average_luckiness_regret(
     """
     if m != 2 or b.m != 2:
         raise UnsupportedError("average luckiness regret is quadrature-based and supports m = 2 only")
-    return _average_kl(predictor, b, n, "the average luckiness regret")
+    return accept_quadrature(*_dirichlet_average(predictor, b, n, 1.0), 1e-8, "the average luckiness regret")
 
 
 def luckiness_alpha_regret(
@@ -89,24 +86,7 @@ def luckiness_alpha_regret(
     _check_order(alpha, above_one=True)
     if m != 2 or b.m != 2:
         raise UnsupportedError("luckiness alpha-regret is quadrature-based and supports m = 2 only")
-    tilt = tilted_params(alpha, b)
-    table = TypeClassTable(n, m, predictor)
-
-    def weighted(pdfs: list[float], thetas: np.ndarray) -> list[float]:
-        his, totals = table._renyi_sums(thetas, alpha)
-        values = []
-        for pdf, hi, total, theta_1 in zip(pdfs, his, totals, thetas[:, 0].tolist()):
-            # q = 0 on a class (hi = +inf) or a nan cell gives a nan total: a nan node, which accept_quadrature rejects
-            try:
-                values.append(pdf * math.exp(hi) * total)
-            except OverflowError:  # a finite hi above the float range: e^hi is no float
-                raise NumericError(
-                    f"the tilted alpha-regret's integrand exceeds the float range: its log is {hi:.6g} "
-                    f"at theta_1 = {theta_1:.6g}"
-                ) from None
-        return values
-
-    value, err = dirichlet_quadrature(tilt, weighted)
+    value, err = _dirichlet_average(predictor, tilted_params(alpha, b), n, alpha)
     # a relative tolerance of 1e-7; the log below needs a positive value, and a nan bound fails the acceptance test
     bound = 1e-7 * max(value, 1e-300) if value > 0.0 else math.nan
     return math.log(accept_quadrature(value, err, bound, "the tilted alpha-regret")) / (alpha - 1.0)

@@ -3,13 +3,12 @@
 Every probability in this package is carried as a natural-log value: a plain
 float where -inf encodes probability zero (type alias ``LogProb``). Sums of
 probabilities go through ``log_sum_exp``; the 0 * log(0) = 0 convention is
-enforced by the shared ``xlogy`` helper, with two exceptions on the same C
-library log. ``regret.TypeClassTable`` takes ``xlogy(1, theta)`` once per
+enforced by the shared ``xlogy`` helper, with one exception on the same C
+library log: ``regret.TypeClassTable`` takes ``xlogy(1, theta)`` once per
 coordinate (``math.log`` for a lone theta; a table of products for the
 m = 3 lattice), scales it by the counts, and itself puts -inf where a zero
-coordinate meets a positive count; ``regret.DirichletDensity.log_point``
-takes a density's e ln t on floats with ``math.log``. Conversions to bits
-happen only at output boundaries (divide by ln 2).
+coordinate meets a positive count. Conversions to bits happen only at
+output boundaries (divide by ln 2).
 
 Type-class scans evaluate whole arrays at once: ``log_sum_exp`` accepts a
 numpy array and reduces it with one vectorized ``exp`` and a correctly
@@ -274,31 +273,25 @@ def log_sum_exp_array(values: np.ndarray, axis: int | None = None) -> np.ndarray
     A nan term raises NumericError.
     """
     values = np.asarray(values, dtype=np.float64)
-    if axis is None:
+    whole = axis is None
+    if whole:
         if values.size == 0:
             raise ValueError("log_sum_exp of an empty array")
-        return float(_log_sum_exp(values.reshape(1, -1), 1)[0])
-    return _log_sum_exp(values, axis)
-
-
-def _log_sum_exp(values: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
-    """``log_sum_exp_array``'s reduction; the shifted terms are written to ``out`` (``values`` itself to work in place).
-
-    Only a nan term makes a row's maximum nan, so the nan check reads the
-    reduced maxima, one per row, and only when one of them is not finite.
-    """
-    shift = np.max(values, axis=axis, keepdims=True)  # nan in a row with a nan term
+        values, axis = values.reshape(1, -1), 1
+    # only a nan term makes a row's maximum nan, so the nan check reads the
+    # reduced maxima, one per row, and only when one of them is not finite
+    shift = np.max(values, axis=axis, keepdims=True)
     finite = np.isfinite(shift)
     safe = np.where(finite, shift, 0.0)
     with np.errstate(divide="ignore"):
-        shifted = np.subtract(values, safe, out=out)
+        shifted = values - safe
         result = np.log(np.sum(np.exp(shifted, out=shifted), axis=axis)) + np.squeeze(safe, axis=axis)
     if not finite.all():
         shift = np.squeeze(shift, axis=axis)
         if np.isnan(shift).any():
             raise NumericError("log_sum_exp_array received nan")
         result = np.where(np.isneginf(shift), -np.inf, result)
-    return result
+    return float(result[0]) if whole else result
 
 
 def log_multinomial(n: int, counts: Sequence[int]) -> float:

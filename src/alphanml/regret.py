@@ -10,9 +10,10 @@ Three regret notions share one engine:
   which recovers the average regret as alpha -> 1 and the worst case as
   alpha -> infinity.
 
-Every supremum over theta (average, alpha and the luckiness supremum form)
-runs on one driver, which checks the alphabet before it builds a class
-table, and every Dirichlet average of KL on one quadrature.
+Only this module evaluates over theta: every supremum (average, alpha and
+the luckiness supremum form) on ``_theta_sup``, every Dirichlet average (of
+KL, or the tilted sum_x p_theta^alpha q^(1-alpha)) on ``_dirichlet_average``.
+Each checks its alphabet and theta budget before it builds a class table.
 
 The information radius I_alpha (a Sibson mutual information between the
 source parameter and the sequence) is the matching lower bound and shows up
@@ -24,11 +25,12 @@ with a Gamma-ratio expression under the Jeffreys prior.
 Maximization over theta uses a dense grid plus golden-section refinement on
 the 1-simplex, and a triangular lattice plus Nelder-Mead refinement on the
 2-simplex. A ``TypeClassTable`` evaluates the objective: the grid GRID_CHUNK
-points at a time into two scratch arrays reused from chunk to chunk, the
-lattice's rows gathered from per-coordinate product tables, each refinement
-probe, boundary points included, on (K,) rows, and each quadrature panel's
-21 nodes as one batch. Every route gives the batch route's values bit for
-bit. The quadrature (QUADPACK's qagse) and Nelder-Mead run on the plain-Python
+points at a time (fewer when K is large) into two scratch arrays reused
+from chunk to chunk, the lattice's rows gathered from per-coordinate
+product tables, each refinement probe, boundary points included, on (K,)
+rows, and each quadrature panel's 21 nodes as one batch. Every route gives
+the batch route's values bit for bit, and a batch's Renyi terms reduce in
+one place, ``_renyi_sums``. The quadrature (QUADPACK's qagse) and Nelder-Mead run on the plain-Python
 ports in ``_ports``, which give scipy's bits without importing scipy. Argmax ties
 break to the lexicographically smallest point: ``lex_argmax`` takes the
 first candidate within a relative ``TIE_REL`` of the maximum, and a
@@ -44,14 +46,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .exceptions import NumericError, UnsupportedError
-from .numerics import (
-    LOG_PI,
-    LOG_TWO,
-    accept_quadrature,
-    log_gamma,
-    _log_sum_exp,
-    xlogy,
-)
+from .numerics import LOG_PI, LOG_TWO, accept_quadrature, log_gamma, xlogy
 from .predictors import (
     AlphaNML,
     DirichletParams,
@@ -64,7 +59,7 @@ from .predictors import (
     log_normalizer,
     log_numerators,
 )
-from .typeclass import CountVector
+from .typeclass import _MAX_THETA_CELLS, CountVector, _check_budget, count_vector_total
 
 JointFn = Callable[[CountVector], float]
 
@@ -74,6 +69,12 @@ REFINE_ITERS = 200  # m = 3 Nelder-Mead refinement iterations
 GOLDEN_TOL = 1e-10  # m = 2 refinement width in theta
 TIE_REL = 1e-12  # relative window treating argmax candidates as tied
 GRID_CHUNK = 512  # grid and lattice rows per chunk of _grid_values; keeps the (rows, classes) scratch in cache
+# floats in each of _grid_values' two scratch arrays, at most: chunks of fewer rows when K > 256, so
+# perfbench's K <= 201 keeps whole chunks and a large K stays at 1 MiB per array
+_SCRATCH_FLOATS = 1 << 17
+# nodes of one Dirichlet average at most: integrate_unit_interval's 3 pieces, each at most
+# qagse's 42 * 200 - 21 evaluations of 200 subintervals
+_QUADRATURE_NODES = 3 * (42 * 200 - 21)
 
 
 def _check_order(alpha: float, *, above_one: bool = False, finite: bool = True) -> None:
@@ -165,17 +166,21 @@ def joint_values(predictor: PredictorSpec | JointFn, table: _ClassTable) -> np.n
 class TypeClassTable:
     """Per-type-class arrays for one (n, m, predictor) triple, and D_alpha(p_theta || predictor) over them.
 
-    Holds counts, log multiplicities and predictor log joints. The Renyi
-    divergence on sequence space (KL at alpha = 1) has three routes, which
-    give the same values bit for bit: the batch route (``_log_ptheta_batch``)
-    for the m = 2 grid and each quadrature panel's nodes; rows gathered from
-    per-coordinate product tables for the m = 3 lattice; and the row route
-    (``_point``) for one theta with finite coordinates >= 0, i.e. each
-    refinement probe.
-    ``_grid_values`` runs a grid or lattice GRID_CHUNK rows at a time through
-    two scratch arrays made for that call, and a table keeps no scratch
-    between calls, so threads may share one. ``(1 - alpha) * log_joint`` is
-    computed once per alpha.
+    Holds each symbol's counts as a float column, log multiplicities and
+    predictor log joints. The Renyi divergence on sequence space (KL at
+    alpha = 1) has three routes, which give the same values bit for bit: the
+    batch route (``_log_ptheta_batch``) for the m = 2 grid and each quadrature
+    panel's nodes; rows gathered from per-coordinate product tables for the
+    m = 3 lattice; and the row route (``_point``) for one theta with finite
+    coordinates >= 0, i.e. each refinement probe. The two beside the batch
+    route stay because they are faster (on a 2-CPU x86-64 host): a probe,
+    of about 34 per supremum at m = 2 and 152 at m = 3, takes 8-13 us as a
+    row and 23-25 us as a one-row batch; the lattice pass at (n, m) = (12, 3)
+    takes 17 ms gathered and 27-36 ms batched. Batches reduce in ``_renyi_sums``.
+    ``_grid_values`` runs a grid or lattice at most GRID_CHUNK rows, and
+    ``_SCRATCH_FLOATS`` floats, at a time through two scratch arrays made
+    for that call, and a table keeps no scratch between calls, so threads
+    may share one. ``(1 - alpha) * log_joint`` is computed once per alpha.
     """
 
     def __init__(self, n: int, m: int, predictor: PredictorSpec | JointFn):
@@ -183,8 +188,7 @@ class TypeClassTable:
         self.n = n
         self.m = m
         self.log_mult = table.log_mult
-        self.counts = table.counts.astype(np.float64)
-        self.columns = [np.ascontiguousarray(self.counts[:, i]) for i in range(m)]
+        self.columns = [table.counts[:, i].astype(np.float64) for i in range(m)]
         self.positive = table.counts > 0
         self.log_joint = joint_values(predictor, table)
         self._tilt: tuple[float | None, np.ndarray | None] = (None, None)  # (alpha, (1 - alpha) * log_joint)
@@ -253,17 +257,19 @@ class TypeClassTable:
         ``thetas`` is the m = 2 grid, or at m = 3 the lattice of step
         1/LATTICE_STEP in the row order of its class table, whose rows are
         gathered from per-coordinate product tables instead of multiplied.
-        GRID_CHUNK rows at a time go through two scratch arrays made for
-        this call.
+        Chunks of at most GRID_CHUNK rows and ``_SCRATCH_FLOATS`` floats go
+        through two scratch arrays made for this call; rows reduce on their
+        own, so the chunking changes no value.
         """
-        size = len(thetas)
-        lp_buffer, scratch_buffer = np.empty((2, min(size, GRID_CHUNK), self.log_mult.size))
+        size, classes = len(thetas), self.log_mult.size
+        chunk = min(GRID_CHUNK, max(1, _SCRATCH_FLOATS // classes))
+        lp_buffer, scratch_buffer = np.empty((2, min(size, chunk), classes))
         if self.m == 3:
             lattice = _class_table(LATTICE_STEP, 3).counts.T  # row i holds coordinate i's numerators
             tables = self._lattice_products()
         out = np.empty(size)
-        for start in range(0, size, GRID_CHUNK):
-            stop = min(start + GRID_CHUNK, size)
+        for start in range(0, size, chunk):
+            stop = min(start + chunk, size)
             lp, scratch = lp_buffer[: stop - start], scratch_buffer[: stop - start]
             if self.m == 3:
                 numerators = lattice[:, start:stop]
@@ -286,7 +292,7 @@ class TypeClassTable:
         """
         logs = xlogy(1.0, np.arange(LATTICE_STEP + 1) / LATTICE_STEP)
         logs[0] = 0.0
-        tables = logs[:, None] * self.counts.T[:, None, :]
+        tables = logs[:, None] * np.array(self.columns)[:, None, :]
         tables[:, 0][self.positive.T] = -np.inf
         tables[0] += 0.0
         return tables
@@ -301,43 +307,37 @@ class TypeClassTable:
         return np.add.reduce(gap, axis=-1)
 
     def _renyi_rows(self, lp: np.ndarray, alpha: float) -> np.ndarray:
-        """D_alpha per row of a (P, K) lp, which it overwrites."""
-        return _log_sum_exp(self._renyi_inner(lp, alpha), 1, out=lp) / (alpha - 1.0)
+        """(ln s + hi) / (alpha - 1) per row of (P, K) lp, which it overwrites (``_renyi_sums``); +-inf at +-inf hi."""
+        hi, s = self._renyi_sums(lp, alpha)
+        if np.isnan(hi).any():
+            raise NumericError("log_sum_exp_array received nan")
+        return np.where(np.isfinite(hi), np.log(s) + hi, hi) / (alpha - 1.0)
 
     def _renyi_point(self, lp: np.ndarray, alpha: float) -> float:
-        """D_alpha at one theta from its (K,) row, which it overwrites: log_sum_exp_array's steps on a row."""
-        hi, total = self._renyi_sum(lp, alpha)
-        if math.isfinite(hi):
-            return float((np.log(total) + hi) / (alpha - 1.0))
-        return float(_log_sum_exp(lp[None, :], 1)[0]) / (alpha - 1.0)  # lp holds the unshifted terms
-
-    def _renyi_sum(self, lp: np.ndarray, alpha: float) -> tuple[float, float]:
-        """(hi, s) for a (K,) row of ln p_theta, which it overwrites with the terms, shifted by hi when hi is finite.
-
-        hi is the largest term alpha ln p_theta + ln multiplicity + (1 - alpha) ln q; s is nan unless hi is finite.
-        """
+        """D_alpha at one theta from its (K,) row, which it overwrites: ``_renyi_rows``' steps on a row."""
         inner = self._renyi_inner(lp, alpha)
         hi = float(inner.max())
+        if math.isnan(hi):
+            raise NumericError("log_sum_exp_array received nan")
         if not math.isfinite(hi):
-            return hi, math.nan
+            return hi / (alpha - 1.0)
         inner -= hi
-        return hi, float(np.add.reduce(np.exp(inner, out=inner)))
+        return float((np.log(np.add.reduce(np.exp(inner, out=inner))) + hi) / (alpha - 1.0))
 
-    def _renyi_sums(self, thetas: np.ndarray, alpha: float) -> tuple[list[float], list[float]]:
-        """``_renyi_sum`` at every row of (P, m) thetas with finite coordinates >= 0, on the batch route.
+    def _renyi_sums(self, lp: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+        """(hi, s) per row of a (P, K) lp of ln p_theta, which it overwrites with the terms (``_renyi_inner``).
 
-        Returns the his and the sums as lists of floats, with the row route's bits.
+        hi is a row's largest term and s its numpy sum of exp(term - hi); s is nan where hi is not finite.
         """
-        lp, scratch = np.empty((2, len(thetas), self.log_mult.size))
-        self._log_ptheta_batch(thetas, lp, scratch)
         inner = self._renyi_inner(lp, alpha)
         hi = inner.max(axis=1)
         finite = np.isfinite(hi)
-        inner[~finite] = 0.0  # these rows' sums are nan: no exp of their terms
+        if not finite.all():
+            inner[~finite] = 0.0  # these rows' sums are nan: no exp of their terms
         inner -= np.where(finite, hi, 0.0)[:, None]
-        totals = np.add.reduce(np.exp(inner, out=inner), axis=1)
-        totals[~finite] = math.nan
-        return hi.tolist(), totals.tolist()
+        s = np.add.reduce(np.exp(inner, out=inner), axis=1)
+        s[~finite] = math.nan
+        return hi, s
 
     def _renyi_inner(self, lp: np.ndarray, alpha: float) -> np.ndarray:
         """alpha ln p_theta + ln multiplicity + (1 - alpha) ln q, per cell, in place on lp."""
@@ -382,7 +382,6 @@ class DirichletDensity:
     def __init__(self, params: DirichletParams):
         self.neg_log_norm = -params.log_beta
         self.exponents = params.as_array() - 1.0
-        self._exponents = self.exponents.tolist()  # as floats, for ``log_point``
 
     def log_pdf(self, thetas: np.ndarray) -> np.ndarray:
         """ln of the density at each row of a (P, m) batch of thetas.
@@ -398,22 +397,6 @@ class DirichletDensity:
         for i in range(1, self.exponents.size):
             out += terms[:, i]
         return out
-
-    def log_point(self, coordinates: Sequence[float]) -> float:
-        """``log_pdf`` at one theta with coordinates >= 0, on floats: its terms and sums in its order, bit for bit."""
-        out = self.neg_log_norm
-        for term in map(_xlog, self._exponents, coordinates):
-            if term == math.inf:
-                return math.inf  # log_pdf's rule: no +inf plus -inf
-            out += term
-        return out
-
-
-def _xlog(e: float, t: float) -> float:
-    """xlogy(e, t) for floats e and t >= 0: e ln t with the C library's log, 0 when e = 0."""
-    if e == 0.0:
-        return 0.0
-    return e * math.log(t) if t > 0.0 else e * -math.inf
 
 
 def dirichlet_quadrature(
@@ -566,19 +549,42 @@ def sibson_mi_infinity(n: int, m: int) -> float:
     return log_normalizer(NML(), n, m)
 
 
-def _average_kl(predictor: PredictorSpec | JointFn, params: DirichletParams, n: int, what: str) -> float:
-    """E over theta ~ Dirichlet(params) of KL(p_theta || predictor) at m = 2, by quadrature accepted at 1e-8.
+def _dirichlet_average(
+    predictor: PredictorSpec | JointFn, params: DirichletParams, n: int, alpha: float
+) -> tuple[float, float]:
+    """E over theta ~ Dirichlet(params), m = 2, of KL(p_theta || q) at alpha = 1, else of sum p_theta^alpha q^(1-alpha).
 
-    The one quadrature behind the order-one radius and the average luckiness
-    regret; ``what`` names the quantity in a rejection.
+    q is the predictor. Returns (value, error estimate) of ``dirichlet_quadrature``
+    for the caller to accept; the budget counts ``_QUADRATURE_NODES`` per class.
     """
+    _check_theta_cells(_QUADRATURE_NODES, n, 2)
     table = TypeClassTable(n, 2, predictor)
 
     def weighted(pdfs: list[float], thetas: np.ndarray) -> list[float]:
-        return [pdf * value for pdf, value in zip(pdfs, table._grid_values(thetas, 1.0).tolist())]
+        if alpha == 1.0:
+            return [pdf * value for pdf, value in zip(pdfs, table._grid_values(thetas, 1.0).tolist())]
+        lp, scratch = np.empty((2, len(thetas), table.log_mult.size))
+        table._log_ptheta_batch(thetas, lp, scratch)
+        his, sums = table._renyi_sums(lp, alpha)
+        values = []
+        for pdf, hi, s, theta_1 in zip(pdfs, his.tolist(), sums.tolist(), thetas[:, 0].tolist()):
+            # q = 0 on a class (hi = +inf) or a nan cell gives a nan sum: a nan node, which accept_quadrature rejects
+            try:
+                values.append(pdf * math.exp(hi) * s)
+            except OverflowError:  # a finite hi above the float range: e^hi is no float
+                raise NumericError(
+                    f"the tilted alpha-regret's integrand exceeds the float range: its log is {hi:.6g} "
+                    f"at theta_1 = {theta_1:.6g}"
+                ) from None
+        return values
 
-    value, err = dirichlet_quadrature(params, weighted)
-    return accept_quadrature(value, err, 1e-8, what)
+    return dirichlet_quadrature(params, weighted)
+
+
+def _check_theta_cells(points: int, n: int, m: int) -> None:
+    """UnsupportedError, before a class table is built, if ``points`` thetas times the classes of (n, m) pass budget."""
+    cells = points * count_vector_total(n, m)
+    _check_budget(f"a theta route of {points} points at (n, m) = ({n}, {m})", cells, "cells", _MAX_THETA_CELLS)
 
 
 def sibson_mi_alpha(n: int, m: int, alpha: float, a: DirichletParams) -> float:
@@ -595,7 +601,7 @@ def sibson_mi_alpha(n: int, m: int, alpha: float, a: DirichletParams) -> float:
     if alpha == 1.0:
         if m != 2:
             raise UnsupportedError("the alpha = 1 limit is quadrature-based and supports m = 2 only")
-        return _average_kl(Mixture(a), a, n, "I_1")
+        return accept_quadrature(*_dirichlet_average(Mixture(a), a, n, 1.0), 1e-8, "I_1")
     return alpha / (alpha - 1.0) * log_normalizer(AlphaNML(alpha, a), n, m)
 
 
@@ -682,6 +688,7 @@ def _theta_sup(
     if m not in (2, 3):
         caller = "alpha_regret" if density is None else "luckiness_alpha_regret_supform"
         raise UnsupportedError(f"{caller} supports m in {{2, 3}}, got m={m}")
+    _check_theta_cells(GRID_POINTS if m == 2 else count_vector_total(LATTICE_STEP, 3), n, m)
     table = TypeClassTable(n, m, predictor)
 
     def grid_values(thetas: np.ndarray) -> np.ndarray:
@@ -690,7 +697,7 @@ def _theta_sup(
 
     def point_value(theta: tuple[float, ...]) -> float:
         value = table._point(theta, alpha)
-        return value if density is None else density.log_point(theta) + value
+        return value if density is None else float(density.log_pdf([theta])[0]) + value
 
     point, value = _maximize(m, grid_values, point_value)
     return RegretReport(

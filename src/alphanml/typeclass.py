@@ -6,8 +6,9 @@ each weighted by its multinomial multiplicity. ``count_vectors`` returns
 every class of (n, m) as one (K, m) integer array in ascending lexicographic
 order; above ``_MAX_CLASSES`` classes it raises ``UnsupportedError`` on the
 estimate ``count_vector_total`` alone. ``_check_budget`` makes that check,
-and the lattice tables' against ``_MAX_LATTICE_ENTRIES``, so both budgets
-and their message live here. ``log_multiplicities`` gives their
+the lattice tables' against ``_MAX_LATTICE_ENTRIES`` and the theta
+routes' against ``_MAX_THETA_CELLS``, so all three budgets and their
+message live here. ``log_multiplicities`` gives their
 log multinomial coefficients as a product of binomials read from one table:
 a row of ln C(r, c) per distinct suffix sum r, built with one vectorized
 log of (r - j) / (j + 1) and one cumulative sum per block of rows. Scans
@@ -108,6 +109,11 @@ _MAX_CLASSES = 1 << 23
 # (measured at m = 2..6 on a 2-CPU x86-64 host), so the budget's 2^27 entries need 1.1-2.0 GB and 3-18 s, about
 # what a cold scan at the class budget needs: binary horizons up to 16,382 and ternary ones up to 928 fit.
 _MAX_LATTICE_ENTRIES = 1 << 27
+# A theta route (``regret.TypeClassTable._grid_values`` on a grid, a lattice or quadrature panels) takes
+# 5-17 ns per cell of points x classes (measured at m = 2 and 3, K = 91..100,001, on a 2-CPU x86-64 host), so
+# the budget's 2^29 cells take 3-9 s: binary suprema up to n = 131,071 fit, ternary ones up to n = 178, and
+# Dirichlet averages, counted at their most nodes, up to n = 21,356.
+_MAX_THETA_CELLS = 1 << 29
 
 
 def _check_budget(subject: str, total: int, unit: str, limit: int) -> None:

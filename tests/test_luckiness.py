@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import xlogy
 
-from alphanml import luckiness, regret
+from alphanml import regret
 from alphanml import (
     AlphaNML,
     CountVector,
@@ -222,8 +222,7 @@ class TestSupForm:
         def no_table(*args):
             raise AssertionError("a TypeClassTable was built")
 
-        for module in (regret, luckiness):
-            monkeypatch.setattr(module, "TypeClassTable", no_table)
+        monkeypatch.setattr(regret, "TypeClassTable", no_table)
         b4 = DirichletParams((1.0, 1.0, 1.0, 1.0))
         with pytest.raises(UnsupportedError, match="supports m in"):
             luckiness_alpha_regret_supform(kt(4), b4, 150, 4, 2.0)

@@ -114,11 +114,11 @@ class TestQuadratureMatchesScipy:
         radius, average = TypeClassTable(n, 2, Mixture(params)), TypeClassTable(n, 2, AlphaNML(1.7, params))
 
         def kl(table):
-            return lambda t: math.exp(density.log_point((t, 1.0 - t))) * table._point((t, 1.0 - t), 1.0)
+            return lambda t: math.exp(float(density.log_pdf([(t, 1.0 - t)])[0])) * table._point((t, 1.0 - t), 1.0)
 
         def tilted(t):
-            hi, total = average._renyi_sum(average._row((t, 1.0 - t))[0], alpha)
-            return math.exp(tilt.log_point((t, 1.0 - t))) * math.exp(hi) * total
+            hi, total = (float(x[0]) for x in average._renyi_sums(average._row((t, 1.0 - t))[0][None, :], alpha))
+            return math.exp(float(tilt.log_pdf([(t, 1.0 - t)])[0])) * math.exp(hi) * total
 
         for f in (kl(radius), kl(average), tilted):
             try:
@@ -136,7 +136,7 @@ def _objective(table, alpha, density):
         if t1 < 0.0 or t2 < 0.0 or t3 < 0.0:
             return math.inf
         value = table._point((t1, t2, t3), alpha)
-        return -(value if density is None else density.log_point((t1, t2, t3)) + value)
+        return -(value if density is None else float(density.log_pdf([(t1, t2, t3)])[0]) + value)
 
     return neg
 

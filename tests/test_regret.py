@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -48,8 +50,9 @@ from alphanml import (
     worst_case_luckiness_regret,
     worst_case_regret,
 )
+from alphanml import cli, regret
 from alphanml.predictors import DEFAULT_CACHE
-from alphanml.regret import DirichletDensity, accept_quadrature
+from alphanml.regret import DirichletDensity, _class_table, accept_quadrature
 from theta_reference import batch_route, maximize_on_simplex
 
 J2 = DirichletParams.jeffreys(2)
@@ -301,9 +304,9 @@ class TestSimplexMaximization:
 
 def _per_cell_log_ptheta(table, thetas):
     """One xlogy per (theta, class, symbol) cell: the oracle for ln p_theta."""
-    out = np.zeros((thetas.shape[0], table.counts.shape[0]))
+    out = np.zeros((thetas.shape[0], table.log_mult.size))
     for i in range(table.m):
-        out += special.xlogy(table.counts[None, :, i], thetas[:, i][:, None])
+        out += special.xlogy(table.columns[i][None, :], thetas[:, i][:, None])
     return out
 
 
@@ -361,7 +364,7 @@ class TestTypeClassTable:
         """0 * ln 0 = 0 where a class has no count of a zero-probability symbol; -inf where it has."""
         table = TypeClassTable(2, 3, kt(3))
         lp = batch_route(table, np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]))
-        rows = [tuple(int(c) for c in row) for row in table.counts]
+        rows = [tuple(int(c) for c in row) for row in _class_table(2, 3).counts]
         expected = {
             (0, 0, 2): (-math.inf, -math.inf),
             (0, 1, 1): (-math.inf, -math.inf),
@@ -639,7 +642,7 @@ class TestSupremumAttainedAtMaximizer:
         n = 9 if m == 3 else 40
         rep = luckiness_alpha_regret_supform(spec, b, n, m, alpha)
         divergence = renyi_divergence_vs_predictor(rep.maximizer, spec, n, alpha)
-        expected = DirichletDensity(b).log_point(rep.maximizer.theta) + divergence
+        expected = float(DirichletDensity(b).log_pdf([rep.maximizer.theta])[0]) + divergence
         assert rep.value_nats.hex() == expected.hex()
 
 
@@ -664,3 +667,56 @@ class TestRenyiDivergenceGoldens:
     )
     def test_golden(self, theta, predictor, n, alpha, expected):
         assert renyi_divergence_vs_predictor(theta, predictor, n, alpha).hex() == expected
+
+
+class TestThetaBudget:
+    """A theta route over more than ``_MAX_THETA_CELLS`` points x classes fails fast, from the estimate."""
+
+    @pytest.mark.parametrize(
+        ("n", "m", "estimate"),
+        [(1_000_000, 2, "a theta route of 4096 points at (n, m) = (1000000, 2) has 4.1e+09 cells"),
+         (2000, 3, "a theta route of 33153 points at (n, m) = (2000, 3) has 6.64e+10 cells")],
+    )
+    def test_over_budget_supremum_raises_without_allocating(self, n, m, estimate):
+        predictor = kt(m)
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnsupportedError, match=rf"^{re.escape(estimate)}, above"):
+                alpha_regret(predictor, n, m, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: sibson_mi_alpha(30_000, 2, 1.0, J2), lambda: average_luckiness_regret(kt(2), J2, 30_000),
+         lambda: luckiness_alpha_regret(kt(2), DirichletParams((2.0, 2.0)), 30_000, 2.0)],
+        ids=["I_1", "average-luckiness", "tilted"],
+    )
+    def test_over_budget_dirichlet_average_raises_without_allocating(self, call):
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnsupportedError, match=r"^a theta route of 25137 points at \(n, m\) = \(30000, 2\)"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_the_budget_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(regret, "_MAX_THETA_CELLS", regret.GRID_POINTS * 31)
+        assert alpha_regret(kt(2), 30, 2, 2.0).value_nats > 0.0
+        with pytest.raises(UnsupportedError, match=r"\(31, 2\) has 1.31e\+05 cells"):
+            alpha_regret(kt(2), 31, 2, 2.0)
+        monkeypatch.setattr(regret, "_MAX_THETA_CELLS", regret._QUADRATURE_NODES * 11)
+        assert sibson_mi_alpha(10, 2, 1.0, J2) > 0.0
+        with pytest.raises(UnsupportedError, match=r"25137 points at \(n, m\) = \(11, 2\)"):
+            sibson_mi_alpha(11, 2, 1.0, J2)
+
+    @pytest.mark.parametrize("size", [["--n", "1000000", "--m", "2"], ["--n", "2000", "--m", "3"]])
+    def test_cli_exits_4_with_one_error_line(self, capsys, size):
+        assert cli.main(["regret", "--kind", "alpha", "--alpha", "2", *size, "--predictor", "kt"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: a theta route of ")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from alphanml import (
     luckiness_alpha_regret,
     sibson_mi_alpha,
 )
-from alphanml import luckiness, regret
+from alphanml import regret
 from alphanml.regret import DirichletDensity, GRID_CHUNK, GRID_POINTS, LATTICE_STEP, _class_table
 from theta_reference import batch_route, chunked_values, maximize_on_simplex, reference_kl_values, reference_renyi_values
 
@@ -118,7 +119,7 @@ class TestSupremumRoute:
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_weighted_supremum_equals_maximizing_the_public_objective(self, m):
-        """The Dirichlet weight's refinement probes take ``log_point``; the reference objective takes ``log_pdf``."""
+        """The Dirichlet weight's refinement probes take ``log_pdf`` on one row; the reference objective on the grid."""
         predictor = AlphaNML(2.5, DirichletParams((0.7, 1.6, 0.9)[:m]))
         for b in ((1.5, 2.0, 1.25)[:m], (0.8, 1.2, 1.0)[:m]):  # the second is +inf at a vertex with theta_1 = 0
             fast, generic = self._outcomes(predictor, 9, m, 1.7, DirichletDensity(DirichletParams(b)))
@@ -167,7 +168,6 @@ class TestQuadratureNodes:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(regret, "dirichlet_quadrature", recording)
-            patch.setattr(luckiness, "dirichlet_quadrature", recording)
             try:
                 call()
             except NumericError:
@@ -193,15 +193,15 @@ class TestQuadratureNodes:
         predictor = AlphaNML(2.0, params)
         table = TypeClassTable(n, 2, predictor)
         for pdf, theta, value in self._nodes(lambda: luckiness_alpha_regret(predictor, params, n, alpha)):
-            hi, total = table._renyi_sum(table._row(theta[0].tolist())[0], alpha)
             inner = batch_route(table, np.repeat(theta, 2, axis=0))[0]  # the batch route's row
             inner *= alpha
             inner += table.log_mult
             inner += (1.0 - alpha) * table.log_joint
             top = float(inner.max())
             inner -= top
-            assert _hex([hi, total]) == _hex([top, np.add.reduce(np.exp(inner))])
-            assert value.hex() == (pdf * math.exp(hi) * total).hex()
+            total = float(np.add.reduce(np.exp(inner)))
+            assert value.hex() == (pdf * math.exp(top) * total).hex()
+            assert table._point(theta[0].tolist(), alpha).hex() == float((np.log(total) + top) / (alpha - 1.0)).hex()
 
     def test_order_one_radius_nodes(self):
         params = DirichletParams((0.7, 1.6))
@@ -215,7 +215,7 @@ class TestPointRoute:
         """A row's Renyi value takes np.log of its sum, as the batch route does; math.log differs at some sums."""
         table = TypeClassTable(20, 2, AlphaNML(1.7, DirichletParams((0.6, 1.4))))
         for t in np.random.default_rng(11).random(100_000).tolist():
-            hi, total = table._renyi_sum(table._row((t, 1.0 - t))[0], 2.5)
+            hi, total = (float(x[0]) for x in table._renyi_sums(table._row((t, 1.0 - t))[0][None, :], 2.5))
             if math.log(total) + hi != np.log(total) + hi:
                 break
         else:
@@ -283,3 +283,24 @@ class TestScratchArrays:
         table._point(second[0].tolist(), 1.0)
         assert all(np.array_equal(a, b) for a, b in zip(kept, (lp, kl, renyi, row, grid)))
         assert not np.shares_memory(row, later_row) and not np.shares_memory(grid, later_grid)
+
+    @pytest.mark.parametrize(("m", "floats"), [(2, 1), (2, 7 * 91), (3, 7 * 91), (3, 100 * 91)])
+    def test_fewer_rows_per_chunk_change_no_value(self, monkeypatch, m, floats):
+        """Chunks of 1, 7 and 100 rows (K = 91) give the whole chunks' bits: each row reduces on its own."""
+        table = TypeClassTable(90 if m == 2 else 12, m, AlphaNML(2.2, DirichletParams((0.6,) * m)))
+        assert table.log_mult.size == 91
+        expected = [_hex(table._grid_values(_grid(m), alpha)) for alpha in (1.0, 2.5)]
+        monkeypatch.setattr(regret, "_SCRATCH_FLOATS", floats)
+        assert [_hex(table._grid_values(_grid(m), alpha)) for alpha in (1.0, 2.5)] == expected
+
+    def test_scratch_stays_within_its_floats_at_large_k(self):
+        """At K = 5,001 a chunk holds 26 rows: two scratch arrays of about 1 MiB, not 512 rows' 20 MiB each."""
+        table = TypeClassTable(5000, 2, Mixture(DirichletParams((0.5, 0.5))))
+        thetas = _grid(2)
+        tracemalloc.start()
+        try:
+            table._grid_values(thetas, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * regret._SCRATCH_FLOATS * 8

@@ -165,7 +165,9 @@ def library_entries() -> list[tuple[str, Callable[[], object]]]:
             alpha = rng.choice(ORDERS)
             add(
                 f"luckiness_alpha_regret_supform({label}, b={b}, n={n}, m={m}, alpha={alpha!r})",
-                lambda p=predictor, b=b, n=n, m=m, a=alpha: luckiness_alpha_regret_supform(p, DirichletParams(b), n, m, a),
+                lambda p=predictor, b=b, n=n, m=m, a=alpha: luckiness_alpha_regret_supform(
+                    p, DirichletParams(b), n, m, a
+                ),
             )
 
     for m, count, top in ((2, 100, 30), (3, 100, 12), (4, 60, 6)):
@@ -179,7 +181,10 @@ def library_entries() -> list[tuple[str, Callable[[], object]]]:
 
     for n in _horizons(rng, 20, 40):
         a = _params(rng, 2)
-        add(f"sibson_mi_alpha(n={n}, m=2, alpha=1.0, a={a})", lambda n=n, a=a: sibson_mi_alpha(n, 2, 1.0, DirichletParams(a)))
+        add(
+            f"sibson_mi_alpha(n={n}, m=2, alpha=1.0, a={a})",
+            lambda n=n, a=a: sibson_mi_alpha(n, 2, 1.0, DirichletParams(a)),
+        )
 
     for n in _horizons(rng, 30, 40):
         label, predictor = _predictor(rng, 2)
@@ -196,15 +201,21 @@ def library_entries() -> list[tuple[str, Callable[[], object]]]:
             f"luckiness_alpha_regret({label}, b={b}, n={n}, alpha={alpha!r})",
             lambda p=predictor, b=b, n=n, a=alpha: luckiness_alpha_regret(p, DirichletParams(b), n, a),
         )
-    for n, alpha, b in ((5, 1e6, (2.0, 2.0)), (12, 3.7, (1.3, 2.6)), (0, 2.0, (1.0, 1.0))):  # the theorem-5 pair
+    for n, alpha, b in ((5, 1e6, (2.0, 2.0)), (12, 3.7, (1.3, 2.6)), (0, 2.0, (1.0, 1.0))):  # theorem 5's left side
         add(
             f"luckiness_alpha_regret(LuckinessAlphaNML({alpha!r}, {b}), b={b}, n={n}, alpha={alpha!r})",
-            lambda b=b, n=n, a=alpha: luckiness_alpha_regret(LuckinessAlphaNML(a, DirichletParams(b)), DirichletParams(b), n, a),
+            lambda b=b, n=n, a=alpha: luckiness_alpha_regret(
+                LuckinessAlphaNML(a, DirichletParams(b)), DirichletParams(b), n, a
+            ),
         )
 
-    add("sibson_mi_alpha(n=4, m=3, alpha=1.0, a=(0.5, 0.5, 0.5))", lambda: sibson_mi_alpha(4, 3, 1.0, DirichletParams((0.5,) * 3)))
-    add("average_luckiness_regret(kt(3), b=(1.0, 1.0, 1.0), n=4, m=3)", lambda: average_luckiness_regret(kt(3), DirichletParams((1.0,) * 3), 4, 3))
-    add("luckiness_alpha_regret(kt(2), b=(2.0, 2.0), n=3, alpha=1.0)", lambda: luckiness_alpha_regret(kt(2), DirichletParams((2.0, 2.0)), 3, 1.0))
+    # requests that an entry point refuses
+    j3, u3, b2 = DirichletParams((0.5,) * 3), DirichletParams((1.0,) * 3), DirichletParams((2.0, 2.0))
+    add("sibson_mi_alpha(n=4, m=3, alpha=1.0, a=(0.5, 0.5, 0.5))", lambda: sibson_mi_alpha(4, 3, 1.0, j3))
+    add("average_luckiness_regret(kt(3), b=(1.0, 1.0, 1.0), n=4, m=3)",
+        lambda: average_luckiness_regret(kt(3), u3, 4, 3))
+    add("luckiness_alpha_regret(kt(2), b=(2.0, 2.0), n=3, alpha=1.0)",
+        lambda: luckiness_alpha_regret(kt(2), b2, 3, 1.0))
     add("alpha_regret(kt(4), n=3, m=4, alpha=2.0)", lambda: alpha_regret(kt(4), 3, 4, 2.0))
     return entries
 
@@ -222,11 +233,12 @@ def cli_entries() -> list[tuple[str, Callable[[], object]]]:
                 if predictor in ("anml", "lanml") and rng.random() < 0.5:
                     argv += ["--prior", ",".join(repr(x) for x in _params(rng, m, 1.0))]
                 argvs.append(argv)
-    argvs.append(["regret", "--kind", "alpha", "--n", "6", "--m", "3", "--alpha", "2", "--predictor", "kt", "--format", "json"])
-    argvs.append(["regret", "--kind", "average", "--n", "6", "--m", "2", "--predictor", "kt", "--base", "bits"])
-    argvs.append(["regret", "--kind", "alpha", "--n", "3", "--m", "4", "--alpha", "2", "--predictor", "kt"])
-    for n, alpha, prior in ((0, "2", None), (1, "1.5", None), (6, "2.5", None), (9, "3.7", "1.2,2.4"), (14, "2", "1.0,1.0"),
-                            (5, "1e6", None), (4, "2", "1.5,1.5,1.5")):
+    argvs.append("regret --kind alpha --n 6 --m 3 --alpha 2 --predictor kt --format json".split())
+    argvs.append("regret --kind average --n 6 --m 2 --predictor kt --base bits".split())
+    argvs.append("regret --kind alpha --n 3 --m 4 --alpha 2 --predictor kt".split())
+    theorem5 = ((0, "2", None), (1, "1.5", None), (6, "2.5", None), (9, "3.7", "1.2,2.4"), (14, "2", "1.0,1.0"),
+                (5, "1e6", None), (4, "2", "1.5,1.5,1.5"))
+    for n, alpha, prior in theorem5:
         m = len(prior.split(",")) if prior else 2
         argv = ["oracle", "--check", "theorem5", "--n", str(n), "--m", str(m), "--alpha", alpha]
         argvs.append(argv + (["--prior", prior] if prior else []))

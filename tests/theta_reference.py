@@ -45,7 +45,7 @@ def reference_log_ptheta(table, thetas):
         logs[zero] = 0.0
     # c * xlogy(1, theta) == xlogy(c, theta) bit for bit, and summing from
     # zero one symbol at a time keeps the rounding of the per-cell formula
-    out = np.zeros((thetas.shape[0], table.counts.shape[0]))
+    out = np.zeros((thetas.shape[0], table.log_mult.size))
     for i in range(table.m):
         out += logs[:, i, None] * table.columns[i]
     if has_zero:
