@@ -11,10 +11,11 @@ here evaluates over theta itself: a worst-case scan where the benchmark is
 the tilted supremum, the Dirichlet average of KL against the luckiness
 density, the Dirichlet average of sum_x p_theta^alpha q^(1-alpha) against
 the tilted prior (parameters alpha*(b-1)+1), and the alpha-regret's
-supremum with ln pi(theta) added, which recovers the worst case as alpha
-grows. The b = (1, ..., 1) luckiness is the constant density on the
-simplex, under which every measure collapses to its plain counterpart (for
-m = 2, where the constant is 1).
+supremum with ln pi(theta) = ``b.log_pdf`` added, which recovers the worst
+case as alpha grows. Each density is read from its ``DirichletParams``. The
+b = (1, ..., 1) luckiness is the constant density on the simplex, under
+which every measure collapses to its plain counterpart (for m = 2, where
+the constant is 1).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .numerics import accept_quadrature
 from .predictors import DirichletParams, LuckinessNML, PredictorSpec, tilted_params
 from .regret import (
     JointFn,
-    DirichletDensity,
     RegretReport,
     _check_order,
     _dirichlet_average,
@@ -108,4 +108,4 @@ def luckiness_alpha_regret_supform(
     """
     if b.m != m:
         raise ValueError(f"luckiness has m={b.m}, got m={m}")
-    return _theta_sup("luckiness_alpha_sup", predictor, n, m, alpha, DirichletDensity(b))
+    return _theta_sup("luckiness_alpha_sup", predictor, n, m, alpha, b)

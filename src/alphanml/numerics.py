@@ -297,9 +297,13 @@ def log_sum_exp_array(values: np.ndarray, axis: int | None = None) -> np.ndarray
 def log_multinomial(n: int, counts: Sequence[int]) -> float:
     """ln of the multinomial coefficient n! / prod(c_i!).
 
-    Scalar reference for the array multiplicities of ``typeclass``.
+    Scalar reference for the array multiplicities of ``typeclass``, so it
+    checks its own arguments: n and every count must be whole numbers.
     """
-    cs = [int(c) for c in counts]
+    cs = list(counts)
+    if not all(float(x).is_integer() for x in (n, *cs)):  # nan and +-inf are not
+        raise ValueError(f"n and the counts must be whole numbers, got n={n}, counts={cs}")
+    cs = [int(c) for c in cs]
     if any(c < 0 for c in cs):
         raise ValueError(f"negative count in {cs}")
     if sum(cs) != int(n):

@@ -17,10 +17,16 @@ Five predictor kinds share one evaluation surface:
                           the tilted prior has parameters alpha*(b-1)+1,
                           which must stay positive for the integral to exist.
 
+``DirichletParams`` is the one Dirichlet object: a mixture's prior, a
+luckiness weight and its tilt. It keeps ln B(a) on first use, and its
+``log_pdf`` is the density that ``regret`` weights theta by.
+
 All joints are exchangeable (functions of the count vector alone) and are
-computed in the natural-log domain. ``_separable`` is the one per-kind
-dispatch: it gives each kind's separable form, a per-symbol cell map
-k -> v_i(k), a special function f (``gammaln`` or x ln x), a divisor alpha,
+computed in the natural-log domain. Counts pass ``typeclass._as_counts``,
+the one count check: a negative or non-whole count is a ValueError.
+``_separable`` is the one per-kind dispatch: it gives each kind's
+separable form, a per-symbol cell map k -> v_i(k), a special function f
+(``gammaln`` or x ln x), a divisor alpha,
 the Dirichlet parameters whose ln B is subtracted, and the alphabet size
 the parameters pin. The unnormalized log joint of counts c is
 (sum_i f(v_i(c_i)) - f(sum_i v_i(c_i)) - ln B) / alpha, and
@@ -77,6 +83,7 @@ from .numerics import (
 )
 from .typeclass import (
     CountVector,
+    _as_counts,
     _composition_tables,
     _lex_ranks,
     _validate_nm,
@@ -105,14 +112,30 @@ class DirichletParams:
     def m(self) -> int:
         return len(self.a)
 
-    @property
-    def total(self) -> float:
-        return math.fsum(self.a)
-
     @functools.cached_property
     def log_beta(self) -> float:
         """ln B(a), computed on first use and kept on the instance; equality and hashing still see only ``a``."""
         return log_multivariate_beta(self.a)
+
+    @functools.cached_property
+    def _exponents(self) -> np.ndarray:
+        """The density's exponents a_i - 1, kept on the instance as ``log_beta`` is."""
+        return self.as_array() - 1.0
+
+    def log_pdf(self, thetas) -> np.ndarray:
+        """ln of the Dirichlet(a) density at each row of a (P, m) batch of thetas.
+
+        A zero theta_i under a negative exponent a_i - 1 makes the density
+        +inf, whatever another zero coordinate's exponent is.
+        """
+        thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
+        terms = xlogy(self._exponents, thetas)
+        if not thetas.all():
+            terms[np.isposinf(terms).any(axis=1)] = np.inf  # no +inf plus -inf, which would be nan
+        out = -self.log_beta + terms[:, 0]
+        for i in range(1, self.m):
+            out += terms[:, i]
+        return out
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.a, dtype=np.float64)
@@ -230,20 +253,6 @@ def log_luckiness_supremum(counts: CountVector, b: DirichletParams) -> LogProb:
     if counts.m != b.m:
         raise ValueError(f"counts have m={counts.m}, luckiness has m={b.m}")
     return float(log_numerators(LuckinessNML(b), [counts.counts])[0])
-
-
-def _as_counts(counts) -> np.ndarray:
-    """counts as an integer array; a negative or non-whole count, which would
-    wrap or miss a table index, is a ValueError."""
-    arr = np.asarray(counts)
-    if arr.dtype.kind not in "iu":
-        whole = np.isfinite(arr) & (np.floor(arr) == arr)
-        if not whole.all():
-            raise ValueError(f"counts must be whole numbers, got {arr[~whole].flat[0]}")
-    arr = arr.astype(np.int64, copy=False)
-    if arr.size and arr.min() < 0:
-        raise ValueError(f"counts must be non-negative, got {arr.min()}")
-    return arr
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:

@@ -13,7 +13,9 @@ Three regret notions share one engine:
 Only this module evaluates over theta: every supremum (average, alpha and
 the luckiness supremum form) on ``_theta_sup``, every Dirichlet average (of
 KL, or the tilted sum_x p_theta^alpha q^(1-alpha)) on ``_dirichlet_average``.
-Each checks its alphabet and theta budget before it builds a class table.
+Each checks its alphabet and theta budget before it builds a class table. A
+Dirichlet density, the weight of an average or of the luckiness supremum
+form, is ``DirichletParams.log_pdf``, read from the parameters themselves.
 
 The information radius I_alpha (a Sibson mutual information between the
 source parameter and the sequence) is the matching lower bound and shows up
@@ -179,8 +181,8 @@ class TypeClassTable:
     takes 17 ms gathered and 27-36 ms batched. Batches reduce in ``_renyi_sums``.
     ``_grid_values`` runs a grid or lattice at most GRID_CHUNK rows, and
     ``_SCRATCH_FLOATS`` floats, at a time through two scratch arrays made
-    for that call, and a table keeps no scratch between calls, so threads
-    may share one. ``(1 - alpha) * log_joint`` is computed once per alpha.
+    for that call, and a table keeps no scratch between calls and changes
+    no attribute after it is built, so threads may share one.
     """
 
     def __init__(self, n: int, m: int, predictor: PredictorSpec | JointFn):
@@ -191,7 +193,6 @@ class TypeClassTable:
         self.columns = [table.counts[:, i].astype(np.float64) for i in range(m)]
         self.positive = table.counts > 0
         self.log_joint = joint_values(predictor, table)
-        self._tilt: tuple[float | None, np.ndarray | None] = (None, None)  # (alpha, (1 - alpha) * log_joint)
 
     def _log_ptheta_batch(self, thetas: np.ndarray, out: np.ndarray, products: np.ndarray) -> bool:
         """The batch route: ln p_theta of (P, m) thetas into ``out`` (P, K), with ``products`` (P, K) as scratch.
@@ -341,13 +342,10 @@ class TypeClassTable:
 
     def _renyi_inner(self, lp: np.ndarray, alpha: float) -> np.ndarray:
         """alpha ln p_theta + ln multiplicity + (1 - alpha) ln q, per cell, in place on lp."""
-        tilt_alpha, tilt = self._tilt
-        if alpha != tilt_alpha:
-            tilt = (1.0 - alpha) * self.log_joint
-            self._tilt = (alpha, tilt)
         lp *= alpha
         lp += self.log_mult
-        lp += tilt
+        with np.errstate(invalid="ignore"):  # q = p_theta = 0 on a class: -inf + inf, a nan the callers raise on
+            lp += (1.0 - alpha) * self.log_joint
         return lp
 
 
@@ -372,61 +370,11 @@ def integrate_unit_interval(f: Callable[[np.ndarray], Sequence[float]]) -> tuple
     return total, err
 
 
-class DirichletDensity:
-    """The Dirichlet(params) density on the simplex.
-
-    The normalizer ln B(a) (kept on the parameters) and the exponents
-    a_i - 1 are read once, at construction, not on every evaluation.
-    """
-
-    def __init__(self, params: DirichletParams):
-        self.neg_log_norm = -params.log_beta
-        self.exponents = params.as_array() - 1.0
-
-    def log_pdf(self, thetas: np.ndarray) -> np.ndarray:
-        """ln of the density at each row of a (P, m) batch of thetas.
-
-        A zero theta_i under a negative exponent a_i - 1 makes the density
-        +inf, whatever another zero coordinate's exponent is.
-        """
-        thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
-        terms = xlogy(self.exponents, thetas)
-        if not thetas.all():
-            terms[np.isposinf(terms).any(axis=1)] = np.inf  # no +inf plus -inf, which would be nan
-        out = self.neg_log_norm + terms[:, 0]
-        for i in range(1, self.exponents.size):
-            out += terms[:, i]
-        return out
-
-
-def dirichlet_quadrature(
-    params: DirichletParams, weighted: Callable[[list[float], np.ndarray], Sequence[float]]
-) -> tuple[float, float]:
-    """Integral over t in [0, 1] of weighted(density, theta) at theta = (t, 1 - t), a panel's 21 nodes at a time.
-
-    ``weighted`` gets the panel's densities as a list of floats and its
-    thetas as a (21, 2) array, and returns the 21 values; a density is the
-    Dirichlet(params) density at its theta, ``math.exp`` of
-    ``DirichletDensity.log_pdf``, and the integrand multiplies it into its
-    own term. Returns (value, error estimate) of ``integrate_unit_interval``.
-    """
-    log_pdf = DirichletDensity(params).log_pdf
-
-    def integrand(t: np.ndarray) -> Sequence[float]:
-        thetas = np.stack([t, 1.0 - t], axis=1)
-        return weighted([math.exp(v) for v in log_pdf(thetas).tolist()], thetas)
-
-    return integrate_unit_interval(integrand)
-
-
 def _golden_section_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     invphi2 = (3.0 - math.sqrt(5.0)) / 2.0
     a, b = lo, hi
     h = b - a
-    if h <= tol:
-        x = 0.5 * (a + b)
-        return x, f(x)
     c = a + invphi2 * h
     d = a + invphi * h
     yc, yd = f(c), f(d)
@@ -554,13 +502,16 @@ def _dirichlet_average(
 ) -> tuple[float, float]:
     """E over theta ~ Dirichlet(params), m = 2, of KL(p_theta || q) at alpha = 1, else of sum p_theta^alpha q^(1-alpha).
 
-    q is the predictor. Returns (value, error estimate) of ``dirichlet_quadrature``
-    for the caller to accept; the budget counts ``_QUADRATURE_NODES`` per class.
+    q is the predictor; a panel's nodes t are thetas (t, 1 - t), weighted by ``math.exp`` of
+    ``params.log_pdf``. Returns (value, error estimate) of ``integrate_unit_interval`` for the
+    caller to accept; the budget counts ``_QUADRATURE_NODES`` per class.
     """
     _check_theta_cells(_QUADRATURE_NODES, n, 2)
     table = TypeClassTable(n, 2, predictor)
 
-    def weighted(pdfs: list[float], thetas: np.ndarray) -> list[float]:
+    def integrand(t: np.ndarray) -> list[float]:
+        thetas = np.stack([t, 1.0 - t], axis=1)
+        pdfs = [math.exp(v) for v in params.log_pdf(thetas).tolist()]
         if alpha == 1.0:
             return [pdf * value for pdf, value in zip(pdfs, table._grid_values(thetas, 1.0).tolist())]
         lp, scratch = np.empty((2, len(thetas), table.log_mult.size))
@@ -578,7 +529,7 @@ def _dirichlet_average(
                 ) from None
         return values
 
-    return dirichlet_quadrature(params, weighted)
+    return integrate_unit_interval(integrand)
 
 
 def _check_theta_cells(points: int, n: int, m: int) -> None:
@@ -676,9 +627,9 @@ def _theta_sup(
     n: int,
     m: int,
     alpha: float,
-    density: DirichletDensity | None = None,
+    density: DirichletParams | None = None,
 ) -> RegretReport:
-    """sup over theta of [ln density(theta) +] D_alpha(p_theta || predictor), reported as ``kind``.
+    """sup over theta of [ln Dirichlet(density)(theta) +] D_alpha(p_theta || predictor), reported as ``kind``.
 
     The one driver behind every supremum over theta. The order and m are
     checked before the class table is built, so an unsupported alphabet

@@ -13,7 +13,9 @@ log multinomial coefficients as a product of binomials read from one table:
 a row of ln C(r, c) per distinct suffix sum r, built with one vectorized
 log of (r - j) / (j + 1) and one cumulative sum per block of rows. Scans
 evaluate predictors on these arrays and reduce them in one step; there is
-no per-class route.
+no per-class route. ``_as_counts`` is the one check of a count array, here
+and in ``predictors``: a negative or non-whole count, nan and inf included,
+is a ValueError.
 ``count_vector_ranks`` inverts ``count_vectors``: it gives each count
 vector's row in the array of its horizon, by ``_lex_ranks``, the rank
 formula that sequence coding also reads its cached prefix ranks with. The
@@ -89,6 +91,20 @@ def _whole_symbols(sequence: Sequence[int], m: int) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _as_counts(counts) -> np.ndarray:
+    """counts as an integer array; a negative or non-whole count, which would
+    wrap or miss a table index, is a ValueError."""
+    arr = np.asarray(counts)
+    if arr.dtype.kind not in "iu":
+        whole = np.isfinite(arr) & (np.floor(arr) == arr)
+        if not whole.all():
+            raise ValueError(f"counts must be whole numbers, got {arr[~whole].flat[0]}")
+    arr = arr.astype(np.int64, copy=False)
+    if arr.size and arr.min() < 0:
+        raise ValueError(f"counts must be non-negative, got {arr.min()}")
+    return arr
+
+
 def _validate_nm(n: int, m: int) -> tuple[int, int]:
     if not _whole(n) or n < 0:
         raise ValueError(f"n must be a non-negative integer, got {n}")
@@ -156,11 +172,9 @@ def count_vector_ranks(counts) -> np.ndarray:
     The oracle for sequence coding's prefix ranks, which ``_lex_ranks`` also
     counts. Counts must be a (K, m) array of non-negative integers.
     """
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = _as_counts(counts)
     if counts.ndim != 2 or not counts.shape[1]:
         raise ValueError(f"count_vector_ranks takes a (K, m) array of count vectors, got shape {counts.shape}")
-    if counts.size and counts.min() < 0:
-        raise ValueError(f"counts must be non-negative, got {counts.min()}")
     left = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1]  # R_0, ..., R_{m-1}
     return _lex_ranks(_composition_tables(int(left[:, 0].max(initial=0)), counts.shape[1]), left)
 
@@ -195,11 +209,9 @@ def log_multiplicities(counts: np.ndarray) -> np.ndarray:
     onward; each is read from one table of ln C(r, c) rows, one row per
     distinct r_i (``_log_binomial_rows``).
     """
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = _as_counts(counts)
     if counts.shape[0] == 0:
         return np.zeros(0)
-    if counts.min() < 0:
-        raise ValueError(f"counts must be non-negative, got {counts.min()}")
     suffix = counts[:, -1]
     rest = []
     for i in range(counts.shape[1] - 2, -1, -1):

@@ -252,6 +252,19 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("usage error: alpha must be")
 
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["regret", "--kind", "alpha", "--n", "3", "--m", "2", "--predictor", "kt"], "--kind alpha requires --alpha"),
+            (["figure1", "--n-list", "10", "--alpha-max", "0"], "--alpha-max must be >= 1, got 0"),
+            (["oracle", "--check", "theorem5", "--n", "3", "--m", "2", "--alpha", "1"],
+             "theorem5 check requires --alpha > 1"),
+        ],
+        ids=["alpha_kind_without_alpha", "alpha_max_zero", "theorem5_order_one"],
+    )
+    def test_usage_error_names_the_flag(self, capsys, argv, message):
+        assert run(capsys, argv) == (2, "", f"usage error: {message}\n")
+
     def test_argparse_usage(self):
         with pytest.raises(SystemExit) as info:
             cli.main(["regret", "--kind", "bogus", "--n", "3", "--m", "2"])

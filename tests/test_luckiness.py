@@ -204,6 +204,20 @@ class TestTiltedAlphaRegret:
             luckiness_alpha_regret(spec, B22, 5, 1e6, 2)
 
 
+class TestAlphabetMismatch:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda b: worst_case_luckiness_regret(kt(3), b, 4, 3),
+            lambda b: luckiness_alpha_regret_supform(kt(3), b, 4, 3, 2.0),
+        ],
+        ids=["worst_case_luckiness_regret", "luckiness_alpha_regret_supform"],
+    )
+    def test_luckiness_over_another_alphabet_raises(self, call):
+        with pytest.raises(ValueError, match=r"^luckiness has m=2, got m=3$"):
+            call(B22)
+
+
 class TestSupForm:
     """Supremum-form weighted alpha-regret over the simplex."""
 
@@ -236,13 +250,13 @@ class TestSupForm:
         assert rep.value_nats == math.inf
 
     def test_density_is_inf_only_at_a_zero_under_a_negative_exponent(self):
-        density = regret.DirichletDensity(DirichletParams((0.8, 1.2, 1.0)))
+        params = DirichletParams((0.8, 1.2, 1.0))
         thetas = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.2, 0.3, 0.5], [0.5, 0.5, 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = density.log_pdf(thetas)
-        terms = xlogy(density.exponents, thetas[3:])
-        finite = density.neg_log_norm + terms[:, 0] + terms[:, 1] + terms[:, 2]
+            out = params.log_pdf(thetas)
+        terms = xlogy(params.as_array() - 1.0, thetas[3:])
+        finite = -params.log_beta + terms[:, 0] + terms[:, 1] + terms[:, 2]
         assert out.tolist() == [math.inf, math.inf, -math.inf, *finite.tolist()]
 
     def test_weighting_shifts_the_maximizer(self):

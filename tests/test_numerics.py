@@ -464,6 +464,17 @@ class TestCombinatorics:
         with pytest.raises(ValueError):
             log_multinomial(5, (1, 1))
 
+    @pytest.mark.parametrize(
+        ("n", "counts"), [(2, (1.5, 1.5)), (2.5, (1, 1)), (math.nan, (1, 1)), (2, (math.inf, 1)), (1, (math.nan, 1))]
+    )
+    def test_log_multinomial_rejects_what_is_not_whole(self, n, counts):
+        """n and the counts are checked as given, not truncated: 2.5 is not 2, and 1.5 + 1.5 is not 1 + 1."""
+        with pytest.raises(ValueError, match=r"^n and the counts must be whole numbers, got "):
+            log_multinomial(n, counts)
+
+    def test_log_multinomial_takes_whole_floats(self):
+        assert log_multinomial(4.0, (1.0, np.int64(3))) == log_multinomial(4, (1, 3))
+
     def test_beta_two_symbol_identity(self):
         """B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b)."""
         val = log_multivariate_beta((2.5, 4.0))

@@ -43,7 +43,7 @@ from alphanml import (
 from alphanml import predictors, regret
 from alphanml.numerics import accept_quadrature
 from alphanml.predictors import DEFAULT_CACHE
-from alphanml.regret import DirichletDensity, dirichlet_quadrature
+from alphanml.regret import integrate_unit_interval
 from theta_reference import batch_route, maximize_on_simplex, reference_kl_values, reference_log_ptheta, reference_renyi_values
 from theta_reference import scipy_dirichlet_quadrature
 
@@ -236,9 +236,8 @@ class TestProbes:
         b = DirichletParams((1.5, 2.0, 1.2))
         rep = luckiness_alpha_regret_supform(predictor, b, 12, 3, 1.9)
         table = TypeClassTable(12, 3, predictor)
-        density = DirichletDensity(b)
         point, value = maximize_on_simplex(
-            3, lambda thetas: density.log_pdf(thetas) + reference_renyi_values(table, thetas, 1.9)
+            3, lambda thetas: b.log_pdf(thetas) + reference_renyi_values(table, thetas, 1.9)
         )
         assert (rep.value_nats, rep.maximizer) == (value, point)
 
@@ -256,8 +255,10 @@ class TestQuadratureNodes:
     def test_every_node_gets_the_log_pdf_density(self, params):
         nodes, reference_nodes = [], []
 
-        def weighted(pdfs, thetas):
-            assert thetas.shape == (21, 2) and len(pdfs) == 21 and all(type(pdf) is float for pdf in pdfs)
+        def weighted(t):
+            assert t.shape == (21,)
+            thetas = np.stack([t, 1.0 - t], axis=1)
+            pdfs = [math.exp(v) for v in params.log_pdf(thetas).tolist()]
             nodes.extend((pdf.hex(), tuple(x.hex() for x in theta)) for pdf, theta in zip(pdfs, thetas.tolist()))
             return [pdf * theta[0] for pdf, theta in zip(pdfs, thetas.tolist())]
 
@@ -266,7 +267,7 @@ class TestQuadratureNodes:
             reference_nodes.append((pdf.hex(), tuple(x.hex() for x in theta[0].tolist())))
             return pdf * theta[0, 0]
 
-        assert dirichlet_quadrature(params, weighted) == scipy_dirichlet_quadrature(params, reference_weighted)
+        assert integrate_unit_interval(weighted) == scipy_dirichlet_quadrature(params, reference_weighted)
         assert nodes == reference_nodes
 
     @given(st.integers(0, 14), _PARAMS, st.data())

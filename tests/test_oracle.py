@@ -133,6 +133,10 @@ class TestSimplexMax:
         with pytest.raises(ValueError, match="grid_points must be an integer >= 1"):
             OracleConfig(grid_points=points)
 
+    def test_larger_alphabets_unsupported(self):
+        with pytest.raises(UnsupportedError, match=r"^brute_simplex_max supports m=2 only, got m=3$"):
+            brute_simplex_max(lambda t: t, 3)
+
     def test_one_grid_point_and_numpy_integers_are_accepted(self):
         assert brute_simplex_max(lambda t: t, config=OracleConfig(grid_points=1)) == (1.0, 1.0)
         assert brute_simplex_max(lambda t: -t, config=OracleConfig(grid_points=np.int64(8))) == (0.0, -0.0)

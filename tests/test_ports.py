@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from alphanml import AlphaNML, DirichletParams, Mixture, NML, TypeClassTable, kt, tilted_params
 from alphanml._ports import nelder_mead, qagse
-from alphanml.regret import REFINE_ITERS, DirichletDensity, _class_table
+from alphanml.regret import REFINE_ITERS, _class_table
 from theta_reference import PIECES, nodewise, scipy_nelder_mead, scipy_quad
 
 
@@ -109,12 +109,11 @@ class TestQuadratureMatchesScipy:
     def test_library_integrands(self, n, a, alpha, piece):
         """The order-one radius, the average luckiness regret and the tilted alpha-regret, panel by panel."""
         params = DirichletParams(a)
-        density = DirichletDensity(params)
-        tilt = DirichletDensity(tilted_params(alpha, DirichletParams((a[0] + 0.7, a[1] + 0.7))))
+        tilt = tilted_params(alpha, DirichletParams((a[0] + 0.7, a[1] + 0.7)))
         radius, average = TypeClassTable(n, 2, Mixture(params)), TypeClassTable(n, 2, AlphaNML(1.7, params))
 
         def kl(table):
-            return lambda t: math.exp(float(density.log_pdf([(t, 1.0 - t)])[0])) * table._point((t, 1.0 - t), 1.0)
+            return lambda t: math.exp(float(params.log_pdf([(t, 1.0 - t)])[0])) * table._point((t, 1.0 - t), 1.0)
 
         def tilted(t):
             hi, total = (float(x[0]) for x in average._renyi_sums(average._row((t, 1.0 - t))[0][None, :], alpha))
@@ -159,7 +158,7 @@ class TestNelderMeadMatchesScipy:
     @settings(max_examples=40, deadline=None)
     def test_library_objectives(self, n, alpha, predictor, b, x0):
         """Every start of the m = 3 lattice, maxima on the simplex's edges and vertices included."""
-        density = None if b is None else DirichletDensity(DirichletParams(b))
+        density = None if b is None else DirichletParams(b)
         f = _objective(TypeClassTable(n, 3, predictor), alpha, density)
         port = nelder_mead(f, x0, REFINE_ITERS, 1e-12, 1e-13)
         reference = scipy_nelder_mead(f, x0, REFINE_ITERS, 1e-12, 1e-13)

@@ -76,6 +76,18 @@ class TestParams:
         with pytest.raises(ValueError):
             DirichletParams((1.0, 0.0))
 
+    @pytest.mark.parametrize(
+        ("call", "message"),
+        [
+            (lambda c: log_dirichlet_alpha_integral(c, 2.0, J2), r"^counts have m=3, prior has m=2$"),
+            (lambda c: log_luckiness_supremum(c, J2), r"^counts have m=3, luckiness has m=2$"),
+        ],
+        ids=["log_dirichlet_alpha_integral", "log_luckiness_supremum"],
+    )
+    def test_counts_over_another_alphabet_raise(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(CountVector((1, 2, 0)))
+
     def test_tilt_map(self):
         """c_i = alpha (b_i - 1) + 1 on feasible inputs."""
         t = tilted_params(2.0, DirichletParams((2.0, 3.0)))
@@ -365,6 +377,10 @@ class TestChainRule:
     def test_horizon_shorter_than_sequence_rejected(self):
         with pytest.raises(ValueError):
             cumulative_log_loss(kt(2), (1, 2, 1), horizon=2)
+
+    def test_symbol_outside_the_alphabet_rejected(self):
+        with pytest.raises(ValueError, match=r"^symbol 3 outside alphabet 1..2$"):
+            cumulative_log_loss(kt(2), [1, 3, 2])
 
     def test_non_whole_symbol_rejected(self):
         """A fractional symbol is an error, not truncated to the symbol below it."""

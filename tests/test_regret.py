@@ -52,7 +52,7 @@ from alphanml import (
 )
 from alphanml import cli, regret
 from alphanml.predictors import DEFAULT_CACHE
-from alphanml.regret import DirichletDensity, _class_table, accept_quadrature
+from alphanml.regret import _class_table, accept_quadrature
 from theta_reference import batch_route, maximize_on_simplex
 
 J2 = DirichletParams.jeffreys(2)
@@ -178,6 +178,11 @@ class TestInformationRadius:
             sibson_mi_alpha(3, 2, 2.0, J2), 0.7375968953536434, rtol=1e-12
         )
 
+    @pytest.mark.parametrize("call", [sibson_mi_alpha, w_alpha_direct])
+    def test_prior_over_another_alphabet_raises(self, call):
+        with pytest.raises(ValueError, match=r"^prior has m=2, got m=3$"):
+            call(4, 3, 2.0, J2)
+
     def test_monotone_in_alpha(self):
         values = [sibson_mi_alpha(4, 2, a, J2) for a in (1.5, 2.0, 4.0, 16.0)]
         values.append(sibson_mi_infinity(4, 2))
@@ -272,6 +277,13 @@ class TestNonFiniteOrders:
     @pytest.mark.parametrize("theta", [(math.nan, 1.0), (0.5, math.nan, 0.5), (math.inf, 0.0), (-math.inf, 1.0)])
     def test_simplex_point_rejects_non_finite_coordinates(self, theta):
         with pytest.raises(ValueError, match="outside"):
+            SimplexPoint(theta)
+
+    @pytest.mark.parametrize(
+        ("theta", "message"), [((1.0,), "^simplex points need dimension >= 2$"), ((0.5, 0.6), "^coordinates must sum to 1")]
+    )
+    def test_simplex_point_rejects_a_point_off_the_simplex(self, theta, message):
+        with pytest.raises(ValueError, match=message):
             SimplexPoint(theta)
 
 
@@ -502,6 +514,18 @@ class TestZeroProbabilityClasses:
         with pytest.raises(NumericError):
             average_luckiness_regret(_kt_without_class_2_3, DirichletParams((1.5, 2.0)), 5)
 
+    def test_renyi_cell_of_zero_over_zero_raises_without_a_warning(self):
+        """Where p_theta (at a vertex) and q are both 0, alpha > 1 meets -inf + inf: a NumericError, no warning first.
+
+        pyproject makes alphanml.regret's RuntimeWarnings errors, so a warning before the raise fails here.
+        """
+
+        def joint(cv):
+            return -math.inf if cv.counts[0] == 0 else log_joint(kt(2), cv)
+
+        with pytest.raises(NumericError, match=r"^log_sum_exp_array received nan$"):
+            alpha_regret(joint, 1, 2, 1.0 + 2**-20)
+
 
 class TestQuadratureAcceptance:
     """The acceptance test shared by the three quadrature paths rejects nan and inf."""
@@ -642,7 +666,7 @@ class TestSupremumAttainedAtMaximizer:
         n = 9 if m == 3 else 40
         rep = luckiness_alpha_regret_supform(spec, b, n, m, alpha)
         divergence = renyi_divergence_vs_predictor(rep.maximizer, spec, n, alpha)
-        expected = float(DirichletDensity(b).log_pdf([rep.maximizer.theta])[0]) + divergence
+        expected = float(b.log_pdf([rep.maximizer.theta])[0]) + divergence
         assert rep.value_nats.hex() == expected.hex()
 
 

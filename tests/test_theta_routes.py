@@ -33,9 +33,10 @@ from alphanml import (
     log_joint,
     luckiness_alpha_regret,
     sibson_mi_alpha,
+    tilted_params,
 )
 from alphanml import regret
-from alphanml.regret import DirichletDensity, GRID_CHUNK, GRID_POINTS, LATTICE_STEP, _class_table
+from alphanml.regret import GRID_CHUNK, GRID_POINTS, LATTICE_STEP, _class_table
 from theta_reference import batch_route, chunked_values, maximize_on_simplex, reference_kl_values, reference_renyi_values
 
 
@@ -113,7 +114,7 @@ class TestSupremumRoute:
     def test_supremum_equals_maximizing_the_public_objective(self, m, n, alpha, weighted, data):
         predictor = _predictor(data.draw, m)
         b = DirichletParams(tuple(data.draw(st.floats(min_value=0.6, max_value=3.0)) for _ in range(m)))
-        density = DirichletDensity(b) if weighted else None
+        density = b if weighted else None
         fast, generic = self._outcomes(predictor, n, m, alpha, density)
         assert fast == generic
 
@@ -122,7 +123,7 @@ class TestSupremumRoute:
         """The Dirichlet weight's refinement probes take ``log_pdf`` on one row; the reference objective on the grid."""
         predictor = AlphaNML(2.5, DirichletParams((0.7, 1.6, 0.9)[:m]))
         for b in ((1.5, 2.0, 1.25)[:m], (0.8, 1.2, 1.0)[:m]):  # the second is +inf at a vertex with theta_1 = 0
-            fast, generic = self._outcomes(predictor, 9, m, 1.7, DirichletDensity(DirichletParams(b)))
+            fast, generic = self._outcomes(predictor, 9, m, 1.7, DirichletParams(b))
             assert fast == generic
 
     @staticmethod
@@ -152,22 +153,28 @@ class TestQuadratureNodes:
     """Every lean node gives what the batch route gives at that theta."""
 
     @staticmethod
-    def _nodes(call) -> list:
-        """(pdf, theta, value) at every node of the quadratures ``call`` runs; a failed quadrature keeps its nodes."""
-        recorded = []
-        real = regret.dirichlet_quadrature
+    def _nodes(params, call) -> list:
+        """(pdf, theta, value) at every node of the quadratures ``call`` runs; a failed quadrature keeps its nodes.
 
-        def recording(params, weighted):
-            def panel(pdfs, thetas):
-                assert thetas.shape == (21, 2) and len(pdfs) == 21 and all(type(pdf) is float for pdf in pdfs)
-                values = weighted(pdfs, thetas)
+        Each panel's 21 nodes t are the thetas (t, 1 - t), and a node's pdf is the Dirichlet(params)
+        density there, ``math.exp`` of ``params.log_pdf``.
+        """
+        recorded = []
+        real = regret.integrate_unit_interval
+
+        def recording(f):
+            def panel(t):
+                values = f(t)
+                assert t.shape == (21,) and len(values) == 21 and all(type(v) is float for v in values)
+                thetas = np.stack([t, 1.0 - t], axis=1)
+                pdfs = [math.exp(v) for v in params.log_pdf(thetas).tolist()]
                 recorded.extend(zip(pdfs, thetas[:, None, :], values))
                 return values
 
-            return real(params, panel)
+            return real(panel)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(regret, "dirichlet_quadrature", recording)
+            patch.setattr(regret, "integrate_unit_interval", recording)
             try:
                 call()
             except NumericError:
@@ -181,7 +188,7 @@ class TestQuadratureNodes:
         params = DirichletParams(a)
         predictor = AlphaNML(1.7, params)
         table = TypeClassTable(n, 2, predictor)
-        for pdf, theta, value in self._nodes(lambda: average_luckiness_regret(predictor, params, n)):
+        for pdf, theta, value in self._nodes(params, lambda: average_luckiness_regret(predictor, params, n)):
             batch = np.repeat(theta, 2, axis=0)  # two rows: the batch route, not the row route
             assert value.hex() == (pdf * float(reference_kl_values(table, theta)[0])).hex()
             assert value.hex() == (pdf * float(batch_route(table, batch, 1.0)[0])).hex()
@@ -192,7 +199,8 @@ class TestQuadratureNodes:
         params = DirichletParams(b)
         predictor = AlphaNML(2.0, params)
         table = TypeClassTable(n, 2, predictor)
-        for pdf, theta, value in self._nodes(lambda: luckiness_alpha_regret(predictor, params, n, alpha)):
+        tilt = tilted_params(alpha, params)
+        for pdf, theta, value in self._nodes(tilt, lambda: luckiness_alpha_regret(predictor, params, n, alpha)):
             inner = batch_route(table, np.repeat(theta, 2, axis=0))[0]  # the batch route's row
             inner *= alpha
             inner += table.log_mult
@@ -206,7 +214,7 @@ class TestQuadratureNodes:
     def test_order_one_radius_nodes(self):
         params = DirichletParams((0.7, 1.6))
         table = TypeClassTable(9, 2, Mixture(params))
-        for pdf, theta, value in self._nodes(lambda: sibson_mi_alpha(9, 2, 1.0, params)):
+        for pdf, theta, value in self._nodes(params, lambda: sibson_mi_alpha(9, 2, 1.0, params)):
             assert value.hex() == (pdf * float(batch_route(table, np.repeat(theta, 2, axis=0), 1.0)[0])).hex()
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphanml import cli, typeclass
+from alphanml import cli, kt, log_joints, log_numerators, typeclass
 from alphanml.exceptions import NumericError, UnsupportedError
 from alphanml.numerics import log_multinomial, log_sum_exp
 from alphanml.typeclass import (
@@ -171,6 +171,26 @@ class TestRanks:
     def test_array_of_other_shape_rejected(self, bad):
         with pytest.raises(ValueError, match=r"takes a \(K, m\) array of count vectors"):
             count_vector_ranks(bad)
+
+
+class TestCountContract:
+    """Every count array passes one check: a count that is not a whole number >= 0 raises, never truncates."""
+
+    @pytest.mark.parametrize("bad", [1.5, math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize(
+        "route",
+        [log_multiplicities, count_vector_ranks, lambda c: log_numerators(kt(2), c), lambda c: log_joints(kt(2), c)],
+        ids=["log_multiplicities", "count_vector_ranks", "log_numerators", "log_joints"],
+    )
+    def test_a_count_that_is_not_whole_and_non_negative_raises(self, route, bad):
+        counts = np.array([[2.0, 1.0], [bad, 3.0 - bad if math.isfinite(bad) else 1.0]])
+        with pytest.raises(ValueError, match=r"^counts must be (whole numbers|non-negative), got "):
+            route(counts)
+
+    def test_whole_float_counts_are_the_integer_counts(self):
+        counts = count_vectors(7, 3)
+        assert log_multiplicities(counts.astype(np.float64)).tobytes() == log_multiplicities(counts).tobytes()
+        assert count_vector_ranks(counts.astype(np.float64)).tolist() == list(range(counts.shape[0]))
 
 
 class TestReduction:

@@ -24,7 +24,6 @@ from alphanml.regret import (
     GRID_CHUNK,
     LATTICE_STEP,
     REFINE_ITERS,
-    DirichletDensity,
     SimplexPoint,
     _beats,
     _class_table,
@@ -160,15 +159,14 @@ def scipy_integrate_unit_interval(f):
 
 
 def scipy_dirichlet_quadrature(params, weighted):
-    """``dirichlet_quadrature`` as it ran on scipy: weighted(density, theta) at one (1, 2) theta at a time.
+    """The Dirichlet average as it ran on scipy: weighted(density, theta) at one (1, 2) theta at a time.
 
-    The density is ``math.exp`` of ``DirichletDensity.log_pdf`` at that theta.
+    The density is ``math.exp`` of ``params.log_pdf`` at that theta.
     """
-    density = DirichletDensity(params)
 
     def integrand(t: float) -> float:
         theta = np.array([[t, 1.0 - t]])
-        return weighted(math.exp(density.log_pdf(theta)[0]), theta)
+        return weighted(math.exp(params.log_pdf(theta)[0]), theta)
 
     return scipy_integrate_unit_interval(integrand)
 
