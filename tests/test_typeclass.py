@@ -183,7 +183,7 @@ class TestCountContract:
         ids=["log_multiplicities", "count_vector_ranks", "log_numerators", "log_joints"],
     )
     def test_a_count_that_is_not_whole_and_non_negative_raises(self, route, bad):
-        counts = np.array([[2.0, 1.0], [bad, 3.0 - bad if math.isfinite(bad) else 1.0]])
+        counts = np.array([[2.0, 1.0], [bad, 1.0]])
         with pytest.raises(ValueError, match=r"^counts must be (whole numbers|non-negative), got "):
             route(counts)
 
