@@ -29,7 +29,7 @@ import numpy as np
 
 from .exceptions import InfeasibleModelError, NumericError, UnsupportedError
 from .numerics import LOG_TWO
-from .oracle import brute_sequence_sum, sequence_counts
+from .oracle import brute_sequence_sum, quadrature_tilted_alpha_regret, sequence_counts
 from .predictors import (
     AlphaNML,
     DirichletParams,
@@ -55,7 +55,6 @@ from .regret import (
     w_alpha_direct,
     worst_case_regret,
 )
-from .luckiness import luckiness_alpha_regret
 from .typeclass import CountVector
 
 FIGURE1_NOTE = "# alpha=1 corresponds to the KT estimator"
@@ -299,7 +298,7 @@ def _oracle_pair(args) -> tuple[float, float, float]:
             raise ValueError("theorem5 check requires --alpha > 1")
         b = _parse_prior(args.prior, m) if args.prior else DirichletParams((2.0,) * m)
         spec = LuckinessAlphaNML(alpha, b)
-        lhs = luckiness_alpha_regret(spec, b, n, alpha, m)
+        lhs = quadrature_tilted_alpha_regret(spec, b, n, alpha, m)
         rhs = sibson_mi_alpha(n, m, alpha, tilted_params(alpha, b))
         return lhs, rhs, tol
     raise ValueError(f"unknown check {check!r}")

@@ -12,18 +12,14 @@ the tilted supremum, the Dirichlet average of KL against the luckiness
 density, the Dirichlet average of sum_x p_theta^alpha q^(1-alpha) against
 the tilted prior (parameters alpha*(b-1)+1), and the alpha-regret's
 supremum with ln pi(theta) = ``b.log_pdf`` added, which recovers the worst
-case as alpha grows. Each density is read from its ``DirichletParams``. The
-b = (1, ..., 1) luckiness is the constant density on the simplex, under
-which every measure collapses to its plain counterpart (for m = 2, where
-the constant is 1).
+case as alpha grows. The two averages are exact sums over the type classes
+(``regret._dirichlet_average``), at any m. The b = (1, ..., 1) luckiness
+is the constant density on the simplex, under which every measure
+collapses to its plain counterpart (for m = 2, where the constant is 1).
 """
 
 from __future__ import annotations
 
-import math
-
-from .exceptions import UnsupportedError
-from .numerics import accept_quadrature
 from .predictors import DirichletParams, LuckinessNML, PredictorSpec, tilted_params
 from .regret import (
     JointFn,
@@ -57,16 +53,16 @@ def average_luckiness_regret(
     n: int,
     m: int = 2,
 ) -> float:
-    """E over theta ~ Dirichlet(b) of KL(p_theta || predictor), by quadrature.
+    """E over theta ~ Dirichlet(b) of KL(p_theta || predictor), an exact sum over the type classes.
 
     The Dirichlet(b) mixture minimizes this among all predictors, with the
     excess of any other predictor equal to KL(mixture || predictor) on
     sequence space; for that mixture it is the order-one information
-    radius ``sibson_mi_alpha(n, 2, 1.0, b)``. Supported for m = 2.
+    radius ``sibson_mi_alpha(n, m, 1.0, b)``.
     """
-    if m != 2 or b.m != 2:
-        raise UnsupportedError("average luckiness regret is quadrature-based and supports m = 2 only")
-    return accept_quadrature(*_dirichlet_average(predictor, b, n, 1.0), 1e-8, "the average luckiness regret")
+    if b.m != m:
+        raise ValueError(f"luckiness has m={b.m}, got m={m}")
+    return _dirichlet_average(predictor, b, n, 1.0)
 
 
 def luckiness_alpha_regret(
@@ -80,16 +76,13 @@ def luckiness_alpha_regret(
 
     The expectation runs over theta ~ the tilted prior (parameters
     alpha*(b-1)+1). The tilted alpha predictor minimizes it, and its value
-    equals the information radius of order alpha under the tilted prior.
-    Supported for m = 2 and alpha > 1.
+    equals the information radius of order alpha under the tilted prior
+    (Theorem 5). Defined for alpha > 1; an exact sum over the type classes.
     """
     _check_order(alpha, above_one=True)
-    if m != 2 or b.m != 2:
-        raise UnsupportedError("luckiness alpha-regret is quadrature-based and supports m = 2 only")
-    value, err = _dirichlet_average(predictor, tilted_params(alpha, b), n, alpha)
-    # a relative tolerance of 1e-7; the log below needs a positive value, and a nan bound fails the acceptance test
-    bound = 1e-7 * max(value, 1e-300) if value > 0.0 else math.nan
-    return math.log(accept_quadrature(value, err, bound, "the tilted alpha-regret")) / (alpha - 1.0)
+    if b.m != m:
+        raise ValueError(f"luckiness has m={b.m}, got m={m}")
+    return _dirichlet_average(predictor, tilted_params(alpha, b), n, alpha)
 
 
 def luckiness_alpha_regret_supform(

@@ -39,9 +39,6 @@ about what that import costs. The tests compare the ports with scipy by
 ``float.hex``, on x86-64 Linux only: where a compiler fuses Cephes'
 ``ans * x + c`` into one fma, as aarch64 builds may, scipy's last bits
 can differ from the ports', which round twice.
-
-``accept_quadrature`` is the one acceptance test for quadratures: a value
-is returned only if it is finite and its error estimate is within bound.
 """
 
 from __future__ import annotations
@@ -320,16 +317,3 @@ def log_multivariate_beta(params: Sequence[float]) -> float:
         raise ValueError(f"multivariate Beta requires positive parameters, got {ps}")
     return math.fsum(map(log_gamma, ps.tolist())) - log_gamma(float(ps.sum()))
 
-
-def accept_quadrature(value: float, err: float, bound: float, what: str) -> float:
-    """value, if it is finite and its error estimate is within bound.
-
-    Otherwise raises NumericError carrying value. A nan value, error
-    estimate or bound fails the test.
-    """
-    if math.isfinite(value) and err <= bound:
-        return value
-    raise NumericError(
-        f"quadrature for {what} failed (value={value:.3e}, err={err:.3e}, bound={bound:.3e})",
-        partial=value,
-    )

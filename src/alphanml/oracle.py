@@ -1,9 +1,12 @@
 """Brute-force oracles for desk-scale validation.
 
 These routes deliberately avoid the type-class machinery: sums run over all
-m^n explicit sequences via itertools, and maxima over dense parameter grids.
-They share only scalar numerics primitives with the production code, so an
-agreement between the two is evidence that the grouped fast paths are right.
+m^n explicit sequences via itertools, maxima over dense parameter grids, and
+Theorem 5's tilted alpha-regret, which the library sums exactly over the type
+classes, by scipy's ``quad`` over theta at m = 2. They share only scalar
+numerics primitives and the predictors' joints with the production code, so
+an agreement between the two is evidence that the grouped fast paths are
+right.
 """
 
 from __future__ import annotations
@@ -11,13 +14,16 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .exceptions import UnsupportedError
+from .exceptions import NumericError, UnsupportedError
 from .numerics import LogProb, log_sum_exp
+from .predictors import DirichletParams, PredictorSpec, log_joints, tilted_params
+from .typeclass import _MAX_THETA_CELLS, _check_budget
 
 _ENUMERATION_GUARD = 1 << 18  # sequences; at some 30 us each, an admitted sum ends within seconds
 _STREAM_CHUNK = 1 << 15
@@ -100,6 +106,61 @@ def brute_simplex_max(
             best_val = float(vals[idx])
             best_theta = float(chunk[idx])
     return best_theta, best_val
+
+
+def quadrature_tilted_alpha_regret(
+    predictor: PredictorSpec, b: DirichletParams, n: int, alpha: float, m: int = 2
+) -> float:
+    """Theorem 5's left side, ``luckiness_alpha_regret``, by quadrature over theta = (t, 1 - t): m = 2 only.
+
+    (1/(alpha-1)) ln of the integral over t of the tilted prior's density (parameters
+    alpha*(b_i-1)+1) times sum_c mult(c) p_theta(c)^alpha q(c)^(1-alpha), q the predictor's
+    ``log_joints``; every other term comes from ``math.lgamma`` and ``math.log``. scipy's ``quad``
+    (imported on use) integrates [0, 1e-3], [1e-3, 1 - 1e-3] and [1 - 1e-3, 1], each with absolute
+    tolerance 1e-11, relative tolerance 1e-12 and at most 200 subintervals, so at most 3 * 8,379
+    nodes, which the theta budget counts before any is evaluated. The error estimates must sum to
+    at most 1e-7 of the value; a node beyond the float range, or a failed quadrature, raises
+    NumericError.
+    """
+    if m != 2 or b.m != 2:
+        raise UnsupportedError(f"the theorem5 quadrature supports m = 2 only, got m={m}")
+    if not alpha > 1.0:
+        raise ValueError(f"alpha must be > 1, got {alpha}")
+    nodes = 3 * (42 * 200 - 21)  # quad's evaluations of 200 subintervals, on each of the 3 pieces
+    _check_budget(f"a theta route of {nodes} points at (n, m) = ({n}, 2)", nodes * (n + 1), "cells", _MAX_THETA_CELLS)
+    t0, t1 = tilted_params(alpha, b).a
+    log_beta = math.lgamma(t0) + math.lgamma(t1) - math.lgamma(t0 + t1)
+    first = np.arange(n + 1)
+    second = n - first
+    log_mult = np.array([math.lgamma(n + 1.0) - math.lgamma(c + 1.0) - math.lgamma(n - c + 1.0) for c in range(n + 1)])
+    offsets = log_mult + (1.0 - alpha) * log_joints(predictor, np.stack([first, second], axis=1))
+
+    def integrand(t: float) -> float:
+        log_t, log_u = math.log(t), math.log1p(-t)
+        log_value = (t0 - 1.0) * log_t + (t1 - 1.0) * log_u - log_beta
+        log_value += log_sum_exp(offsets + alpha * (first * log_t + second * log_u))
+        try:
+            return math.exp(log_value)
+        except OverflowError:
+            raise NumericError(
+                f"the tilted alpha-regret's integrand exceeds the float range: its log is {log_value:.6g} "
+                f"at theta_1 = {t:.6g}"
+            ) from None
+
+    from scipy import integrate
+
+    total = err = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)  # the error estimate is checked below
+        for lo, hi in ((0.0, 1e-3), (1e-3, 1.0 - 1e-3), (1.0 - 1e-3, 1.0)):
+            value, estimate = integrate.quad(integrand, lo, hi, epsabs=1e-11, epsrel=1e-12, limit=200)
+            total += value
+            err += estimate
+    if not (math.isfinite(total) and total > 0.0 and err <= 1e-7 * total):
+        raise NumericError(
+            f"quadrature for the tilted alpha-regret failed (value={total:.3e}, err={err:.3e})", partial=total
+        )
+    return math.log(total) / (alpha - 1.0)
 
 
 def sequence_counts(sequence: Sequence[int], m: int) -> tuple[int, ...]:

@@ -123,12 +123,14 @@ class DirichletParams:
         return self.as_array() - 1.0
 
     def log_pdf(self, thetas) -> np.ndarray:
-        """ln of the Dirichlet(a) density at each row of a (P, m) batch of thetas.
+        """ln of the Dirichlet(a) density at each row of a (P, m) batch of thetas; another shape is a ValueError.
 
         A zero theta_i under a negative exponent a_i - 1 makes the density
         +inf, whatever another zero coordinate's exponent is.
         """
-        thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
+        thetas = np.asarray(thetas, dtype=np.float64)
+        if thetas.ndim != 2 or thetas.shape[1] != self.m:
+            raise ValueError(f"thetas must have shape (P, {self.m}), got {thetas.shape}")
         terms = xlogy(self._exponents, thetas)
         if not thetas.all():
             terms[np.isposinf(terms).any(axis=1)] = np.inf  # no +inf plus -inf, which would be nan

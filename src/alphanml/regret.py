@@ -11,11 +11,13 @@ Three regret notions share one engine:
   alpha -> infinity.
 
 Only this module evaluates over theta: every supremum (average, alpha and
-the luckiness supremum form) on ``_theta_sup``, every Dirichlet average (of
-KL, or the tilted sum_x p_theta^alpha q^(1-alpha)) on ``_dirichlet_average``.
-Each checks its alphabet and theta budget before it builds a class table. A
-Dirichlet density, the weight of an average or of the luckiness supremum
-form, is ``DirichletParams.log_pdf``, read from the parameters themselves.
+the luckiness supremum form) on ``_theta_sup``, which checks its alphabet
+and theta budget before it builds a class table, and every Dirichlet average
+(of KL, or of the tilted sum_x p_theta^alpha q^(1-alpha)) on
+``_dirichlet_average``. An average needs no quadrature: E over
+Dirichlet(b) of theta^c is B(c + b) / B(b), so it swaps with the sum over
+type classes and is an exact class sum at any m, under the class budget.
+The weight of the luckiness supremum form is ``DirichletParams.log_pdf``.
 
 The information radius I_alpha (a Sibson mutual information between the
 source parameter and the sequence) is the matching lower bound and shows up
@@ -29,11 +31,10 @@ the 1-simplex, and a triangular lattice plus Nelder-Mead refinement on the
 2-simplex. A ``TypeClassTable`` evaluates the objective: the grid GRID_CHUNK
 points at a time (fewer when K is large) into two scratch arrays reused
 from chunk to chunk, the lattice's rows gathered from per-coordinate
-product tables, each refinement probe, boundary points included, on (K,)
-rows, and each quadrature panel's 21 nodes as one batch. Every route gives
-the batch route's values bit for bit, and a batch's Renyi terms reduce in
-one place, ``_renyi_sums``. The quadrature (QUADPACK's qagse) and Nelder-Mead run on the plain-Python
-ports in ``_ports``, which give scipy's bits without importing scipy. Argmax ties
+product tables, and each refinement probe, boundary points included, on
+(K,) rows. Every route gives the batch route's values bit for bit.
+Nelder-Mead runs on the plain-Python port in ``_ports``, which gives
+scipy's bits without importing scipy. Argmax ties
 break to the lexicographically smallest point: ``lex_argmax`` takes the
 first candidate within a relative ``TIE_REL`` of the maximum, and a
 refinement replaces it only when it is better by more than that window.
@@ -48,7 +49,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .exceptions import NumericError, UnsupportedError
-from .numerics import LOG_PI, LOG_TWO, accept_quadrature, log_gamma, xlogy
+from .numerics import LOG_PI, LOG_TWO, log_gamma, log_sum_exp, xlogy
 from .predictors import (
     AlphaNML,
     DirichletParams,
@@ -58,6 +59,8 @@ from .predictors import (
     _class_joints,
     _class_table,
     _ClassTable,
+    _separable,
+    _separable_rows,
     log_normalizer,
     log_numerators,
 )
@@ -74,9 +77,6 @@ GRID_CHUNK = 512  # grid and lattice rows per chunk of _grid_values; keeps the (
 # floats in each of _grid_values' two scratch arrays, at most: chunks of fewer rows when K > 256, so
 # perfbench's K <= 201 keeps whole chunks and a large K stays at 1 MiB per array
 _SCRATCH_FLOATS = 1 << 17
-# nodes of one Dirichlet average at most: integrate_unit_interval's 3 pieces, each at most
-# qagse's 42 * 200 - 21 evaluations of 200 subintervals
-_QUADRATURE_NODES = 3 * (42 * 200 - 21)
 
 
 def _check_order(alpha: float, *, above_one: bool = False, finite: bool = True) -> None:
@@ -171,14 +171,13 @@ class TypeClassTable:
     Holds each symbol's counts as a float column, log multiplicities and
     predictor log joints. The Renyi divergence on sequence space (KL at
     alpha = 1) has three routes, which give the same values bit for bit: the
-    batch route (``_log_ptheta_batch``) for the m = 2 grid and each quadrature
-    panel's nodes; rows gathered from per-coordinate product tables for the
-    m = 3 lattice; and the row route (``_point``) for one theta with finite
+    batch route (``_log_ptheta_batch``) for the m = 2 grid; rows gathered
+    from per-coordinate product tables for the m = 3 lattice; and the row route (``_point``) for one theta with finite
     coordinates >= 0, i.e. each refinement probe. The two beside the batch
     route stay because they are faster (on a 2-CPU x86-64 host): a probe,
     of about 34 per supremum at m = 2 and 152 at m = 3, takes 8-13 us as a
     row and 23-25 us as a one-row batch; the lattice pass at (n, m) = (12, 3)
-    takes 17 ms gathered and 27-36 ms batched. Batches reduce in ``_renyi_sums``.
+    takes 17 ms gathered and 27-36 ms batched.
     ``_grid_values`` runs a grid or lattice at most GRID_CHUNK rows, and
     ``_SCRATCH_FLOATS`` floats, at a time through two scratch arrays made
     for that call, and a table keeps no scratch between calls and changes
@@ -308,37 +307,32 @@ class TypeClassTable:
         return np.add.reduce(gap, axis=-1)
 
     def _renyi_rows(self, lp: np.ndarray, alpha: float) -> np.ndarray:
-        """(ln s + hi) / (alpha - 1) per row of (P, K) lp, which it overwrites (``_renyi_sums``); +-inf at +-inf hi."""
-        hi, s = self._renyi_sums(lp, alpha)
+        """(ln s + hi) / (alpha - 1) per row of a (P, K) lp of ln p_theta, which it overwrites with the terms.
+
+        hi is a row's largest term (``_renyi_inner``) and s its numpy sum of exp(term - hi); a row
+        whose hi is +-inf gives +-inf.
+        """
+        inner = self._renyi_inner(lp, alpha)
+        hi = inner.max(axis=1)
         if np.isnan(hi).any():
-            raise NumericError("log_sum_exp_array received nan")
-        return np.where(np.isfinite(hi), np.log(s) + hi, hi) / (alpha - 1.0)
+            raise NumericError("nan among the Renyi divergence's terms: p_theta and q are both 0 on a class")
+        finite = np.isfinite(hi)
+        if not finite.all():
+            inner[~finite] = 0.0  # these rows take hi itself: no exp of their terms
+        inner -= np.where(finite, hi, 0.0)[:, None]
+        s = np.add.reduce(np.exp(inner, out=inner), axis=1)
+        return np.where(finite, np.log(s) + hi, hi) / (alpha - 1.0)
 
     def _renyi_point(self, lp: np.ndarray, alpha: float) -> float:
         """D_alpha at one theta from its (K,) row, which it overwrites: ``_renyi_rows``' steps on a row."""
         inner = self._renyi_inner(lp, alpha)
         hi = float(inner.max())
         if math.isnan(hi):
-            raise NumericError("log_sum_exp_array received nan")
+            raise NumericError("nan among the Renyi divergence's terms: p_theta and q are both 0 on a class")
         if not math.isfinite(hi):
             return hi / (alpha - 1.0)
         inner -= hi
         return float((np.log(np.add.reduce(np.exp(inner, out=inner))) + hi) / (alpha - 1.0))
-
-    def _renyi_sums(self, lp: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-        """(hi, s) per row of a (P, K) lp of ln p_theta, which it overwrites with the terms (``_renyi_inner``).
-
-        hi is a row's largest term and s its numpy sum of exp(term - hi); s is nan where hi is not finite.
-        """
-        inner = self._renyi_inner(lp, alpha)
-        hi = inner.max(axis=1)
-        finite = np.isfinite(hi)
-        if not finite.all():
-            inner[~finite] = 0.0  # these rows' sums are nan: no exp of their terms
-        inner -= np.where(finite, hi, 0.0)[:, None]
-        s = np.add.reduce(np.exp(inner, out=inner), axis=1)
-        s[~finite] = math.nan
-        return hi, s
 
     def _renyi_inner(self, lp: np.ndarray, alpha: float) -> np.ndarray:
         """alpha ln p_theta + ln multiplicity + (1 - alpha) ln q, per cell, in place on lp."""
@@ -347,27 +341,6 @@ class TypeClassTable:
         with np.errstate(invalid="ignore"):  # q = p_theta = 0 on a class: -inf + inf, a nan the callers raise on
             lp += (1.0 - alpha) * self.log_joint
         return lp
-
-
-def integrate_unit_interval(f: Callable[[np.ndarray], Sequence[float]]) -> tuple[float, float]:
-    """Adaptive integral of f over [0, 1] with endpoint-singularity splitting, 21 nodes per call of f.
-
-    The pieces [0, 1e-3], [1e-3, 1 - 1e-3] and [1 - 1e-3, 1] each get
-    QUADPACK's ``qagse`` (``_ports.qagse``, the routine and bits of scipy's
-    ``quad``) with absolute tolerance 1e-11, relative tolerance 1e-12 and at
-    most 200 subintervals. f takes one panel's 21 nodes as an array and
-    returns their 21 values. Returns (value, error estimate); callers compare
-    the estimate against their own tolerance (``accept_quadrature``), so
-    qagse's exit code is not passed on.
-    """
-    from . import _ports  # imported on use: most commands never integrate
-    total = 0.0
-    err = 0.0
-    for lo, hi in ((0.0, 1e-3), (1e-3, 1.0 - 1e-3), (1.0 - 1e-3, 1.0)):
-        value, estimate, _, _ = _ports.qagse(f, lo, hi, 1e-11, 1e-12, 200)
-        total += value
-        err += estimate
-    return total, err
 
 
 def _golden_section_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -497,39 +470,39 @@ def sibson_mi_infinity(n: int, m: int) -> float:
     return log_normalizer(NML(), n, m)
 
 
-def _dirichlet_average(
-    predictor: PredictorSpec | JointFn, params: DirichletParams, n: int, alpha: float
-) -> tuple[float, float]:
-    """E over theta ~ Dirichlet(params), m = 2, of KL(p_theta || q) at alpha = 1, else of sum p_theta^alpha q^(1-alpha).
+def _dirichlet_average(predictor: PredictorSpec | JointFn, params: DirichletParams, n: int, alpha: float) -> float:
+    """The Dirichlet(params) average over theta of KL(p_theta || q) at alpha = 1; above 1, the tilted alpha-regret.
 
-    q is the predictor; a panel's nodes t are thetas (t, 1 - t), weighted by ``math.exp`` of
-    ``params.log_pdf``. Returns (value, error estimate) of ``integrate_unit_interval`` for the
-    caller to accept; the budget counts ``_QUADRATURE_NODES`` per class.
+    q is the predictor, over the alphabet of ``params``, and the tilted alpha-regret is
+    ln E[sum_x p_theta^alpha q^(1-alpha)] / (alpha - 1). Both are exact sums over the classes of
+    ``_class_table``, since E[theta^(alpha c)] = B(alpha c + params) / B(params):
+    * alpha = 1: the fsum of w_c (l_c - ln q_c), with w_c = mult(c) B(c + params) / B(params) the
+      Dirichlet-multinomial and l_c = sum_i c_i (psi(params_i + c_i) - psi(sum params + n)) the
+      Dirichlet(c + params) mean of ln p_theta(c). The difference stays per class: the split form
+      n sum_i E[theta_i ln theta_i] - sum_c w_c ln q_c cancels two terms of about n H;
+    * else: the log-sum-exp of ln mult(c) + ln B(alpha c + params) - ln B(params) + (1 - alpha) ln q_c,
+      over alpha - 1.
+    A value that is not finite (a class q rules out, say) raises NumericError.
     """
-    _check_theta_cells(_QUADRATURE_NODES, n, 2)
-    table = TypeClassTable(n, 2, predictor)
+    table = _class_table(n, params.m)
+    log_q = joint_values(predictor, table)
+    log_weight = table.log_mult + _separable_rows(_separable(AlphaNML(alpha, params)), table.counts)
+    if alpha == 1.0:
+        from scipy.special import digamma  # imported on use: no CLI command averages KL
 
-    def integrand(t: np.ndarray) -> list[float]:
-        thetas = np.stack([t, 1.0 - t], axis=1)
-        pdfs = [math.exp(v) for v in params.log_pdf(thetas).tolist()]
-        if alpha == 1.0:
-            return [pdf * value for pdf, value in zip(pdfs, table._grid_values(thetas, 1.0).tolist())]
-        lp, scratch = np.empty((2, len(thetas), table.log_mult.size))
-        table._log_ptheta_batch(thetas, lp, scratch)
-        his, sums = table._renyi_sums(lp, alpha)
-        values = []
-        for pdf, hi, s, theta_1 in zip(pdfs, his.tolist(), sums.tolist(), thetas[:, 0].tolist()):
-            # q = 0 on a class (hi = +inf) or a nan cell gives a nan sum: a nan node, which accept_quadrature rejects
-            try:
-                values.append(pdf * math.exp(hi) * s)
-            except OverflowError:  # a finite hi above the float range: e^hi is no float
-                raise NumericError(
-                    f"the tilted alpha-regret's integrand exceeds the float range: its log is {hi:.6g} "
-                    f"at theta_1 = {theta_1:.6g}"
-                ) from None
-        return values
-
-    return integrate_unit_interval(integrand)
+        psi = digamma(np.arange(n + 1.0)[:, None] + params.as_array())  # psi(params_i + k), k = 0..n
+        top = float(digamma(math.fsum(params.a) + n))
+        ell = sum(c * (psi[c, i] - top) for i, c in enumerate(table.counts.T))
+        with np.errstate(invalid="ignore"):  # a weight of 0 times an infinite log loss, or inf - inf: nan, raised below
+            terms = np.exp(log_weight) * (ell - log_q)
+            value = math.fsum(memoryview(terms)) if np.isfinite(terms).all() else float(terms.sum())
+    else:
+        terms = log_weight + (1.0 - alpha) * log_q
+        hi = float(terms.max())
+        value = (log_sum_exp(terms) if math.isfinite(hi) else hi) / (alpha - 1.0)
+    if not math.isfinite(value):
+        raise NumericError(f"the average over Dirichlet{params.a} of order {alpha!r} is {value!r}", partial=value)
+    return value
 
 
 def _check_theta_cells(points: int, n: int, m: int) -> None:
@@ -543,16 +516,14 @@ def sibson_mi_alpha(n: int, m: int, alpha: float, a: DirichletParams) -> float:
 
     For alpha > 1: (alpha/(alpha-1)) * ln sum over counts of multiplicity *
     (integral of Dirichlet(a) * p^alpha)^(1/alpha). The alpha = 1 limit is
-    the mutual information E_a[KL(p_theta || mixture)], computed by
-    quadrature and supported for m = 2 only.
+    the mutual information E_a[KL(p_theta || mixture)], an exact sum over the
+    type classes (``_dirichlet_average``).
     """
     if a.m != m:
         raise ValueError(f"prior has m={a.m}, got m={m}")
     _check_order(alpha)
     if alpha == 1.0:
-        if m != 2:
-            raise UnsupportedError("the alpha = 1 limit is quadrature-based and supports m = 2 only")
-        return accept_quadrature(*_dirichlet_average(Mixture(a), a, n, 1.0), 1e-8, "I_1")
+        return _dirichlet_average(Mixture(a), a, n, 1.0)
     return alpha / (alpha - 1.0) * log_normalizer(AlphaNML(alpha, a), n, m)
 
 

@@ -125,17 +125,17 @@ _MAX_CLASSES = 1 << 23
 # (measured at m = 2..6 on a 2-CPU x86-64 host), so the budget's 2^27 entries need 1.1-2.0 GB and 3-18 s, about
 # what a cold scan at the class budget needs: binary horizons up to 16,382 and ternary ones up to 928 fit.
 _MAX_LATTICE_ENTRIES = 1 << 27
-# A theta route (``regret.TypeClassTable._grid_values`` on a grid, a lattice or quadrature panels) takes
-# 5-17 ns per cell of points x classes (measured at m = 2 and 3, K = 91..100,001, on a 2-CPU x86-64 host), so
-# the budget's 2^29 cells take 3-9 s: binary suprema up to n = 131,071 fit, ternary ones up to n = 178, and
-# Dirichlet averages, counted at their most nodes, up to n = 21,356.
+# A theta route (``regret.TypeClassTable._grid_values`` on a grid or a lattice) takes 5-17 ns per cell of
+# points x classes (measured at m = 2 and 3, K = 91..100,001, on a 2-CPU x86-64 host), so the budget's 2^29
+# cells take 3-9 s: binary suprema up to n = 131,071 fit, ternary ones up to n = 178, and the theorem5
+# oracle's quadrature, counted at its most nodes, up to n = 21,356.
 _MAX_THETA_CELLS = 1 << 29
 
 
 def _check_budget(subject: str, total: int, unit: str, limit: int) -> None:
     """UnsupportedError, with the estimate in its one line, if ``total`` is over ``limit``."""
     if total > limit:
-        raise UnsupportedError(f"{subject} has {total:.3g} {unit}, above the enumeration budget of {limit}")
+        raise UnsupportedError(f"{subject} has {total} {unit}, above the enumeration budget of {limit}")
 
 
 def count_vector_total(n: int, m: int) -> int:

@@ -113,7 +113,6 @@ def test_cache_is_accepted_only_by_log_normalizer():
     "function, dropped",
     [
         (regret.joint_values, {"cache", "complete"}),
-        (regret.integrate_unit_interval, {"epsabs", "margin", "limit"}),
         (alphanml.average_luckiness_regret, {"cache", "tol"}),
         (alphanml.luckiness_alpha_regret, {"cache", "tol"}),
         (log_joints, {"complete", "log_mult"}),

@@ -305,13 +305,16 @@ SMALL_COMMANDS = [
     ["asymptotics", "--m", "2", "--alpha", "2.500000", "--n-list", "10,100"],
     ["oracle", "--check", "normalizer", "--n", "10", "--m", "2", "--alpha", "2.500000", "--prior", "0.700000,1.300000"],
 ]
-# a quadrature over theta and an m = 3 supremum, which run on alphanml._ports and stay within the ports' budget
+# an m = 3 supremum, which runs on alphanml._ports and stays within the ports' budget
 THETA_COMMANDS = [
-    ["oracle", "--check", "theorem5", "--n", "6", "--m", "2", "--alpha", "2.5"],
     ["regret", "--kind", "alpha", "--n", "8", "--m", "3", "--alpha", "2", "--predictor", "kt"],
 ]
-# its 150,001-row scan is more cells than the ports' budget, so it runs on scipy.special
-LARGE_COMMAND = ["regret", "--kind", "worst", "--n", "150000", "--m", "2", "--predictor", "kt"]
+# the first one's 150,001-row scan is more cells than the ports' budget, so it runs on scipy.special;
+# the theorem5 check's quadrature is scipy's quad
+SCIPY_COMMANDS = [
+    ["regret", "--kind", "worst", "--n", "150000", "--m", "2", "--predictor", "kt"],
+    ["oracle", "--check", "theorem5", "--n", "6", "--m", "2", "--alpha", "2.5"],
+]
 
 _RUN_COMMANDS = """
 import contextlib, io, json, sys
@@ -329,7 +332,7 @@ def scipy_modules():
 small, large = json.loads(sys.argv[1])
 results = [run(argv) for argv in small]
 after_small = scipy_modules()
-results.append(run(large))
+results += [run(argv) for argv in large]
 print(json.dumps([results, after_small, scipy_modules()]))
 """
 
@@ -345,15 +348,15 @@ class TestImportCost:
         assert _python(probe).strip() == "[]"
 
     def test_small_commands_run_without_scipy_and_print_the_in_process_bytes(self, capsys):
-        """A fresh process runs the small commands on the ports, and the large one switches to scipy.special.
+        """A fresh process runs the small commands on the ports; the large scan loads scipy.special, theorem5 quad.
 
         Each command's exit code, stdout and stderr equal those of ``cli.main`` in this process,
         where scipy is loaded and the special functions run on scipy from the first call.
         """
         small = [*SMALL_COMMANDS, *THETA_COMMANDS]
-        results, after_small, after_large = json.loads(_python(_RUN_COMMANDS, json.dumps([small, LARGE_COMMAND])))
+        results, after_small, after_large = json.loads(_python(_RUN_COMMANDS, json.dumps([small, SCIPY_COMMANDS])))
         assert after_small == []
-        assert "scipy.special" in after_large
-        for argv, result in zip([*small, LARGE_COMMAND], results, strict=True):
+        assert {"scipy.special", "scipy.integrate"} <= set(after_large)
+        for argv, result in zip([*small, *SCIPY_COMMANDS], results, strict=True):
             DEFAULT_CACHE.clear()
             assert list(run(capsys, argv)) == result, argv

@@ -19,7 +19,6 @@ from alphanml import (
     LuckinessNML,
     Mixture,
     NML,
-    NumericError,
     UnsupportedError,
     alpha_regret,
     average_luckiness_regret,
@@ -40,6 +39,7 @@ from alphanml import (
 J2 = DirichletParams.jeffreys(2)
 B22 = DirichletParams((2.0, 2.0))
 B32 = DirichletParams((3.0, 2.0))
+B3 = DirichletParams((1.5, 2.0, 1.2))
 
 
 class TestContainers:
@@ -155,11 +155,12 @@ class TestAverage:
                 split = base + predictor_kl(mix, q, 4, 2)
                 np.testing.assert_allclose(total, split, atol=1e-7)
 
-    @pytest.mark.parametrize("params", [DirichletParams.uniform(2), B22, B32, J2])
+    @pytest.mark.parametrize("params", [DirichletParams.uniform(2), B22, B32, J2, DirichletParams.jeffreys(3), B3])
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_matching_mixture_is_order_one_radius(self, params, n):
-        """For the matching mixture the average is I_1 under the same prior, by the same quadrature."""
-        assert average_luckiness_regret(Mixture(params), params, n) == sibson_mi_alpha(n, 2, 1.0, params)
+        """For the matching mixture the average is I_1 under the same prior, by the same class sum, at m = 2 and 3."""
+        m = params.m
+        assert average_luckiness_regret(Mixture(params), params, n, m) == sibson_mi_alpha(n, m, 1.0, params)
 
     def test_matching_mixture_minimizes(self, make_exchangeable):
         base = average_luckiness_regret(Mixture(B22), B22, 4, 2)
@@ -171,14 +172,14 @@ class TestAverage:
 class TestTiltedAlphaRegret:
     """Order-alpha weighted regret and its radius identity."""
 
-    @pytest.mark.parametrize("b", [B22, B32])
+    @pytest.mark.parametrize("b", [B22, B32, B3])
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_family_member_attains_radius(self, b, n):
-        """Regret of the matching family member = radius under the tilted prior."""
+        """Regret of the matching family member = radius under the tilted prior, at m = 2 and 3."""
         alpha = 2.0
         spec = LuckinessAlphaNML(alpha, b)
-        lhs = luckiness_alpha_regret(spec, b, n, alpha, 2)
-        rhs = sibson_mi_alpha(n, 2, alpha, tilted_params(alpha, b))
+        lhs = luckiness_alpha_regret(spec, b, n, alpha, b.m)
+        rhs = sibson_mi_alpha(n, b.m, alpha, tilted_params(alpha, b))
         np.testing.assert_allclose(lhs, rhs, atol=1e-6)
 
     def test_golden(self):
@@ -197,11 +198,11 @@ class TestTiltedAlphaRegret:
         with pytest.raises(ValueError):
             luckiness_alpha_regret(kt(2), B22, 3, 1.0, 2)
 
-    def test_integrand_beyond_the_float_range_is_a_numeric_error(self):
-        # e^(hi) of a node overflows a float near alpha = 1e6; it is a failed quadrature, not an OverflowError
+    def test_order_far_above_one_attains_radius(self):
+        """alpha = 1e6, where a quadrature's integrand exceeds the float range, is a class sum like any other order."""
         spec = LuckinessAlphaNML(1e6, B22)
-        with pytest.raises(NumericError, match="integrand exceeds the float range"):
-            luckiness_alpha_regret(spec, B22, 5, 1e6, 2)
+        value = luckiness_alpha_regret(spec, B22, 5, 1e6, 2)
+        assert math.isclose(value, sibson_mi_alpha(5, 2, 1e6, tilted_params(1e6, B22)), rel_tol=1e-12)
 
 
 class TestAlphabetMismatch:
@@ -210,8 +211,11 @@ class TestAlphabetMismatch:
         [
             lambda b: worst_case_luckiness_regret(kt(3), b, 4, 3),
             lambda b: luckiness_alpha_regret_supform(kt(3), b, 4, 3, 2.0),
+            lambda b: average_luckiness_regret(kt(3), b, 4, 3),
+            lambda b: luckiness_alpha_regret(kt(3), b, 4, 2.0, 3),
         ],
-        ids=["worst_case_luckiness_regret", "luckiness_alpha_regret_supform"],
+        ids=["worst_case_luckiness_regret", "luckiness_alpha_regret_supform", "average_luckiness_regret",
+             "luckiness_alpha_regret"],
     )
     def test_luckiness_over_another_alphabet_raises(self, call):
         with pytest.raises(ValueError, match=r"^luckiness has m=2, got m=3$"):

@@ -1,4 +1,4 @@
-"""Brute-force oracles: sequence sums, grid maxima, quadrature."""
+"""Brute-force oracles (sequence sums, grid maxima, the theorem5 quadrature) and the tests' own quadrature."""
 
 from __future__ import annotations
 
@@ -10,6 +10,8 @@ import pytest
 
 from alphanml import (
     CountVector,
+    DirichletParams,
+    LuckinessAlphaNML,
     NumericError,
     UnsupportedError,
     OracleConfig,
@@ -18,18 +20,15 @@ from alphanml import (
     log_joint,
     log_ml,
     kt,
+    luckiness_alpha_regret,
     sequence_counts,
     sequential_mixture_log_prob,
+    sibson_mi_alpha,
+    tilted_params,
 )
-from alphanml.numerics import accept_quadrature
-from alphanml.regret import integrate_unit_interval
+from alphanml.oracle import quadrature_tilted_alpha_regret
 from test_acceptance import sequence_max_likelihood_log_prob
-from theta_reference import nodewise
-
-
-def _simplex_integral(integrand) -> float:
-    """The integral over [0, 1] by ``integrate_unit_interval``, accepted at 1e-10."""
-    return accept_quadrature(*integrate_unit_interval(nodewise(integrand)), 1e-10, "the simplex integral")
+from theta_reference import simplex_integral as _simplex_integral
 
 
 class TestSequenceSum:
@@ -174,3 +173,45 @@ class TestQuadrature:
         cfg = OracleConfig()
         with pytest.raises(AttributeError):
             cfg.grid_points = 5
+
+
+class TestTheorem5Quadrature:
+    """The tilted alpha-regret by quad over theta, the independent side of ``oracle --check theorem5``."""
+
+    @pytest.mark.parametrize(
+        "predictor, b, n, alpha",
+        [
+            (LuckinessAlphaNML(2.0, DirichletParams((2.0, 2.0))), (2.0, 2.0), 6, 2.0),
+            (LuckinessAlphaNML(1.5, DirichletParams((0.8, 0.9))), (0.8, 0.9), 40, 1.5),
+            (kt(2), (1.3, 2.6), 12, 3.7),
+            (kt(2), (1.0, 1.0), 0, 2.0),
+        ],
+    )
+    def test_matches_the_class_sum(self, predictor, b, n, alpha):
+        params = DirichletParams(b)
+        value = quadrature_tilted_alpha_regret(predictor, params, n, alpha)
+        assert math.isclose(value, luckiness_alpha_regret(predictor, params, n, alpha), rel_tol=1e-9, abs_tol=1e-12)
+        if isinstance(predictor, LuckinessAlphaNML):
+            assert math.isclose(value, sibson_mi_alpha(n, 2, alpha, tilted_params(alpha, params)), rel_tol=1e-9)
+
+    def test_three_symbols_unsupported(self):
+        b = DirichletParams((1.5, 1.5, 1.5))
+        with pytest.raises(UnsupportedError, match=r"^the theorem5 quadrature supports m = 2 only, got m=3$"):
+            quadrature_tilted_alpha_regret(LuckinessAlphaNML(2.0, b), b, 4, 2.0, 3)
+
+    def test_node_beyond_the_float_range_is_a_numeric_error(self):
+        b = DirichletParams((2.0, 2.0))
+        with pytest.raises(NumericError, match="^the tilted alpha-regret's integrand exceeds the float range"):
+            quadrature_tilted_alpha_regret(LuckinessAlphaNML(1e6, b), b, 5, 1e6)
+
+    def test_budget_counts_the_most_nodes_before_any_is_evaluated(self):
+        b = DirichletParams((2.0, 2.0))
+        start = time.perf_counter()
+        estimate = r"^a theta route of 25137 points at \(n, m\) = \(30000, 2\) has 754135137 cells"
+        with pytest.raises(UnsupportedError, match=estimate):
+            quadrature_tilted_alpha_regret(kt(2), b, 30_000, 2.0)
+        assert time.perf_counter() - start < 1.0
+
+    def test_order_one_rejected(self):
+        with pytest.raises(ValueError, match=r"^alpha must be > 1, got 1.0$"):
+            quadrature_tilted_alpha_regret(kt(2), DirichletParams((2.0, 2.0)), 3, 1.0)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,11 +35,10 @@ from alphanml import (
     log_numerators,
     tilted_params,
 )
-from alphanml.numerics import accept_quadrature, log_multinomial, log_sum_exp
+from alphanml.numerics import log_multinomial, log_sum_exp
 from alphanml.oracle import sequential_mixture_log_prob
 from alphanml.predictors import spec_alphabet_size
-from alphanml.regret import integrate_unit_interval
-from theta_reference import nodewise
+from theta_reference import simplex_integral
 
 J2 = DirichletParams.jeffreys(2)
 J3 = DirichletParams.jeffreys(3)
@@ -88,6 +88,17 @@ class TestParams:
         with pytest.raises(ValueError, match=message):
             call(CountVector((1, 2, 0)))
 
+    @pytest.mark.parametrize(
+        "thetas",
+        [[[0.3], [0.6]], [[0.2, 0.3, 0.5]], [0.3, 0.7], [[[0.3, 0.7]]]],
+        ids=["(2, 1)", "(1, 3)", "(2,)", "(1, 1, 2)"],
+    )
+    def test_log_pdf_takes_rows_of_m_coordinates_only(self, thetas):
+        """(P, 1) thetas would broadcast against the m exponents as if each were (t, ..., t)."""
+        shape = np.shape(thetas)
+        with pytest.raises(ValueError, match=rf"^thetas must have shape \(P, 2\), got {re.escape(str(shape))}$"):
+            DirichletParams((0.5, 2.0)).log_pdf(thetas)
+
     def test_tilt_map(self):
         """c_i = alpha (b_i - 1) + 1 on feasible inputs."""
         t = tilted_params(2.0, DirichletParams((2.0, 3.0)))
@@ -127,7 +138,7 @@ class TestBuildingBlocks:
                 dens = la - 0.5 * math.log(t) + 0.5 * math.log1p(-t)
                 return math.exp(dens + alpha * (3 * math.log(t) + 2 * math.log1p(-t)))
 
-            val = accept_quadrature(*integrate_unit_interval(nodewise(integrand)), 1e-10, "the simplex integral")
+            val = simplex_integral(integrand)
             np.testing.assert_allclose(
                 log_dirichlet_alpha_integral(counts, alpha, a), math.log(val), rtol=1e-9
             )

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphanml import cli, kt, log_joints, log_numerators, typeclass
+from alphanml import cli, cumulative_log_loss, kt, log_joints, log_numerators, typeclass
 from alphanml.exceptions import NumericError, UnsupportedError
 from alphanml.numerics import log_multinomial, log_sum_exp
 from alphanml.typeclass import (
@@ -221,7 +221,7 @@ class TestReduction:
 class TestClassBudget:
     """More than ``_MAX_CLASSES`` classes fail fast, from the estimate, before any array is built."""
 
-    @pytest.mark.parametrize(("n", "m", "estimate"), [(100_000, 5, "4.17e+18"), (3000, 4, "4.51e+09")])
+    @pytest.mark.parametrize(("n", "m", "estimate"), [(100_000, 5, "4167083347916875001"), (3000, 4, "4509005501")])
     def test_over_budget_raises_without_allocating(self, n, m, estimate):
         tracemalloc.start()
         try:
@@ -231,6 +231,22 @@ class TestClassBudget:
         finally:
             tracemalloc.stop()
         assert peak < 100_000
+
+    @pytest.mark.parametrize(
+        ("call", "message"),
+        [
+            (lambda: count_vectors(4095, 3),
+             "(n, m) = (4095, 3) has 8390656 type classes, above the enumeration budget of 8388608"),
+            (lambda: cumulative_log_loss(kt(2), [1, 2], 2, horizon=16383),
+             "the lattice table of (horizon, m) = (16383, 2) has 134225920 entries, "
+             "above the enumeration budget of 134217728"),
+        ],
+        ids=["classes", "lattice"],
+    )
+    def test_a_request_just_over_a_budget_shows_its_exact_count(self, call, message):
+        """2,048 classes or 8,192 entries over a budget read as more than it, not as a rounded 8.39e+06 or 1.34e+08."""
+        with pytest.raises(UnsupportedError, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_the_budget_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(typeclass, "_MAX_CLASSES", count_vector_total(30, 3))

@@ -5,9 +5,11 @@ batch; the library's routes must give their values bit for bit (signs of zero in
 ``batch_route`` runs ``TypeClassTable``'s own batch route, the one ``_grid_values`` takes at m = 2,
 on any (P, m) rows. ``maximize_on_simplex`` is ``regret._maximize`` over a vectorized objective,
 which ``chunked_values`` evaluates on the grid or lattice in ``_grid_values``' chunks, with its m = 3
-refinement on ``scipy.optimize.minimize`` (``scipy_maximize``). ``scipy_*`` are the routes the
-library ran on scipy before its ports (``alphanml._ports``): scipy's ``quad`` called at one node at
-a time, and scipy's Nelder-Mead; the ports must give their values bit for bit.
+refinement on ``scipy.optimize.minimize`` (``scipy_maximize``). ``scipy_*`` are routes on scipy:
+the Nelder-Mead that ``alphanml._ports`` must match bit for bit, and the quadrature over theta the
+library took for its Dirichlet averages before they became exact class sums (``quad`` on three
+pieces of [0, 1], called at one node at a time), now their oracle. ``accepted`` returns such a
+quadrature's value only when it is finite and its error estimate within a bound.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from scipy import integrate, optimize
 from scipy.special import xlogy
 
-from alphanml import log_sum_exp_array
+from alphanml import NumericError, log_sum_exp_array
 from alphanml.regret import (
     GRID_CHUNK,
     LATTICE_STEP,
@@ -31,7 +33,7 @@ from alphanml.regret import (
     lex_argmax,
 )
 
-PIECES = ((0.0, 1e-3), (1e-3, 1.0 - 1e-3), (1.0 - 1e-3, 1.0))  # integrate_unit_interval's pieces
+PIECES = ((0.0, 1e-3), (1e-3, 1.0 - 1e-3), (1.0 - 1e-3, 1.0))  # [0, 1] split at both endpoint singularities
 
 
 def reference_log_ptheta(table, thetas):
@@ -148,7 +150,7 @@ def scipy_quad(f, a, b, epsabs, epsrel, limit):
 
 
 def scipy_integrate_unit_interval(f):
-    """``integrate_unit_interval`` as it ran on scipy: ``quad`` on each piece, calling a scalar f at one node at a time."""
+    """(value, error estimate) of the integral of a scalar f over [0, 1]: ``quad`` on each of ``PIECES``."""
     total = 0.0
     err = 0.0
     for lo, hi in PIECES:
@@ -171,6 +173,13 @@ def scipy_dirichlet_quadrature(params, weighted):
     return scipy_integrate_unit_interval(integrand)
 
 
-def nodewise(f):
-    """A panel integrand for ``integrate_unit_interval`` from a scalar f: f at each node in turn."""
-    return lambda nodes: [f(t) for t in nodes.tolist()]
+def accepted(value, err, bound):
+    """A quadrature's value, if it is finite and its error estimate within bound (a nan bound fails); else NumericError."""
+    if math.isfinite(value) and err <= bound:
+        return value
+    raise NumericError(f"quadrature failed (value={value:.3e}, err={err:.3e}, bound={bound:.3e})", partial=value)
+
+
+def simplex_integral(f, tol=1e-10):
+    """The integral of a scalar f over [0, 1], ``accepted`` at an error estimate of tol."""
+    return accepted(*scipy_integrate_unit_interval(f), tol)
