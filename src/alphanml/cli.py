@@ -6,6 +6,11 @@ Subcommands: ``predict`` (next-symbol probabilities), ``regret``
 (finite-n regret against its large-n formula) and ``oracle``
 (fast path vs brute-force cross-checks).
 
+Only the alpha families anml and lanml take --prior (Jeffreys by default).
+``oracle`` defaults to --alpha 2 and the Jeffreys prior, (2, ..., 2) for
+theorem5, whose order must exceed 1; lemma1 without --alpha checks the
+mixture, and theorem1 holds for the Jeffreys prior only (else exit 4).
+
 Exit codes: 0 success, 1 failed check or numeric failure, 2 usage error,
 3 infeasible model (non-integrable tilt or nonexistent luckiness NML),
 4 unsupported range (e.g. grid regrets for m > 3), 5 I/O failure.
@@ -23,7 +28,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 
@@ -59,6 +64,9 @@ from .typeclass import CountVector
 
 FIGURE1_NOTE = "# alpha=1 corresponds to the KT estimator"
 
+# exit code of each failure family, the first match wins: InfeasibleModelError and UnsupportedError are ValueErrors
+_EXIT_CODES = {InfeasibleModelError: 3, UnsupportedError: 4, NumericError: 1, OSError: 5, ValueError: 2}
+
 _ORACLE_TOLERANCES = {
     "normalizer": 1e-9,  # relative
     "lemma1": 1e-10,
@@ -76,114 +84,105 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(rows: list[dict], fmt: str, out: TextIO, note: str | None = None) -> None:
-    """Write rows as JSON, or as CSV under a header of the row keys and the comment line ``note``, if any."""
+def _emit(rows: list[dict], fmt: str, note: str | None = None, path: str | None = None) -> None:
+    """Write rows to the file at ``path``, or to stdout without one: as JSON, or as CSV under a header of the
+    row keys and the comment line ``note``, if any."""
     if fmt == "json":
         payload = [
             {k: (float(format(v, ".12g")) if isinstance(v, float) else v) for k, v in row.items()}
             for row in rows
         ]
-        out.write(json.dumps(payload, indent=2))
-        out.write("\n")
-        return
-    if rows:
-        out.write(",".join(rows[0].keys()) + "\n")
-        if note is not None:
-            out.write(note + "\n")
-        for row in rows:
-            out.write(",".join(_fmt(v) for v in row.values()) + "\n")
+        lines = [json.dumps(payload, indent=2)]
+    else:
+        lines = [",".join(rows[0].keys()), *([] if note is None else [note])] if rows else []
+        lines += [",".join(_fmt(v) for v in row.values()) for row in rows]
+    text = "".join(line + "\n" for line in lines)
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as out:
+            out.write(text)
+    else:
+        sys.stdout.write(text)
 
 
-def _parse_prior(text: str, m: int) -> DirichletParams:
-    if text == "jeffreys":
-        return DirichletParams.jeffreys(m)
+def _parse_list(text: str, flag: str, kind: type, m: int | None = None, expected: str = "comma-separated integers"):
+    """A comma-separated flag's values, each read by ``kind``; exactly m of them when m is given."""
     try:
-        values = tuple(float(x) for x in text.split(","))
+        values = tuple(kind(x) for x in text.split(","))
     except ValueError:
-        raise ValueError(f"--prior must be 'jeffreys' or comma-separated floats, got {text!r}")
-    if len(values) != m:
-        raise ValueError(f"--prior needs {m} values for m={m}, got {len(values)}")
-    return DirichletParams(values)
-
-
-def _parse_counts(text: str, m: int) -> CountVector:
-    try:
-        values = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise ValueError(f"--counts must be comma-separated integers, got {text!r}")
-    if len(values) != m:
-        raise ValueError(f"--counts needs {m} values for m={m}, got {len(values)}")
-    return CountVector(values)
-
-
-def _parse_n_list(text: str) -> list[int]:
-    try:
-        values = [int(x) for x in text.split(",")]
-    except ValueError:
-        raise ValueError(f"--n-list must be comma-separated integers, got {text!r}")
-    if not values or any(v < 1 for v in values):
-        raise ValueError(f"--n-list needs positive integers, got {text!r}")
+        raise ValueError(f"{flag} must be {expected}, got {text!r}")
+    if m is not None and len(values) != m:
+        raise ValueError(f"{flag} needs {m} values for m={m}, got {len(values)}")
     return values
 
 
-def _build_spec(args, m: int) -> tuple[str, PredictorSpec]:
-    """The predictor name the flags select, and its spec."""
-    prior = _parse_prior(args.prior, m) if args.prior else None
-    name = args.predictor
-    if name is None:
-        if args.alpha is None:
-            raise ValueError("provide --predictor or --alpha (implies the alpha family)")
-        name = "anml"
-    if name == "kt":
-        return name, kt(m)
-    if name == "laplace":
-        return name, laplace(m)
-    if name == "nml":
-        return name, NML()
-    if name == "anml":
-        alpha = 1.0 if args.alpha is None else args.alpha
-        return name, AlphaNML(alpha, prior or DirichletParams.jeffreys(m))
-    if name == "lanml":
-        if args.alpha is None:
-            raise ValueError("lanml requires --alpha")
-        return name, LuckinessAlphaNML(args.alpha, prior or DirichletParams.jeffreys(m))
-    raise ValueError(f"unknown predictor {name!r}")
+def _n_list(args) -> tuple[int, ...]:
+    values = _parse_list(args.n_list, "--n-list", int)
+    if any(v < 1 for v in values):
+        raise ValueError(f"--n-list needs positive integers, got {args.n_list!r}")
+    return values
 
 
-def _maximizer_text(maximizer) -> str:
-    if maximizer is None:
-        return ""
-    if isinstance(maximizer, CountVector):
-        return ";".join(str(c) for c in maximizer.counts)
-    theta = getattr(maximizer, "theta", None)
-    if theta is not None:
-        return ";".join(format(t, ".12g") for t in theta)
-    return str(maximizer)
+def _prior(args) -> DirichletParams | None:
+    """The --prior flag's parameters at --m, or None if it is absent or empty."""
+    if not args.prior:
+        return None
+    if args.prior == "jeffreys":
+        return DirichletParams.jeffreys(args.m)
+    return DirichletParams(_parse_list(args.prior, "--prior", float, args.m, "'jeffreys' or comma-separated floats"))
+
+
+# --predictor name -> its spec at m; the alpha families anml and lanml take (alpha, prior) instead
+_PREDICTORS = {"kt": kt, "laplace": laplace, "nml": lambda m: NML(), "anml": AlphaNML, "lanml": LuckinessAlphaNML}
+
+
+def _build_spec(args) -> tuple[str, PredictorSpec]:
+    """The predictor name the flags select, and its spec; --prior applies to the alpha families only."""
+    prior = _prior(args)
+    if args.predictor is None and args.alpha is None:
+        raise ValueError("provide --predictor or --alpha (implies the alpha family)")
+    name = args.predictor or "anml"
+    if name not in ("anml", "lanml"):
+        if prior is not None:
+            raise ValueError(f"--prior applies to anml and lanml only, not {name}")
+        return name, _PREDICTORS[name](args.m)
+    alpha = 1.0 if args.alpha is None and name == "anml" else args.alpha
+    if alpha is None:
+        raise ValueError("lanml requires --alpha")
+    return name, _PREDICTORS[name](alpha, prior or DirichletParams.jeffreys(args.m))
+
+
+def _maximizer_text(at) -> str:
+    """A report's maximizer, ';'-separated: the counts of a CountVector, or the theta of a SimplexPoint."""
+    return ";".join(_fmt(x) for x in (at.counts if isinstance(at, CountVector) else at.theta))
+
+
+def _asymptote_columns(base: str, value_nats: float, asymptote: float | None) -> dict:
+    """The asymptote and the gap value - asymptote in the unit of --base; both empty without an asymptote."""
+    scale = 1.0 if base == "nats" else 1.0 / LOG_TWO
+    columns = (None, None) if asymptote is None else (asymptote * scale, (value_nats - asymptote) * scale)
+    return dict(zip((f"asymptotic_{base}", f"gap_{base}"), columns))
 
 
 def cmd_predict(args) -> int:
-    m = args.m
-    _, spec = _build_spec(args, m)
-    past = _parse_counts(args.counts, m)
+    _, spec = _build_spec(args)
+    past = CountVector(_parse_list(args.counts, "--counts", int, args.m))
     probs = conditional_distribution(spec, past, horizon=args.horizon)
     if abs(float(np.sum(probs)) - 1.0) > 1e-10:
         raise NumericError(f"conditional probabilities sum to {np.sum(probs)!r}, not 1")
     rows = [{"symbol": k + 1, "probability": float(p)} for k, p in enumerate(probs)]
-    _emit(rows, args.format, sys.stdout)
+    _emit(rows, args.format)
     return 0
 
 
 def cmd_regret(args) -> int:
     m = args.m
-    name, spec = _build_spec(args, m)
+    name, spec = _build_spec(args)
+    if args.kind == "alpha" and args.alpha is None:
+        raise ValueError("--kind alpha requires --alpha")
     if args.kind == "worst":
         report = worst_case_regret(spec, args.n, m)
-    elif args.kind == "average":
-        report = alpha_regret(spec, args.n, m, 1.0)
-    else:
-        if args.alpha is None:
-            raise ValueError("--kind alpha requires --alpha")
-        report = alpha_regret(spec, args.n, m, args.alpha)
+    else:  # the average regret is the alpha-regret of order 1
+        report = alpha_regret(spec, args.n, m, 1.0 if args.kind == "average" else args.alpha)
 
     alpha_val = getattr(spec, "alpha", report.alpha)
     if alpha_val is None:  # the worst case of kt or laplace (order 1) or nml (order infinity)
@@ -191,10 +190,7 @@ def cmd_regret(args) -> int:
     # the asymptote is that of the alpha family under the Jeffreys prior; kt is alpha = 1, nml alpha = infinity;
     # it needs n >= 1, so an n = 0 row leaves its columns empty, as a row outside the family does
     jeffreys_family = name in ("kt", "nml") or (name == "anml" and spec.a == DirichletParams.jeffreys(m))
-    asymptote = None
-    if args.kind == "worst" and jeffreys_family and args.n > 0:
-        asymptote = asymptotic_rmax(args.n, m, alpha_val)
-    scale = 1.0 if args.base == "nats" else 1.0 / LOG_TWO
+    asym = asymptotic_rmax(args.n, m, alpha_val) if args.kind == "worst" and jeffreys_family and args.n > 0 else None
     row = {
         "n": args.n,
         "m": m,
@@ -204,10 +200,9 @@ def cmd_regret(args) -> int:
         "value_nats": report.value_nats,
         "value_bits": report.value_bits,
         "maximizer": _maximizer_text(report.maximizer),
-        f"asymptotic_{args.base}": None if asymptote is None else asymptote * scale,
-        f"gap_{args.base}": None if asymptote is None else (report.value_nats - asymptote) * scale,
+        **_asymptote_columns(args.base, report.value_nats, asym),
     }
-    _emit([row], args.format, sys.stdout)
+    _emit([row], args.format)
     if args.kind == "alpha" and name == "anml" and spec.alpha > 1.0:
         bound = sibson_mi_alpha(args.n, m, spec.alpha, spec.a)
         ok = report.value_nats >= bound - 1e-9
@@ -221,107 +216,71 @@ def cmd_regret(args) -> int:
 
 
 def cmd_figure1(args) -> int:
-    n_list = _parse_n_list(args.n_list)
+    n_list = _n_list(args)
     if args.alpha_max < 1:
         raise ValueError(f"--alpha-max must be >= 1, got {args.alpha_max}")
     alphas = [float(a) for a in range(1, args.alpha_max + 1)]
     rows = figure1_table(n_list, alphas, m=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            _emit(rows, args.format, fh, note=FIGURE1_NOTE)
-    else:
-        _emit(rows, args.format, sys.stdout, note=FIGURE1_NOTE)
+    _emit(rows, args.format, note=FIGURE1_NOTE, path=args.out)
     return 0
 
 
 def cmd_asymptotics(args) -> int:
     m = args.m
     alpha = args.alpha if args.alpha is not None else 1.0
-    n_list = _parse_n_list(args.n_list)
+    n_list = _n_list(args)
     spec = Mixture(DirichletParams.jeffreys(m)) if alpha == 1.0 else AlphaNML(alpha, DirichletParams.jeffreys(m))
-    scale = 1.0 if args.base == "nats" else 1.0 / LOG_TWO
     rows = []
     for n in n_list:
         exact = worst_case_regret(spec, n, m).value_nats
-        asym = asymptotic_rmax(n, m, alpha)
-        rows.append(
-            {
-                "n": n,
-                "m": m,
-                "alpha": alpha,
-                "exact_nats": exact,
-                "exact_bits": exact / LOG_TWO,
-                f"asymptotic_{args.base}": asym * scale,
-                f"gap_{args.base}": (exact - asym) * scale,
-            }
-        )
-    _emit(rows, args.format, sys.stdout)
+        row = {"n": n, "m": m, "alpha": alpha, "exact_nats": exact, "exact_bits": exact / LOG_TWO}
+        rows.append({**row, **_asymptote_columns(args.base, exact, asymptotic_rmax(n, m, alpha))})
+    _emit(rows, args.format)
     return 0
 
 
 def _oracle_pair(args) -> tuple[float, float, float]:
-    """(fast value, cross-check value, tolerance) for one oracle check."""
-    n, m = args.n, args.m
-    check = args.check
+    """(fast value, cross-check value, tolerance) for one oracle check; the module docstring gives the defaults."""
+    n, m, check = args.n, args.m, args.check
+    alpha = args.alpha if args.alpha is not None else 2.0
+    if check == "theorem5" and alpha <= 1.0:
+        raise ValueError("theorem5 check requires --alpha > 1")
+    prior = _prior(args) or (DirichletParams((2.0,) * m) if check == "theorem5" else DirichletParams.jeffreys(m))
     tol = _ORACLE_TOLERANCES[check]
     if check == "normalizer":
-        alpha = args.alpha if args.alpha is not None else 2.0
-        prior = _parse_prior(args.prior, m) if args.prior else DirichletParams.jeffreys(m)
-        spec = AlphaNML(alpha, prior)
-        fast = log_normalizer(spec, n, m)
-
-        def term(seq):
-            cv = CountVector(sequence_counts(seq, m))
-            return log_dirichlet_alpha_integral(cv, alpha, prior) / alpha
-
-        oracle_value = brute_sequence_sum(n, m, term)
-        tol = tol * max(1.0, abs(oracle_value))
-        return fast, oracle_value, tol
+        fast = log_normalizer(AlphaNML(alpha, prior), n, m)
+        oracle_value = brute_sequence_sum(
+            n, m, lambda seq: log_dirichlet_alpha_integral(CountVector(sequence_counts(seq, m)), alpha, prior) / alpha
+        )
+        return fast, oracle_value, tol * max(1.0, abs(oracle_value))
     if check == "lemma1":
-        prior = _parse_prior(args.prior, m) if args.prior else DirichletParams.jeffreys(m)
-        spec = Mixture(prior) if args.alpha is None else AlphaNML(args.alpha, prior)
-        lhs, rhs = infinity_split_check(spec, n, m)
-        return lhs, rhs, tol
+        spec = Mixture(prior) if args.alpha is None else AlphaNML(alpha, prior)
+        return (*infinity_split_check(spec, n, m), tol)
     if check == "lemma2":
-        alpha = args.alpha if args.alpha is not None else 2.0
-        prior = _parse_prior(args.prior, m) if args.prior else DirichletParams.jeffreys(m)
-        lhs, rhs = alpha_split_check(alpha, n, m, prior)
-        return lhs, rhs, tol
+        return (*alpha_split_check(alpha, n, m, prior), tol)
     if check == "theorem1":
-        alpha = args.alpha if args.alpha is not None else 2.0
-        direct = w_alpha_direct(n, m, alpha, DirichletParams.jeffreys(m)).value
-        closed = w_alpha_closed(n, m, alpha)
-        return closed, direct, tol
-    if check == "theorem5":
-        alpha = args.alpha if args.alpha is not None else 2.0
-        if alpha <= 1.0:
-            raise ValueError("theorem5 check requires --alpha > 1")
-        b = _parse_prior(args.prior, m) if args.prior else DirichletParams((2.0,) * m)
-        spec = LuckinessAlphaNML(alpha, b)
-        lhs = quadrature_tilted_alpha_regret(spec, b, n, alpha, m)
-        rhs = sibson_mi_alpha(n, m, alpha, tilted_params(alpha, b))
-        return lhs, rhs, tol
-    raise ValueError(f"unknown check {check!r}")
+        closed = w_alpha_closed(n, m, alpha, prior)  # first: a non-Jeffreys prior has no closed form (exit 4)
+        return closed, w_alpha_direct(n, m, alpha, prior).value, tol
+    lhs = quadrature_tilted_alpha_regret(LuckinessAlphaNML(alpha, prior), prior, n, alpha, m)  # theorem5
+    return lhs, sibson_mi_alpha(n, m, alpha, tilted_params(alpha, prior)), tol
 
 
 def cmd_oracle(args) -> int:
     fast, oracle_value, tol = _oracle_pair(args)
     diff = abs(fast - oracle_value)
     ok = diff <= tol
-    rows = [
-        {
-            "check": args.check,
-            "n": args.n,
-            "m": args.m,
-            "alpha": args.alpha,
-            "fast_value": fast,
-            "oracle_value": oracle_value,
-            "abs_diff": diff,
-            "tolerance": tol,
-            "status": "pass" if ok else "fail",
-        }
-    ]
-    _emit(rows, args.format, sys.stdout)
+    row = {
+        "check": args.check,
+        "n": args.n,
+        "m": args.m,
+        "alpha": args.alpha,
+        "fast_value": fast,
+        "oracle_value": oracle_value,
+        "abs_diff": diff,
+        "tolerance": tol,
+        "status": "pass" if ok else "fail",
+    }
+    _emit([row], args.format)
     return 0 if ok else 1
 
 
@@ -346,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="next-symbol probabilities given past counts")
     p.add_argument("--m", type=int, required=True, help="alphabet size (>= 2)")
     p.add_argument("--counts", required=True, help="past counts c1,...,cm")
-    p.add_argument("--predictor", choices=("kt", "laplace", "nml", "anml", "lanml"))
+    p.add_argument("--predictor", choices=tuple(_PREDICTORS))
     p.add_argument("--alpha", type=float, help="alpha for the anml/lanml families")
     p.add_argument("--prior", help="'jeffreys' or comma-separated positive reals")
     p.add_argument("--horizon", type=int, help="evaluation horizon (default: past length + 1)")
@@ -357,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("worst", "average", "alpha"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--predictor", choices=("kt", "laplace", "nml", "anml", "lanml"))
+    p.add_argument("--predictor", choices=tuple(_PREDICTORS))
     p.add_argument("--alpha", type=float, help="regret order for --kind alpha; also the anml alpha")
     p.add_argument("--prior", help="'jeffreys' or comma-separated positive reals")
     _add_common(p)
@@ -378,11 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_asymptotics)
 
     p = sub.add_parser("oracle", help="cross-check a fast path against its oracle")
-    p.add_argument(
-        "--check",
-        choices=("normalizer", "lemma1", "lemma2", "theorem1", "theorem5"),
-        required=True,
-    )
+    p.add_argument("--check", choices=tuple(_ORACLE_TOLERANCES), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--alpha", type=float)
@@ -400,21 +355,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error(f"argument --threads: must be >= 1, got {args.threads}")
     try:
         return args.func(args)
-    except InfeasibleModelError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except UnsupportedError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 4
-    except NumericError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 5
-    except ValueError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return 2
+    except tuple(_EXIT_CODES) as exc:
+        code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+        sys.stderr.write(f"{'usage error' if code == 2 else 'error'}: {exc}\n")
+        return code
 
 
 if __name__ == "__main__":

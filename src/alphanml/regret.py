@@ -64,7 +64,7 @@ from .predictors import (
     log_normalizer,
     log_numerators,
 )
-from .typeclass import _MAX_THETA_CELLS, CountVector, _check_budget, count_vector_total
+from .typeclass import _MAX_THETA_CELLS, CountVector, _check_budget, _validate_nm, count_vector_total
 
 JointFn = Callable[[CountVector], float]
 
@@ -547,9 +547,10 @@ def w_alpha_closed(n: int, m: int, alpha: float, a: DirichletParams | None = Non
     + ln(pi)/(2 alpha) - ln Gamma(m/2)/alpha. Only the Jeffreys prior has
     this form; other priors raise UnsupportedError.
     """
+    n, m = _validate_nm(n, m)
+    _check_order(alpha)
     if a is not None and tuple(a.a) != (0.5,) * m:
         raise UnsupportedError("the closed form holds for the Jeffreys prior only")
-    _check_order(alpha)
     return (
         (log_gamma(alpha * n + m / 2.0) - log_gamma(alpha * n + 0.5)) / alpha
         + LOG_PI / (2.0 * alpha)
@@ -667,6 +668,7 @@ def _asymptote_base(n: int, m: int) -> float:
     """(m-1)/2 ln(n/2) + ln(pi)/2 - ln Gamma(m/2), the order-free part of both large-n formulas; n >= 1."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    n, m = _validate_nm(n, m)  # nan, fractional n and m < 2 pass the test above
     return (m - 1) / 2.0 * math.log(n / 2.0) + LOG_PI / 2.0 - log_gamma(m / 2.0)
 
 
@@ -690,11 +692,13 @@ def figure1_table(n_list: Sequence[int], alpha_list: Sequence[float], m: int = 2
     """Percent worst-case-regret increase of the alpha family over NML.
 
     One row per (n, alpha): 100 * (Rmax(alpha predictor) - Rmax(NML)) /
-    Rmax(NML) under the Jeffreys prior, plus both regrets in nats.
+    Rmax(NML) under the Jeffreys prior, plus both regrets in nats; n >= 1.
     """
     rows: list[dict] = []
     a = DirichletParams.jeffreys(m)
     for n in n_list:
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
         nml_regret = sibson_mi_infinity(n, m)
         for alpha in alpha_list:
             spec = Mixture(a) if alpha == 1.0 else AlphaNML(float(alpha), a)

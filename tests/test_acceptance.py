@@ -23,7 +23,6 @@ from alphanml import (
     LuckinessAlphaNML,
     LuckinessNML,
     Mixture,
-    NML,
     alpha_regret,
     asymptotic_min_alpha_regret,
     asymptotic_rmax,

@@ -200,6 +200,15 @@ class TestOracleChecks:
         assert (code, out) == (4, "")
         assert err == "error: m^n = 4^10 sequences exceed the brute-force enumeration guard of 262144\n"
 
+    def test_theorem1_reads_the_prior(self, capsys):
+        """The closed form exists under the Jeffreys prior only: another prior exits 4 instead of checking Jeffreys."""
+        argv = ["oracle", "--check", "theorem1", "--n", "5", "--m", "2"]
+        refused = (4, "", "error: the closed form holds for the Jeffreys prior only\n")
+        assert run(capsys, [*argv, "--prior", "3,3"]) == refused
+        jeffreys = run(capsys, argv)
+        assert jeffreys[0] == 0 and jeffreys[1].endswith(",pass\n")
+        assert run(capsys, [*argv, "--prior", "jeffreys"]) == run(capsys, [*argv, "--prior", "0.5,0.5"]) == jeffreys
+
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         monkeypatch.setitem(cli._ORACLE_TOLERANCES, "theorem1", 0.0)
         code, out, _ = run(capsys, ["oracle", "--check", "theorem1", "--n", "20", "--m", "3", "--alpha", "2"])
@@ -264,6 +273,20 @@ class TestExitCodes:
     )
     def test_usage_error_names_the_flag(self, capsys, argv, message):
         assert run(capsys, argv) == (2, "", f"usage error: {message}\n")
+
+    @pytest.mark.parametrize("predictor", ["kt", "laplace", "nml"])
+    @pytest.mark.parametrize("command", [["regret", "--kind", "worst", "--n", "10"], ["predict", "--counts", "1,0"]])
+    def test_prior_of_a_predictor_without_one_is_a_usage_error(self, capsys, command, predictor):
+        argv = [*command, "--m", "2", "--predictor", predictor, "--prior", "1,1"]
+        message = f"usage error: --prior applies to anml and lanml only, not {predictor}\n"
+        assert run(capsys, argv) == (2, "", message)
+
+    @pytest.mark.parametrize("predictor", [["--predictor", "anml"], ["--predictor", "lanml"], []])
+    def test_alpha_families_take_the_prior(self, capsys, predictor):
+        code, out, err = run(capsys, ["predict", "--m", "2", "--counts", "1,0", "--alpha", "2", "--prior", "1,1.5",
+                                      *predictor])
+        assert (code, err) == (0, "")
+        assert out.startswith("symbol,probability\n")
 
     def test_argparse_usage(self):
         with pytest.raises(SystemExit) as info:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import os
 import tempfile
 
 from hypothesis import given, settings

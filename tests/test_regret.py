@@ -444,6 +444,38 @@ class TestAsymptotes:
         assert gaps[1] < gaps[0]
 
 
+class TestClosedFormArguments:
+    """The closed forms check (n, m) as the scans do, instead of returning a value for a horizon or alphabet
+    that has none."""
+
+    @pytest.mark.parametrize(
+        ("call", "message"),
+        [
+            (lambda: asymptotic_rmax(10, 1, 2.0), "alphabet size m must be an integer >= 2, got 1"),
+            (lambda: asymptotic_rmax(math.nan, 2, 2.0), "n must be a non-negative integer, got nan"),
+            (lambda: asymptotic_min_alpha_regret(2.5, 2, 2.0), "n must be a non-negative integer, got 2.5"),
+            (lambda: asymptotic_rmax(-1, 2, 2.0), "n must be >= 1, got -1"),
+            (lambda: w_alpha_closed(5, 1, 2.0), "alphabet size m must be an integer >= 2, got 1"),
+            (lambda: w_alpha_closed(math.inf, 2, 2.0), "n must be a non-negative integer, got inf"),
+            (lambda: figure1_table([0], [1.0]), "n must be >= 1, got 0"),
+            (lambda: figure1_table([10, -3], [1.0]), "n must be >= 1, got -3"),
+        ],
+        ids=["rmax_m1", "rmax_nan", "min_alpha_fractional", "rmax_negative", "w_closed_m1", "w_closed_inf",
+             "figure1_zero", "figure1_negative"],
+    )
+    def test_invalid_horizon_or_alphabet_is_a_value_error(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_whole_float_arguments_give_the_integer_values(self):
+        assert asymptotic_rmax(10.0, 3.0, 2.0) == asymptotic_rmax(10, 3, 2.0)
+        assert w_alpha_closed(5.0, 2.0, 2.0, J2) == w_alpha_closed(5, 2, 2.0)
+
+    def test_an_invalid_order_is_refused_before_the_prior(self):
+        with pytest.raises(ValueError, match=r"^alpha must be >= 1, got 0.5$"):
+            w_alpha_closed(5, 2, 0.5, DirichletParams.uniform(2))
+
+
 class TestComparisonTable:
     """Percent worst-case increase over the minimax baseline."""
 
