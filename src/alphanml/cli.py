@@ -7,9 +7,10 @@ Subcommands: ``predict`` (next-symbol probabilities), ``regret``
 (fast path vs brute-force cross-checks).
 
 Only the alpha families anml and lanml take --prior (Jeffreys by default).
-``oracle`` defaults to --alpha 2 and the Jeffreys prior, (2, ..., 2) for
-theorem5, whose order must exceed 1; lemma1 without --alpha checks the
-mixture, and theorem1 holds for the Jeffreys prior only (else exit 4).
+An empty --prior is a usage error. ``oracle`` defaults to --alpha 2 and the
+Jeffreys prior, (2, ..., 2) for theorem5, whose order must exceed 1; lemma1
+without --alpha checks the mixture (order 1), and theorem1 holds for the
+Jeffreys prior only (else exit 4). Its alpha column is the order checked.
 
 Exit codes: 0 success, 1 failed check or numeric failure, 2 usage error,
 3 infeasible model (non-integrable tilt or nonexistent luckiness NML),
@@ -123,8 +124,8 @@ def _n_list(args) -> tuple[int, ...]:
 
 
 def _prior(args) -> DirichletParams | None:
-    """The --prior flag's parameters at --m, or None if it is absent or empty."""
-    if not args.prior:
+    """The --prior flag's parameters at --m, or None if it is absent; an empty one fails to parse."""
+    if args.prior is None:
         return None
     if args.prior == "jeffreys":
         return DirichletParams.jeffreys(args.m)
@@ -239,10 +240,10 @@ def cmd_asymptotics(args) -> int:
     return 0
 
 
-def _oracle_pair(args) -> tuple[float, float, float]:
-    """(fast value, cross-check value, tolerance) for one oracle check; the module docstring gives the defaults."""
+def _oracle_pair(args) -> tuple[float, float, float, float]:
+    """(order checked, fast value, cross-check value, tolerance) of one oracle check; the module gives the defaults."""
     n, m, check = args.n, args.m, args.check
-    alpha = args.alpha if args.alpha is not None else 2.0
+    alpha = args.alpha if args.alpha is not None else 1.0 if check == "lemma1" else 2.0
     if check == "theorem5" and alpha <= 1.0:
         raise ValueError("theorem5 check requires --alpha > 1")
     prior = _prior(args) or (DirichletParams((2.0,) * m) if check == "theorem5" else DirichletParams.jeffreys(m))
@@ -252,28 +253,28 @@ def _oracle_pair(args) -> tuple[float, float, float]:
         oracle_value = brute_sequence_sum(
             n, m, lambda seq: log_dirichlet_alpha_integral(CountVector(sequence_counts(seq, m)), alpha, prior) / alpha
         )
-        return fast, oracle_value, tol * max(1.0, abs(oracle_value))
+        return alpha, fast, oracle_value, tol * max(1.0, abs(oracle_value))
     if check == "lemma1":
-        spec = Mixture(prior) if args.alpha is None else AlphaNML(alpha, prior)
-        return (*infinity_split_check(spec, n, m), tol)
+        spec = Mixture(prior) if alpha == 1.0 else AlphaNML(alpha, prior)
+        return alpha, *infinity_split_check(spec, n, m), tol
     if check == "lemma2":
-        return (*alpha_split_check(alpha, n, m, prior), tol)
+        return alpha, *alpha_split_check(alpha, n, m, prior), tol
     if check == "theorem1":
         closed = w_alpha_closed(n, m, alpha, prior)  # first: a non-Jeffreys prior has no closed form (exit 4)
-        return closed, w_alpha_direct(n, m, alpha, prior).value, tol
+        return alpha, closed, w_alpha_direct(n, m, alpha, prior).value, tol
     lhs = quadrature_tilted_alpha_regret(LuckinessAlphaNML(alpha, prior), prior, n, alpha, m)  # theorem5
-    return lhs, sibson_mi_alpha(n, m, alpha, tilted_params(alpha, prior)), tol
+    return alpha, lhs, sibson_mi_alpha(n, m, alpha, tilted_params(alpha, prior)), tol
 
 
 def cmd_oracle(args) -> int:
-    fast, oracle_value, tol = _oracle_pair(args)
+    alpha, fast, oracle_value, tol = _oracle_pair(args)
     diff = abs(fast - oracle_value)
     ok = diff <= tol
     row = {
         "check": args.check,
         "n": args.n,
         "m": args.m,
-        "alpha": args.alpha,
+        "alpha": alpha,
         "fast_value": fast,
         "oracle_value": oracle_value,
         "abs_diff": diff,

@@ -20,15 +20,8 @@ collapses to its plain counterpart (for m = 2, where the constant is 1).
 
 from __future__ import annotations
 
-from .predictors import DirichletParams, LuckinessNML, PredictorSpec, tilted_params
-from .regret import (
-    JointFn,
-    RegretReport,
-    _check_order,
-    _dirichlet_average,
-    _theta_sup,
-    _worst_case_scan,
-)
+from .predictors import DirichletParams, LuckinessNML, PredictorSpec, _check_alphabet, _check_order, tilted_params
+from .regret import JointFn, RegretReport, _dirichlet_average, _theta_sup, _worst_case_scan
 
 
 def worst_case_luckiness_regret(
@@ -42,8 +35,7 @@ def worst_case_luckiness_regret(
     For the luckiness NML predictor itself this equals the log of the tilted
     Shtarkov sum, by the same cancellation as in the plain case.
     """
-    if b.m != m:
-        raise ValueError(f"luckiness has m={b.m}, got m={m}")
+    _check_alphabet(b, m, "luckiness")
     return _worst_case_scan("luckiness_worst_case", LuckinessNML(b), predictor, n, m)
 
 
@@ -60,8 +52,7 @@ def average_luckiness_regret(
     sequence space; for that mixture it is the order-one information
     radius ``sibson_mi_alpha(n, m, 1.0, b)``.
     """
-    if b.m != m:
-        raise ValueError(f"luckiness has m={b.m}, got m={m}")
+    _check_alphabet(b, m, "luckiness")
     return _dirichlet_average(predictor, b, n, 1.0)
 
 
@@ -80,8 +71,7 @@ def luckiness_alpha_regret(
     (Theorem 5). Defined for alpha > 1; an exact sum over the type classes.
     """
     _check_order(alpha, above_one=True)
-    if b.m != m:
-        raise ValueError(f"luckiness has m={b.m}, got m={m}")
+    _check_alphabet(b, m, "luckiness")
     return _dirichlet_average(predictor, tilted_params(alpha, b), n, alpha)
 
 
@@ -99,6 +89,5 @@ def luckiness_alpha_regret_supform(
     m = 2 luckiness b = (1, 1) this is exactly the plain alpha-regret.
     Supported for m in {2, 3}, checked before any class table is built.
     """
-    if b.m != m:
-        raise ValueError(f"luckiness has m={b.m}, got m={m}")
+    _check_alphabet(b, m, "luckiness")
     return _theta_sup("luckiness_alpha_sup", predictor, n, m, alpha, b)

@@ -21,9 +21,12 @@ Five predictor kinds share one evaluation surface:
 luckiness weight and its tilt. It keeps ln B(a) on first use, and its
 ``log_pdf`` is the density that ``regret`` weights theta by.
 
-All joints are exchangeable (functions of the count vector alone) and are
-computed in the natural-log domain. Counts pass ``typeclass._as_counts``,
-the one count check: a negative or non-whole count is a ValueError.
+``_check_order`` is the one check of an order and ``_check_alphabet`` of a
+Dirichlet's alphabet, for ``regret`` and ``luckiness`` too. All joints are
+exchangeable (functions of the count vector alone) and are computed in the
+natural-log domain. Counts pass ``typeclass._as_counts``, the one count
+check: an array that is not (K, m), or a count that is not a whole number
+>= 0, is a ValueError.
 ``_separable`` is the one per-kind dispatch: it gives each kind's
 separable form, a per-symbol cell map k -> v_i(k), a special function f
 (``gammaln`` or x ln x), a divisor alpha,
@@ -46,9 +49,10 @@ class table there (``_class_table``, keyed by (n, m) alone),
 ``DEFAULT_CACHE.clear()`` empties it. Only
 ``log_normalizer`` takes ``cache=`` (another ``NormalizerCache``, or None
 for no memo), because the benchmark's scaling probe times it with
-``cache=None``. A scan hands the class table it holds to ``_class_joints``,
-which gives every class's numerator and joint and, on a normalizer-cache
-miss, reduces those numerators over that table instead of enumerating again.
+``cache=None``; ``_cached_log_normalizer`` is the one lookup. A scan
+hands the class table it holds to ``_class_joints``, which gives every
+class's numerator and joint and, on a normalizer-cache miss, reduces those
+numerators over that table instead of enumerating again.
 ``cumulative_log_loss`` codes a whole sequence with one gather from a flat
 table of prefix marginals: one backward pass over the lattice of prefix
 counts of (spec, horizon, m), stored level by level in the order of
@@ -87,6 +91,7 @@ from .typeclass import (
     _composition_tables,
     _lex_ranks,
     _validate_nm,
+    _whole,
     _whole_symbols,
     count_vector_total,
     count_vectors,
@@ -134,10 +139,7 @@ class DirichletParams:
         terms = xlogy(self._exponents, thetas)
         if not thetas.all():
             terms[np.isposinf(terms).any(axis=1)] = np.inf  # no +inf plus -inf, which would be nan
-        out = -self.log_beta + terms[:, 0]
-        for i in range(1, self.m):
-            out += terms[:, i]
-        return out
+        return _add_columns([-self.log_beta + terms[:, 0], *terms.T[1:]])
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.a, dtype=np.float64)
@@ -166,8 +168,7 @@ class AlphaNML(PredictorSpec):
     a: DirichletParams
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha >= 1.0):
-            raise ValueError(f"alpha must be a finite real >= 1, got {self.alpha}")
+        _check_order(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -186,9 +187,22 @@ class LuckinessAlphaNML(PredictorSpec):
     b: DirichletParams
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha >= 1.0):
-            raise ValueError(f"alpha must be a finite real >= 1, got {self.alpha}")
+        _check_order(self.alpha)
         tilted_params(self.alpha, self.b)  # raises if the tilt is infeasible
+
+
+def _check_order(alpha: float, *, above_one: bool = False, finite: bool = True) -> None:
+    """ValueError unless alpha >= 1 (alpha > 1 with ``above_one``), nan failing, and, with ``finite``, alpha < inf."""
+    if not (alpha > 1.0 if above_one else alpha >= 1.0):
+        raise ValueError(f"alpha must be {'>' if above_one else '>='} 1, got {alpha}")
+    if finite and alpha == math.inf:
+        raise ValueError(f"alpha must be finite, got {alpha}")
+
+
+def _check_alphabet(params: DirichletParams, m: int, role: str) -> None:
+    """The one check that Dirichlet ``params`` in ``role`` ("prior" or "luckiness") are over the m symbols asked for."""
+    if params.m != m:
+        raise ValueError(f"{role} has m={params.m}, got m={m}")
 
 
 def kt(m: int) -> Mixture:
@@ -465,10 +479,19 @@ def _class_table(n: int, m: int) -> _ClassTable:
     return DEFAULT_CACHE.get_or_compute((_class_table, n, m), build)
 
 
-def _compute_log_normalizer(spec: PredictorSpec, n: int, m: int) -> float:
-    """ln sum over the classes of (n, m), from ``_class_table``, of multiplicity * exp(log numerator)."""
-    counts, log_mult = _class_table(n, m)
-    return log_sum_exp(log_mult + log_numerators(spec, counts))
+def _compute_log_normalizer(spec: PredictorSpec, n: int, m: int, table: _ClassTable | None, numerators) -> float:
+    """ln sum of multiplicity * exp(log numerator) over ``table`` and its ``numerators``, or ``_class_table(n, m)``."""
+    if table is None:
+        table = _class_table(n, m)
+        numerators = log_numerators(spec, table.counts)
+    return log_sum_exp(table.log_mult + numerators)
+
+
+def _cached_log_normalizer(spec: PredictorSpec, n: int, m: int, table=None, numerators=None, cache=_DEFAULT) -> float:
+    """The normalizer from ``cache`` (default ``DEFAULT_CACHE``); a miss reduces the table and numerators given."""
+    cache = DEFAULT_CACHE if cache is _DEFAULT else cache
+    key = (_compute_log_normalizer, spec, n, m)
+    return cache.get_or_compute(key, lambda: _compute_log_normalizer(spec, n, m, table, numerators))
 
 
 def log_normalizer(
@@ -495,11 +518,9 @@ def log_normalizer(
     _checked_form(spec, m)
     if cache is None:
         counts = count_vectors(n, m)
-        return log_sum_exp(log_multiplicities(counts) + log_numerators(spec, counts))
-    if cache is _DEFAULT:
-        cache = DEFAULT_CACHE
-    key = (_compute_log_normalizer, spec, n, m)
-    return cache.get_or_compute(key, lambda: _compute_log_normalizer(spec, n, m))
+        table = _ClassTable(counts, log_multiplicities(counts))
+        return _compute_log_normalizer(spec, n, m, table, log_numerators(spec, counts))
+    return _cached_log_normalizer(spec, n, m, cache=cache)
 
 
 def _is_normalized(spec: PredictorSpec) -> bool:
@@ -516,20 +537,19 @@ def _is_normalized(spec: PredictorSpec) -> bool:
 def log_joints(spec: PredictorSpec, counts) -> np.ndarray:
     """ln of the predictor's probability of one sequence of each row's class.
 
-    Every row of the (K, m) count array must have the same total n. The
-    counts and the alphabet are checked once, by ``log_numerators``.
+    Every row of the (K, m) count array must have the same total n; an
+    array of no rows gives no joints. The counts are converted once, by
+    ``_as_counts``, and the alphabet is checked by ``log_numerators``.
     """
+    counts = _as_counts(counts)
     numerators = log_numerators(spec, counts)
-    counts = np.asarray(counts, dtype=np.int64)
     totals = counts.sum(axis=1)
-    if _is_normalized(spec):
+    if _is_normalized(spec) or not totals.size:
         numerators[totals == 0] = 0.0
         return numerators
-    if not totals.size or totals.min() != totals.max():
+    if totals.min() != totals.max():
         raise ValueError(f"count vectors of several horizons {np.unique(totals).tolist()} in one call")
-    n, m = int(totals[0]), counts.shape[1]
-    key = (_compute_log_normalizer, spec, n, m)
-    return numerators - DEFAULT_CACHE.get_or_compute(key, lambda: _compute_log_normalizer(spec, n, m))
+    return numerators - _cached_log_normalizer(spec, int(totals[0]), counts.shape[1])
 
 
 def _class_joints(spec: PredictorSpec, table: _ClassTable) -> tuple[np.ndarray, np.ndarray]:
@@ -544,8 +564,7 @@ def _class_joints(spec: PredictorSpec, table: _ClassTable) -> tuple[np.ndarray, 
     n, m = int(table.counts[0, -1]), table.counts.shape[1]
     if _is_normalized(spec):
         return numerators, numerators if n else np.zeros(1)
-    key = (_compute_log_normalizer, spec, n, m)
-    return numerators, numerators - DEFAULT_CACHE.get_or_compute(key, lambda: log_sum_exp(table.log_mult + numerators))
+    return numerators, numerators - _cached_log_normalizer(spec, n, m, table, numerators)
 
 
 def log_joint(spec: PredictorSpec, counts: CountVector) -> LogProb:
@@ -578,6 +597,13 @@ def _log_marginal_numerators(spec: PredictorSpec, past: CountVector, horizon: in
     return np.array([log_sum_exp(log_mult + log_numerators(spec, tails + head)) for head in heads])
 
 
+def _whole_horizon(horizon) -> int:
+    """A horizon as an int; one that is not a whole number (nan and +-inf included) is a ValueError."""
+    if not _whole(horizon):
+        raise ValueError(f"horizon must be a whole number, got {horizon}")
+    return int(horizon)
+
+
 def conditional_distribution(spec: PredictorSpec, past_counts: CountVector, horizon: int | None = None) -> np.ndarray:
     """Next-symbol probabilities given past counts.
 
@@ -591,8 +617,7 @@ def conditional_distribution(spec: PredictorSpec, past_counts: CountVector, hori
     """
     n0 = past_counts.n
     form = _checked_form(spec, past_counts.m)
-    if horizon is None:
-        horizon = n0 + 1
+    horizon = n0 + 1 if horizon is None else _whole_horizon(horizon)
     if horizon < n0 + 1:
         raise ValueError(f"horizon must be at least past length + 1 = {n0 + 1}, got {horizon}")
     if horizon == n0 + 1 and form.f is gammaln:
@@ -687,8 +712,7 @@ def cumulative_log_loss(
             raise ValueError("alphabet size m is required for this predictor kind")
     _checked_form(spec, m)
     seq = _whole_symbols(sequence, m)
-    if horizon is None:
-        horizon = len(seq)
+    horizon = len(seq) if horizon is None else _whole_horizon(horizon)
     if horizon < len(seq):
         raise ValueError(f"horizon {horizon} shorter than the sequence length {len(seq)}")
     path = np.zeros((len(seq) + 1, m), dtype=np.int64)  # the per-symbol counts of each prefix

@@ -10,14 +10,17 @@ Three regret notions share one engine:
   which recovers the average regret as alpha -> 1 and the worst case as
   alpha -> infinity.
 
-Only this module evaluates over theta: every supremum (average, alpha and
-the luckiness supremum form) on ``_theta_sup``, which checks its alphabet
-and theta budget before it builds a class table, and every Dirichlet average
-(of KL, or of the tilted sum_x p_theta^alpha q^(1-alpha)) on
-``_dirichlet_average``. An average needs no quadrature: E over
-Dirichlet(b) of theta^c is B(c + b) / B(b), so it swaps with the sum over
-type classes and is an exact class sum at any m, under the class budget.
-The weight of the luckiness supremum form is ``DirichletParams.log_pdf``.
+Orders and Dirichlet alphabets are checked by ``predictors._check_order``
+and ``_check_alphabet``; a report carries the checked ints n and m. Only
+this module evaluates over theta: every supremum (average, alpha and the
+luckiness supremum form) on ``_theta_sup``, which checks its order,
+alphabet and theta budget before it builds a class table, and every
+Dirichlet average (of KL, or of the tilted sum_x p_theta^alpha
+q^(1-alpha)) on ``_dirichlet_average``. An average needs no quadrature:
+E over Dirichlet(b) of theta^c is B(c + b) / B(b), so it swaps with the
+sum over type classes and is an exact class sum at any m, under the class
+budget. The weight of the luckiness supremum form is
+``DirichletParams.log_pdf``.
 
 The information radius I_alpha (a Sibson mutual information between the
 source parameter and the sequence) is the matching lower bound and shows up
@@ -28,10 +31,11 @@ with a Gamma-ratio expression under the Jeffreys prior.
 
 Maximization over theta uses a dense grid plus golden-section refinement on
 the 1-simplex, and a triangular lattice plus Nelder-Mead refinement on the
-2-simplex. A ``TypeClassTable`` evaluates the objective: the grid GRID_CHUNK
-points at a time (fewer when K is large) into two scratch arrays reused
-from chunk to chunk, the lattice's rows gathered from per-coordinate
-product tables, and each refinement probe, boundary points included, on
+2-simplex; ``_maximize`` alone chooses the lattice. A ``TypeClassTable``
+evaluates the objective: the grid GRID_CHUNK points at a time (fewer when
+K is large) into two scratch arrays reused from chunk to chunk, the
+lattice's rows gathered from per-coordinate product tables at the counts
+its rows are, and each refinement probe, boundary points included, on
 (K,) rows. Every route gives the batch route's values bit for bit.
 Nelder-Mead runs on the plain-Python port in ``_ports``, which gives
 scipy's bits without importing scipy. Argmax ties
@@ -59,6 +63,9 @@ from .predictors import (
     _class_joints,
     _class_table,
     _ClassTable,
+    _add_columns,
+    _check_alphabet,
+    _check_order,
     _separable,
     _separable_rows,
     log_normalizer,
@@ -77,17 +84,6 @@ GRID_CHUNK = 512  # grid and lattice rows per chunk of _grid_values; keeps the (
 # floats in each of _grid_values' two scratch arrays, at most: chunks of fewer rows when K > 256, so
 # perfbench's K <= 201 keeps whole chunks and a large K stays at 1 MiB per array
 _SCRATCH_FLOATS = 1 << 17
-
-
-def _check_order(alpha: float, *, above_one: bool = False, finite: bool = True) -> None:
-    """Raise ValueError unless alpha >= 1 (alpha > 1 with ``above_one``) and, with ``finite``, alpha < inf.
-
-    A nan order fails the first test.
-    """
-    if not (alpha > 1.0 if above_one else alpha >= 1.0):
-        raise ValueError(f"alpha must be {'>' if above_one else '>='} 1, got {alpha}")
-    if finite and alpha == math.inf:
-        raise ValueError(f"alpha must be finite, got {alpha}")
 
 
 def lex_argmax(values: np.ndarray) -> int:
@@ -254,24 +250,28 @@ class TypeClassTable:
     def _grid_values(self, thetas: np.ndarray, alpha: float) -> np.ndarray:
         """D_alpha(p_theta || predictor), KL at alpha = 1, at every row of a simplex grid.
 
-        ``thetas`` is the m = 2 grid, or at m = 3 the lattice of step
-        1/LATTICE_STEP in the row order of its class table, whose rows are
-        gathered from per-coordinate product tables instead of multiplied.
-        Chunks of at most GRID_CHUNK rows and ``_SCRATCH_FLOATS`` floats go
-        through two scratch arrays made for this call; rows reduce on their
-        own, so the chunking changes no value.
+        ``thetas`` is the m = 2 grid, or at m = 3 points c / LATTICE_STEP of
+        the lattice, whose rows are gathered from per-coordinate product
+        tables at the counts c = theta * LATTICE_STEP (exact, as LATTICE_STEP
+        is a power of two) instead of multiplied; other m = 3 rows take the
+        batch route. Chunks of at most GRID_CHUNK rows and ``_SCRATCH_FLOATS``
+        floats go through two scratch arrays made for this call; rows reduce
+        on their own, so the chunking changes no value.
         """
         size, classes = len(thetas), self.log_mult.size
         chunk = min(GRID_CHUNK, max(1, _SCRATCH_FLOATS // classes))
         lp_buffer, scratch_buffer = np.empty((2, min(size, chunk), classes))
-        if self.m == 3:
-            lattice = _class_table(LATTICE_STEP, 3).counts.T  # row i holds coordinate i's numerators
-            tables = self._lattice_products()
+        gather = self.m == 3
+        if gather:
+            steps = thetas.T * LATTICE_STEP
+            lattice = steps.astype(np.intp)  # row i holds coordinate i's counts
+            gather = bool((lattice == steps).all())
+        tables = self._lattice_products() if gather else None
         out = np.empty(size)
         for start in range(0, size, chunk):
             stop = min(start + chunk, size)
             lp, scratch = lp_buffer[: stop - start], scratch_buffer[: stop - start]
-            if self.m == 3:
+            if gather:
                 numerators = lattice[:, start:stop]
                 np.take(tables[0], numerators[0], axis=0, out=lp, mode="clip")
                 for i in (1, 2):
@@ -439,6 +439,7 @@ def _worst_case_scan(
     benchmark itself, its joints are the same numerators less the
     normalizer, so the numerators are evaluated once.
     """
+    n, m = _validate_nm(n, m)
     table = _class_table(n, m)
     if predictor == benchmark:
         numerators, joints = _class_joints(benchmark, table)
@@ -446,14 +447,7 @@ def _worst_case_scan(
         numerators = log_numerators(benchmark, table.counts)
         joints = joint_values(predictor, table)
     value, maximizer = _class_max(table.counts, numerators - joints)
-    return RegretReport(
-        kind=kind,
-        value_nats=value,
-        n=n,
-        m=m,
-        predictor=predictor,
-        maximizer=maximizer,
-    )
+    return RegretReport(kind, value, n, m, predictor, maximizer=maximizer)
 
 
 def worst_case_regret(predictor: PredictorSpec | JointFn, n: int, m: int) -> RegretReport:
@@ -492,7 +486,7 @@ def _dirichlet_average(predictor: PredictorSpec | JointFn, params: DirichletPara
 
         psi = digamma(np.arange(n + 1.0)[:, None] + params.as_array())  # psi(params_i + k), k = 0..n
         top = float(digamma(math.fsum(params.a) + n))
-        ell = sum(c * (psi[c, i] - top) for i, c in enumerate(table.counts.T))
+        ell = _add_columns([c * (psi[c, i] - top) for i, c in enumerate(table.counts.T)])
         with np.errstate(invalid="ignore"):  # a weight of 0 times an infinite log loss, or inf - inf: nan, raised below
             terms = np.exp(log_weight) * (ell - log_q)
             value = math.fsum(memoryview(terms)) if np.isfinite(terms).all() else float(terms.sum())
@@ -505,12 +499,6 @@ def _dirichlet_average(predictor: PredictorSpec | JointFn, params: DirichletPara
     return value
 
 
-def _check_theta_cells(points: int, n: int, m: int) -> None:
-    """UnsupportedError, before a class table is built, if ``points`` thetas times the classes of (n, m) pass budget."""
-    cells = points * count_vector_total(n, m)
-    _check_budget(f"a theta route of {points} points at (n, m) = ({n}, {m})", cells, "cells", _MAX_THETA_CELLS)
-
-
 def sibson_mi_alpha(n: int, m: int, alpha: float, a: DirichletParams) -> float:
     """Information radius of order alpha between the prior and the source.
 
@@ -519,8 +507,7 @@ def sibson_mi_alpha(n: int, m: int, alpha: float, a: DirichletParams) -> float:
     the mutual information E_a[KL(p_theta || mixture)], an exact sum over the
     type classes (``_dirichlet_average``).
     """
-    if a.m != m:
-        raise ValueError(f"prior has m={a.m}, got m={m}")
+    _check_alphabet(a, m, "prior")
     _check_order(alpha)
     if alpha == 1.0:
         return _dirichlet_average(Mixture(a), a, n, 1.0)
@@ -533,8 +520,7 @@ def w_alpha_direct(n: int, m: int, alpha: float, a: DirichletParams) -> WAlphaRe
     The remainder term in the worst-case-regret identity for the alpha
     family; ties break lexicographically smallest.
     """
-    if a.m != m:
-        raise ValueError(f"prior has m={a.m}, got m={m}")
+    _check_alphabet(a, m, "prior")
     counts = _class_table(n, m).counts
     vals = log_numerators(NML(), counts) - log_numerators(AlphaNML(alpha, a), counts)
     return WAlphaResult(*_class_max(counts, vals))
@@ -549,7 +535,7 @@ def w_alpha_closed(n: int, m: int, alpha: float, a: DirichletParams | None = Non
     """
     n, m = _validate_nm(n, m)
     _check_order(alpha)
-    if a is not None and tuple(a.a) != (0.5,) * m:
+    if a is not None and a != DirichletParams.jeffreys(m):
         raise UnsupportedError("the closed form holds for the Jeffreys prior only")
     return (
         (log_gamma(alpha * n + m / 2.0) - log_gamma(alpha * n + 0.5)) / alpha
@@ -603,15 +589,19 @@ def _theta_sup(
 ) -> RegretReport:
     """sup over theta of [ln Dirichlet(density)(theta) +] D_alpha(p_theta || predictor), reported as ``kind``.
 
-    The one driver behind every supremum over theta. The order and m are
-    checked before the class table is built, so an unsupported alphabet
-    allocates nothing.
+    The one driver behind every supremum over theta. The order, m and the
+    theta budget (the grid's or lattice's points times the classes of
+    (n, m)) are checked before the class table is built, so an unsupported
+    request allocates nothing.
     """
     _check_order(alpha)
     if m not in (2, 3):
         caller = "alpha_regret" if density is None else "luckiness_alpha_regret_supform"
         raise UnsupportedError(f"{caller} supports m in {{2, 3}}, got m={m}")
-    _check_theta_cells(GRID_POINTS if m == 2 else count_vector_total(LATTICE_STEP, 3), n, m)
+    n, m = _validate_nm(n, m)
+    points = GRID_POINTS if m == 2 else count_vector_total(LATTICE_STEP, 3)
+    cells = points * count_vector_total(n, m)
+    _check_budget(f"a theta route of {points} points at (n, m) = ({n}, {m})", cells, "cells", _MAX_THETA_CELLS)
     table = TypeClassTable(n, m, predictor)
 
     def grid_values(thetas: np.ndarray) -> np.ndarray:
@@ -623,15 +613,7 @@ def _theta_sup(
         return value if density is None else float(density.log_pdf([theta])[0]) + value
 
     point, value = _maximize(m, grid_values, point_value)
-    return RegretReport(
-        kind=kind,
-        value_nats=value,
-        n=n,
-        m=m,
-        predictor=predictor,
-        alpha=alpha,
-        maximizer=point,
-    )
+    return RegretReport(kind, value, n, m, predictor, alpha=alpha, maximizer=point)
 
 
 def average_regret(predictor: PredictorSpec | JointFn, n: int, m: int) -> RegretReport:

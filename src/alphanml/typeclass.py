@@ -14,8 +14,8 @@ a row of ln C(r, c) per distinct suffix sum r, built with one vectorized
 log of (r - j) / (j + 1) and one cumulative sum per block of rows. Scans
 evaluate predictors on these arrays and reduce them in one step; there is
 no per-class route. ``_as_counts`` is the one check of a count array, here
-and in ``predictors``: a negative or non-whole count, nan and inf included,
-is a ValueError.
+and in ``predictors``: an array that is not 2-d with at least one column,
+or a negative or non-whole count, nan and inf included, is a ValueError.
 ``count_vector_ranks`` inverts ``count_vectors``: it gives each count
 vector's row in the array of its horizon, by ``_lex_ranks``, the rank
 formula that sequence coding also reads its cached prefix ranks with. The
@@ -92,9 +92,11 @@ def _whole_symbols(sequence: Sequence[int], m: int) -> np.ndarray:
 
 
 def _as_counts(counts) -> np.ndarray:
-    """counts as an integer array; a negative or non-whole count, which would
-    wrap or miss a table index, is a ValueError."""
+    """counts as a (K, m) integer array with m >= 1; another shape, or a negative or non-whole count,
+    which would wrap or miss a table index, is a ValueError."""
     arr = np.asarray(counts)
+    if arr.ndim != 2 or not arr.shape[1]:
+        raise ValueError(f"counts: each call takes a (K, m) array of count vectors, got shape {arr.shape}")
     if arr.dtype.kind not in "iu":
         whole = np.isfinite(arr) & (np.floor(arr) == arr)
         if not whole.all():
@@ -173,8 +175,6 @@ def count_vector_ranks(counts) -> np.ndarray:
     counts. Counts must be a (K, m) array of non-negative integers.
     """
     counts = _as_counts(counts)
-    if counts.ndim != 2 or not counts.shape[1]:
-        raise ValueError(f"count_vector_ranks takes a (K, m) array of count vectors, got shape {counts.shape}")
     left = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1]  # R_0, ..., R_{m-1}
     return _lex_ranks(_composition_tables(int(left[:, 0].max(initial=0)), counts.shape[1]), left)
 
@@ -210,8 +210,8 @@ def log_multiplicities(counts: np.ndarray) -> np.ndarray:
     distinct r_i (``_log_binomial_rows``).
     """
     counts = _as_counts(counts)
-    if counts.shape[0] == 0:
-        return np.zeros(0)
+    if counts.shape[0] == 0 or counts.shape[1] == 1:  # no rows, or the one class n!/n! of each row
+        return np.zeros(counts.shape[0])
     suffix = counts[:, -1]
     rest = []
     for i in range(counts.shape[1] - 2, -1, -1):

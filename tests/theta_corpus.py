@@ -23,7 +23,8 @@ counts, ``w_alpha_direct``, ``w_alpha_closed``, both split checks, ``predictor_k
 ``count_vector_ranks``, ``log_numerators`` at m >= 8, and the class and lattice budgets' messages.
 Then more CLI runs: every README example, perfbench's ``cli`` argv kinds at 10 draws, every scan
 ``oracle --check``, ``--format json``, ``--base bits``, ``figure1 --out`` (with the written file's
-text) and exits 2 to 5, among them a ``--prior`` that theorem1 or a predictor without one refuses.
+text) and exits 2 to 5, among them a ``--prior`` that theorem1 or a predictor without one refuses, and
+an empty ``--prior``.
 New entries go after the last line, so no recorded line changes.
 
 The bits rest on the C library's log and pow, numpy's SIMD ``exp`` and its pairwise sums, so the
@@ -38,6 +39,7 @@ import json
 import math
 import platform
 import random
+import shlex
 import tempfile
 from pathlib import Path
 from typing import Callable
@@ -457,8 +459,10 @@ def scan_cli_entries() -> list[tuple[str, Callable[[], object]]]:
         "figure1 --n-list 10 --alpha-max 1 --out {tmp}/missing/table.csv",  # exit 5
         "oracle --check theorem1 --n 5 --m 2 --prior 3,3",  # exit 4: the closed form needs the Jeffreys prior
         "regret --kind worst --n 10 --m 2 --predictor kt --prior 1,1",  # exit 2: kt takes no --prior
+        'predict --m 2 --counts 1,0 --predictor kt --prior ""',  # exit 2: an empty --prior does not parse
+        'oracle --check theorem1 --n 5 --m 2 --prior ""',  # exit 2, not Jeffreys
     ]
-    return [("alphanml " + argv, lambda argv=argv.split(): run_cli_writing(argv)) for argv in argvs]
+    return [("alphanml " + argv, lambda argv=shlex.split(argv): run_cli_writing(argv)) for argv in argvs]
 
 
 def entries() -> list[tuple[str, Callable[[], object]]]:
